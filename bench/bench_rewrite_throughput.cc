@@ -6,7 +6,9 @@
 // paper's Chrome experiment scales real binaries), instruments it at
 // jobs ∈ {1, 2, 4, 8, auto}, and writes BENCH_rewrite_throughput.json:
 // image size, hardware threads, and per-run total wall time, instructions
-// per second, speedup vs jobs=1, and the per-pass wall-ms breakdown.
+// per second, speedup vs jobs=1, the codegen pass's wall time relative to
+// jobs=1 (the layer a parallel-emission change should move), and the
+// per-pass wall-ms breakdown.
 //
 // Every parallel run's output is also compared byte-for-byte against the
 // jobs=1 image — the determinism contract the test suite asserts, re-checked
@@ -33,6 +35,8 @@ struct RunRecord {
   double total_ms = 0.0;        // best-of-reps end-to-end Instrument() wall
   double insns_per_sec = 0.0;
   double speedup_vs_jobs1 = 0.0;
+  double codegen_ms = 0.0;
+  double codegen_vs_jobs1 = 0.0;  // codegen wall ms at this width / at jobs=1
   bool identical_to_jobs1 = false;
   PipelineStats stats;  // of the best rep
 };
@@ -86,8 +90,8 @@ int Main(int argc, char** argv) {
               "best of %d rep%s\n\n",
               static_cast<unsigned long long>(img.TotalBytes()), hw, hw == 1 ? "" : "s",
               reps, reps == 1 ? "" : "s");
-  std::printf("%8s %6s %12s %14s %10s %10s\n", "jobs", "(res)", "wall(ms)", "insns/sec",
-              "speedup", "identical");
+  std::printf("%8s %6s %12s %14s %10s %12s %10s\n", "jobs", "(res)", "wall(ms)", "insns/sec",
+              "speedup", "codegen/j1", "identical");
 
   std::vector<RunRecord> runs;
   std::vector<uint8_t> jobs1_bytes;
@@ -125,9 +129,15 @@ int Main(int argc, char** argv) {
     }
     rec.speedup_vs_jobs1 =
         runs.empty() ? 1.0 : (rec.total_ms > 0.0 ? runs[0].total_ms / rec.total_ms : 0.0);
-    std::printf("%8s %6u %12.2f %14.0f %9.2fx %10s\n",
+    const PassStats* codegen = best.pipeline_stats.Find("codegen");
+    REDFAT_CHECK(codegen != nullptr);
+    rec.codegen_ms = codegen->wall_ms;
+    rec.codegen_vs_jobs1 =
+        runs.empty() ? 1.0
+                     : (runs[0].codegen_ms > 0.0 ? rec.codegen_ms / runs[0].codegen_ms : 0.0);
+    std::printf("%8s %6u %12.2f %14.0f %9.2fx %12.2f %10s\n",
                 jobs == 0 ? "auto" : StrFormat("%u", jobs).c_str(), rec.jobs, rec.total_ms,
-                rec.insns_per_sec, rec.speedup_vs_jobs1,
+                rec.insns_per_sec, rec.speedup_vs_jobs1, rec.codegen_vs_jobs1,
                 rec.identical_to_jobs1 ? "yes" : "NO");
     runs.push_back(std::move(rec));
   }
@@ -148,9 +158,10 @@ int Main(int argc, char** argv) {
     json += StrFormat(
         "{\"jobs_requested\":%u,\"jobs\":%u,\"total_ms\":%.3f,"
         "\"insns_per_sec\":%.0f,\"speedup_vs_jobs1\":%.3f,"
+        "\"codegen_ms_vs_jobs1\":%.3f,"
         "\"identical_to_jobs1\":%s,\"passes\":{",
         r.jobs_requested, r.jobs, r.total_ms, r.insns_per_sec, r.speedup_vs_jobs1,
-        r.identical_to_jobs1 ? "true" : "false");
+        r.codegen_vs_jobs1, r.identical_to_jobs1 ? "true" : "false");
     for (size_t pi = 0; pi < r.stats.passes.size(); ++pi) {
       const PassStats& pass = r.stats.passes[pi];
       if (pi != 0) {

@@ -3,11 +3,20 @@
 //
 // Used by the workload generators (to build guest "binaries") and by the
 // RedFat check code generator (to build trampoline code).
+//
+// The code is relocatable until Finish(). A rel32 to a label does not
+// depend on the base and is patched as soon as both ends are known. Every
+// base-dependent field is recorded instead: imm64s holding a label's
+// address, and the PC-relative fields that point outside the code
+// (JmpAbs/JccAbs/CallAbs targets and EmitRipRelative displacements).
+// Finish() resolves those against the base in effect at that moment, so
+// code emitted at one base and Rebase()d to another is byte-identical to
+// code emitted at the second base directly, and the int32 range checks
+// apply to the final addresses.
 #ifndef REDFAT_SRC_ASM_ASSEMBLER_H_
 #define REDFAT_SRC_ASM_ASSEMBLER_H_
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "src/isa/abi.h"
@@ -113,9 +122,11 @@ class Assembler {
   void Call(Label label) { EmitBranch({.op = Op::kCall}, label); }
   // Direct branch to a known absolute address (e.g. back out of a
   // trampoline into the original code).
-  void JmpAbs(uint64_t target);
-  void JccAbs(Cond cond, uint64_t target);
-  void CallAbs(uint64_t target);
+  void JmpAbs(uint64_t target) { EmitAbsBranch({.op = Op::kJmp}, target); }
+  void JccAbs(Cond cond, uint64_t target) {
+    EmitAbsBranch({.op = Op::kJcc, .cond = cond}, target);
+  }
+  void CallAbs(uint64_t target) { EmitAbsBranch({.op = Op::kCall}, target); }
   void JmpR(Reg r) { Emit({.op = Op::kJmpR, .r0 = r}); }
   void CallR(Reg r) { Emit({.op = Op::kCallR, .r0 = r}); }
 
@@ -138,25 +149,50 @@ class Assembler {
   // displaced instructions).
   void Emit(const Instruction& insn);
 
-  // Finalizes: applies all fixups. CHECK-fails on unbound labels.
+  // Emits `insn`, whose memory operand is rip-relative, with the
+  // displacement chosen so that the operand addresses `target` wherever the
+  // code is finally placed (its own disp is ignored).
+  void EmitRipRelative(const Instruction& insn, uint64_t target);
+
+  // Moves the code to `new_base`: Finish resolves the base-dependent
+  // fields (label addresses and the fields that point outside the code)
+  // against it. Label branches are position-independent and do not change.
+  void Rebase(uint64_t new_base);
+
+  // Finalizes: applies all fixups. CHECK-fails on unbound labels and on
+  // rel32/disp32 fields whose final value does not fit in int32.
   std::vector<uint8_t> Finish();
 
   uint64_t base_vaddr() const { return base_vaddr_; }
 
  private:
+  // A bound label holds its offset. An unbound one holds the head of the
+  // chain of rel32 fields waiting for it (field offset + 1, 0 = none); each
+  // waiting field holds the link to the previous one until Bind patches
+  // the whole chain.
+  struct LabelState {
+    uint32_t pos = 0;
+    bool bound = false;
+  };
+  // A field that Finish resolves against the final base.
   struct Fixup {
-    enum class Kind { kRel32, kAbs64 };
+    enum class Kind {
+      kAbs64,     // imm64 holding a label's address
+      kExtRel32,  // rel32/disp32 to an absolute address outside the code
+    };
     Kind kind;
     size_t field_offset;  // where the 4/8-byte field lives in bytes_
     size_t insn_end;      // offset of the end of the instruction (rel32 anchor)
-    Label label;
+    uint64_t target;      // label id (kAbs64) or absolute address (kExtRel32)
   };
 
   void EmitBranch(Instruction insn, Label label);
+  void EmitAbsBranch(Instruction insn, uint64_t target);
 
   uint64_t base_vaddr_;
   std::vector<uint8_t> bytes_;
-  std::vector<std::optional<uint64_t>> labels_;  // bound offset in bytes_
+  std::vector<LabelState> labels_;
+  size_t waiting_labels_ = 0;  // unbound labels with a non-empty chain
   std::vector<Fixup> fixups_;
   bool finished_ = false;
 };

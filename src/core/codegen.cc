@@ -1,6 +1,6 @@
 #include "src/core/codegen.h"
 
-#include <algorithm>
+#include <array>
 
 #include "src/support/check.h"
 
@@ -12,24 +12,58 @@ struct Scratch {
   Reg t0, t1, t2, t3;
 };
 
+// An ordered register set in a fixed array, deduplicated by a bit mask.
+struct RegList {
+  std::array<Reg, kNumGprs> regs{};
+  size_t size = 0;
+  uint32_t mask = 0;
+
+  bool Contains(Reg r) const { return ((mask >> RegIndex(r)) & 1u) != 0; }
+  void Add(Reg r) {
+    REDFAT_CHECK(IsGpr(r));
+    if (!Contains(r)) {
+      regs[size++] = r;
+      mask |= 1u << RegIndex(r);
+    }
+  }
+  const Reg* begin() const { return regs.data(); }
+  const Reg* end() const { return regs.data() + size; }
+};
+
 // Picks 4 scratch registers for one check body: anything but rsp and the
 // operand's own base/index. Registers appearing earlier in `preference`
 // (dead registers first) are chosen first so that saves are minimized.
-Scratch PickScratch(const PlannedCheck& check, const std::vector<Reg>& preference) {
-  auto excluded = [&](Reg r) {
-    return r == Reg::kRsp || r == check.mem.base || r == check.mem.index;
-  };
-  std::vector<Reg> picks;
+Scratch PickScratch(const PlannedCheck& check, const RegList& preference) {
+  Reg picks[4];
+  size_t n = 0;
   for (Reg r : preference) {
-    if (!excluded(r) && std::find(picks.begin(), picks.end(), r) == picks.end()) {
-      picks.push_back(r);
-      if (picks.size() == 4) {
-        break;
-      }
+    if (r == Reg::kRsp || r == check.mem.base || r == check.mem.index) {
+      continue;
+    }
+    picks[n++] = r;
+    if (n == 4) {
+      return Scratch{picks[0], picks[1], picks[2], picks[3]};
     }
   }
-  REDFAT_CHECK(picks.size() == 4);
-  return Scratch{picks[0], picks[1], picks[2], picks[3]};
+  REDFAT_FATAL("fewer than 4 scratch registers");
+}
+
+// STEP 1 of both bodies: t0 = LB, the effective address of the (possibly
+// widened) operand. A rip-relative lea executes inside the trampoline but
+// must produce the address the original instruction would have; an
+// rsp-relative one skips the bytes the save prologue pushed.
+void EmitLowerBound(Assembler& as, const PlannedCheck& check, Reg t0, int32_t stack_bias) {
+  MemOperand lb = check.mem;
+  lb.size_log2 = 0;  // lea ignores the access size
+  if (lb.rip_relative()) {
+    as.EmitRipRelative({.op = Op::kLea, .r0 = t0, .mem = lb},
+                       check.anchor_next + static_cast<uint64_t>(int64_t{lb.disp}));
+    return;
+  }
+  if (lb.base == Reg::kRsp) {
+    lb.disp += stack_bias;
+  }
+  as.Lea(t0, lb);
 }
 
 // Emits the ASAN-style alternative body (RedzoneImpl::kShadow): a shadow
@@ -44,19 +78,7 @@ void EmitShadowCheckBody(Assembler& as, const PlannedCheck& check, const Scratch
   const Reg t2 = s.t2;
   const Reg t3 = s.t3;
   const uint32_t site = check.member_sites.front();
-  MemOperand lb = check.mem;
-  lb.size_log2 = 0;
-  if (lb.rip_relative()) {
-    const uint64_t new_next = as.Here() + EncodedLength(Op::kLea);
-    const int64_t adj = static_cast<int64_t>(lb.disp) +
-                        static_cast<int64_t>(check.anchor_next) -
-                        static_cast<int64_t>(new_next);
-    REDFAT_CHECK(adj >= INT32_MIN && adj <= INT32_MAX);
-    lb.disp = static_cast<int32_t>(adj);
-  } else if (lb.base == Reg::kRsp) {
-    lb.disp += stack_bias;
-  }
-  as.Lea(t0, lb);
+  EmitLowerBound(as, check, t0, stack_bias);
 
   const auto done = as.NewLabel();
   const auto end = as.NewLabel();
@@ -128,22 +150,8 @@ void EmitCheckBody(Assembler& as, const PlannedCheck& check, const Scratch& s,
   const bool profile = opts.mode == RedFatOptions::Mode::kProfile;
 
   // STEP 1: LB = effective address of the (possibly widened) operand.
-  MemOperand lb = check.mem;
-  lb.size_log2 = 0;  // lea ignores the access size
-  REDFAT_CHECK(lb.index != Reg::kRsp);
-  if (lb.rip_relative()) {
-    // Rebase the displacement: the lea executes inside the trampoline but
-    // must produce the address the original instruction would have.
-    const uint64_t new_next = as.Here() + EncodedLength(Op::kLea);
-    const int64_t adj = static_cast<int64_t>(lb.disp) +
-                        static_cast<int64_t>(check.anchor_next) -
-                        static_cast<int64_t>(new_next);
-    REDFAT_CHECK(adj >= INT32_MIN && adj <= INT32_MAX);
-    lb.disp = static_cast<int32_t>(adj);
-  } else if (lb.base == Reg::kRsp) {
-    lb.disp += stack_bias;
-  }
-  as.Lea(t0, lb);
+  REDFAT_CHECK(check.mem.index != Reg::kRsp);
+  EmitLowerBound(as, check, t0, stack_bias);
 
   const auto done = as.NewLabel();  // non-fat / passing exit
   const auto end = as.NewLabel();
@@ -261,41 +269,35 @@ void EmitTrampolinePayload(Assembler& as, const PlannedTrampoline& tramp,
   // Cold-tier trampolines are demoted to the save-all discipline: their
   // runtime cost is negligible by definition, and skipping the liveness
   // data keeps the wide demoted batches uniform.
-  std::vector<Reg> preference;
   const bool use_clobbers = opts.clobber_analysis && tramp.tier != Tier::kCold;
+  RegList dead;
   if (use_clobbers) {
-    preference = clobbers.dead_regs;
-  }
-  for (int r = 0; r < kNumGprs; ++r) {
-    const Reg reg = static_cast<Reg>(r);
-    if (std::find(preference.begin(), preference.end(), reg) == preference.end()) {
-      preference.push_back(reg);
+    for (Reg r : clobbers.dead_regs) {
+      dead.Add(r);
     }
   }
+  RegList preference = dead;
+  for (int r = 0; r < kNumGprs; ++r) {
+    preference.Add(static_cast<Reg>(r));
+  }
 
-  // Pre-pass: pick scratch per check; compute the union that needs saving.
-  std::vector<Scratch> scratch;
-  scratch.reserve(tramp.checks.size());
-  std::vector<Reg> to_save;
-  auto is_dead = [&](Reg r) {
-    return use_clobbers && std::find(clobbers.dead_regs.begin(), clobbers.dead_regs.end(),
-                                     r) != clobbers.dead_regs.end();
-  };
+  // Pre-pass: the union of the checks' live scratch registers needs saving.
+  // PickScratch is a pure function, so the bodies below pick the same ones.
+  RegList to_save;
   for (const PlannedCheck& check : tramp.checks) {
     const Scratch s = PickScratch(check, preference);
     for (Reg r : {s.t0, s.t1, s.t2, s.t3}) {
-      if (!is_dead(r) && std::find(to_save.begin(), to_save.end(), r) == to_save.end()) {
-        to_save.push_back(r);
+      if (!dead.Contains(r)) {
+        to_save.Add(r);
       }
     }
-    scratch.push_back(s);
   }
   const bool save_flags = !(use_clobbers && clobbers.flags_dead);
 
   // The guest may keep live data in the 128-byte red zone below rsp (leaf
   // spill slots); pushes would clobber it. Hop over it first — lea leaves
   // the flags untouched (the same trick E9Patch payloads use).
-  const bool uses_stack = !to_save.empty() || save_flags;
+  const bool uses_stack = to_save.size != 0 || save_flags;
   constexpr int32_t kStackRedZone = 128;
   if (uses_stack) {
     as.Lea(Reg::kRsp, MemAt(Reg::kRsp, -kStackRedZone));
@@ -307,17 +309,17 @@ void EmitTrampolinePayload(Assembler& as, const PlannedTrampoline& tramp,
     as.Pushf();
   }
   const int32_t stack_bias = static_cast<int32_t>(
-      (uses_stack ? kStackRedZone : 0) + 8 * (to_save.size() + (save_flags ? 1 : 0)));
+      (uses_stack ? kStackRedZone : 0) + 8 * (to_save.size + (save_flags ? 1 : 0)));
 
-  for (size_t i = 0; i < tramp.checks.size(); ++i) {
-    EmitCheckBody(as, tramp.checks[i], scratch[i], opts, stack_bias);
+  for (const PlannedCheck& check : tramp.checks) {
+    EmitCheckBody(as, check, PickScratch(check, preference), opts, stack_bias);
   }
 
   if (save_flags) {
     as.Popf();
   }
-  for (auto it = to_save.rbegin(); it != to_save.rend(); ++it) {
-    as.Pop(*it);
+  for (size_t i = to_save.size; i-- > 0;) {
+    as.Pop(to_save.regs[i]);
   }
   if (uses_stack) {
     as.Lea(Reg::kRsp, MemAt(Reg::kRsp, kStackRedZone));

@@ -638,14 +638,14 @@ class PatchPass : public Pass {
       Section ts;
       ts.kind = Section::Kind::kTrampoline;
       ts.vaddr = ctx.opts.trampoline_base;
-      ts.bytes = ctx.tramp_code.bytes;
+      ts.bytes = std::move(ctx.tramp_code.bytes);
       ctx.output.sections.push_back(std::move(ts));
     }
     if (!ctx.inline_code.bytes.empty()) {
       Section is;
       is.kind = Section::Kind::kInlineCheck;
       is.vaddr = ctx.opts.trampoline_base + kInlineCheckOffset;
-      is.bytes = ctx.inline_code.bytes;
+      is.bytes = std::move(ctx.inline_code.bytes);
       ctx.output.sections.push_back(std::move(is));
     }
     return PassOutcome{.items = ctx.spans.size(), .changed = ctx.spans.size()};

@@ -167,7 +167,8 @@ struct PipelineContext {
 
   // Rewriting state. `tramp_code.starts` is parallel to `spans` and covers
   // every span regardless of which blob its code landed in; `inline_code`
-  // holds the hot-tier blob (empty without a tiering profile).
+  // holds the hot-tier blob (empty without a tiering profile). The patch
+  // pass moves both blobs' bytes into `output`.
   std::vector<PatchRequest> requests;
   std::vector<SpanPlan> spans;
   TrampolineCode tramp_code;

@@ -416,8 +416,7 @@ std::vector<PlannedTrampoline> BatchCandidateRange(const Disassembly& dis, const
       break;  // no candidates left; membership of the open batch is fixed
     }
     const DisasmInsn& di = dis.insns[i];
-    if (i == first_insn || cfg.block_id[i] != current_block ||
-        cfg.jump_targets.count(di.addr) != 0) {
+    if (i == first_insn || cfg.block_id[i] != current_block || cfg.is_jump_target[i] != 0) {
       close();
       current_block = cfg.block_id[i];
     }

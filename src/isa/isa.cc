@@ -92,16 +92,16 @@ Layout LayoutOf(Op op) {
   REDFAT_FATAL("bad opcode");
 }
 
-void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  out->push_back(static_cast<uint8_t>(v));
-  out->push_back(static_cast<uint8_t>(v >> 8));
-  out->push_back(static_cast<uint8_t>(v >> 16));
-  out->push_back(static_cast<uint8_t>(v >> 24));
+uint8_t* PutU32(uint8_t* p, uint32_t v) {
+  p[0] = static_cast<uint8_t>(v);
+  p[1] = static_cast<uint8_t>(v >> 8);
+  p[2] = static_cast<uint8_t>(v >> 16);
+  p[3] = static_cast<uint8_t>(v >> 24);
+  return p + 4;
 }
 
-void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  PutU32(out, static_cast<uint32_t>(v));
-  PutU32(out, static_cast<uint32_t>(v >> 32));
+uint8_t* PutU64(uint8_t* p, uint64_t v) {
+  return PutU32(PutU32(p, static_cast<uint32_t>(v)), static_cast<uint32_t>(v >> 32));
 }
 
 uint32_t GetU32(const uint8_t* p) {
@@ -113,11 +113,11 @@ uint64_t GetU64(const uint8_t* p) {
   return static_cast<uint64_t>(GetU32(p)) | static_cast<uint64_t>(GetU32(p + 4)) << 32;
 }
 
-void EncodeMem(const MemOperand& mem, std::vector<uint8_t>* out) {
-  out->push_back(static_cast<uint8_t>(mem.base));
-  out->push_back(static_cast<uint8_t>(mem.index));
-  out->push_back(static_cast<uint8_t>((mem.scale_log2 & 3) | ((mem.size_log2 & 3) << 2)));
-  PutU32(out, static_cast<uint32_t>(mem.disp));
+uint8_t* EncodeMem(const MemOperand& mem, uint8_t* p) {
+  p[0] = static_cast<uint8_t>(mem.base);
+  p[1] = static_cast<uint8_t>(mem.index);
+  p[2] = static_cast<uint8_t>((mem.scale_log2 & 3) | ((mem.size_log2 & 3) << 2));
+  return PutU32(p + 3, static_cast<uint32_t>(mem.disp));
 }
 
 bool DecodeMem(const uint8_t* p, MemOperand* mem) {
@@ -378,65 +378,80 @@ void RegsWritten(const Instruction& insn, std::vector<Reg>* out) {
   }
 }
 
-unsigned Encode(const Instruction& insn, std::vector<uint8_t>* out) {
-  const size_t start = out->size();
-  out->push_back(static_cast<uint8_t>(insn.op));
+unsigned Encode(const Instruction& insn, uint8_t* out) {
+  uint8_t* p = out;
+  *p++ = static_cast<uint8_t>(insn.op);
   switch (LayoutOf(insn.op)) {
     case Layout::kOpOnly:
       break;
     case Layout::kRR:
       REDFAT_CHECK(IsGpr(insn.r0) && IsGpr(insn.r1));
-      out->push_back(static_cast<uint8_t>((RegIndex(insn.r0) << 4) | RegIndex(insn.r1)));
+      *p++ = static_cast<uint8_t>((RegIndex(insn.r0) << 4) | RegIndex(insn.r1));
       break;
     case Layout::kR:
       REDFAT_CHECK(IsGpr(insn.r0));
-      out->push_back(static_cast<uint8_t>(RegIndex(insn.r0)));
+      *p++ = static_cast<uint8_t>(RegIndex(insn.r0));
       break;
     case Layout::kRImm64:
       REDFAT_CHECK(IsGpr(insn.r0));
-      out->push_back(static_cast<uint8_t>(RegIndex(insn.r0)));
-      PutU64(out, static_cast<uint64_t>(insn.imm));
+      *p++ = static_cast<uint8_t>(RegIndex(insn.r0));
+      p = PutU64(p, static_cast<uint64_t>(insn.imm));
       break;
     case Layout::kRImm32:
       REDFAT_CHECK(IsGpr(insn.r0));
-      out->push_back(static_cast<uint8_t>(RegIndex(insn.r0)));
-      PutU32(out, static_cast<uint32_t>(insn.imm));
+      *p++ = static_cast<uint8_t>(RegIndex(insn.r0));
+      p = PutU32(p, static_cast<uint32_t>(insn.imm));
       break;
     case Layout::kRImm8:
       REDFAT_CHECK(IsGpr(insn.r0));
-      out->push_back(static_cast<uint8_t>(RegIndex(insn.r0)));
-      out->push_back(static_cast<uint8_t>(insn.imm & 63));
+      *p++ = static_cast<uint8_t>(RegIndex(insn.r0));
+      *p++ = static_cast<uint8_t>(insn.imm & 63);
       break;
     case Layout::kRMem:
       REDFAT_CHECK(IsGpr(insn.r0));
-      out->push_back(static_cast<uint8_t>(RegIndex(insn.r0)));
-      EncodeMem(insn.mem, out);
+      *p++ = static_cast<uint8_t>(RegIndex(insn.r0));
+      p = EncodeMem(insn.mem, p);
       break;
     case Layout::kMemImm32:
-      EncodeMem(insn.mem, out);
-      PutU32(out, static_cast<uint32_t>(insn.imm));
+      p = EncodeMem(insn.mem, p);
+      p = PutU32(p, static_cast<uint32_t>(insn.imm));
       break;
     case Layout::kRel32:
-      PutU32(out, static_cast<uint32_t>(insn.imm));
+      p = PutU32(p, static_cast<uint32_t>(insn.imm));
       break;
     case Layout::kCcRel32:
-      out->push_back(static_cast<uint8_t>(insn.cond));
-      PutU32(out, static_cast<uint32_t>(insn.imm));
+      *p++ = static_cast<uint8_t>(insn.cond);
+      p = PutU32(p, static_cast<uint32_t>(insn.imm));
       break;
     case Layout::kImm8:
-      out->push_back(static_cast<uint8_t>(insn.imm));
+      *p++ = static_cast<uint8_t>(insn.imm);
       break;
     case Layout::kTrap:
-      out->push_back(static_cast<uint8_t>(insn.imm & 0xff));
-      PutU32(out, static_cast<uint32_t>(static_cast<uint64_t>(insn.imm) >> 8));
+      *p++ = static_cast<uint8_t>(insn.imm & 0xff);
+      p = PutU32(p, static_cast<uint32_t>(static_cast<uint64_t>(insn.imm) >> 8));
       break;
     case Layout::kImm32:
-      PutU32(out, static_cast<uint32_t>(insn.imm));
+      p = PutU32(p, static_cast<uint32_t>(insn.imm));
       break;
   }
-  const unsigned len = static_cast<unsigned>(out->size() - start);
+  const unsigned len = static_cast<unsigned>(p - out);
   REDFAT_CHECK(len == EncodedLength(insn.op));
   return len;
+}
+
+unsigned Encode(const Instruction& insn, std::vector<uint8_t>* out) {
+  const size_t start = out->size();
+  out->resize(start + EncodedLength(insn.op));
+  return Encode(insn, out->data() + start);
+}
+
+unsigned MemDispOffset(Op op) {
+  switch (LayoutOf(op)) {
+    case Layout::kRMem: return 5;      // [op][r0][base][index][ss][disp32]
+    case Layout::kMemImm32: return 4;  // [op][base][index][ss][disp32][imm32]
+    default: break;
+  }
+  REDFAT_FATAL("no memory operand");
 }
 
 Result<Decoded> Decode(const uint8_t* bytes, size_t size) {

@@ -209,8 +209,15 @@ void RegsWritten(const Instruction& insn, std::vector<Reg>* out);
 // Encoding / decoding
 // ---------------------------------------------------------------------------
 
+// Writes the encoding of `insn` to `out`, which must have room for
+// EncodedLength(insn.op) bytes. Returns the encoded length.
+unsigned Encode(const Instruction& insn, uint8_t* out);
 // Appends the encoding of `insn` to `out`. Returns the encoded length.
 unsigned Encode(const Instruction& insn, std::vector<uint8_t>* out);
+
+// Byte offset of the memory operand's disp32 field within the encoding of
+// an instruction with opcode `op` (a load, store or lea).
+unsigned MemDispOffset(Op op);
 
 struct Decoded {
   Instruction insn;

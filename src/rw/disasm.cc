@@ -200,10 +200,17 @@ CfgInfo RecoverCfg(const Disassembly& dis, const BinaryImage& image,
   // Keep only targets that land on instruction boundaries; a "target" in the
   // middle of an instruction cannot be a real control-flow destination of
   // well-formed code, and treating it as one would forbid every patch.
+  cfg.is_jump_target.assign(n, 0);
   for (auto it = cfg.jump_targets.begin(); it != cfg.jump_targets.end();) {
-    if (dis.InText(*it) && dis.IndexAt(*it) == SIZE_MAX) {
+    if (!dis.InText(*it)) {
+      ++it;
+      continue;
+    }
+    const size_t index = dis.IndexAt(*it);
+    if (index == SIZE_MAX) {
       it = cfg.jump_targets.erase(it);
     } else {
+      cfg.is_jump_target[index] = 1;
       ++it;
     }
   }
@@ -222,10 +229,9 @@ CfgInfo RecoverCfg(const Disassembly& dis, const BinaryImage& image,
       const size_t end = (r + 1) * n / ranges;
       uint32_t count = 0;
       for (size_t i = begin; i < end; ++i) {
-        const DisasmInsn& di = dis.insns[i];
         const bool is_leader = i == 0 ||
                                IsControlFlow(dis.insns[i - 1].insn.op) ||
-                               cfg.jump_targets.count(di.addr) != 0;
+                               cfg.is_jump_target[i] != 0;
         leader[i] = is_leader ? 1 : 0;
         count += is_leader ? 1u : 0u;
       }
@@ -252,7 +258,7 @@ CfgInfo RecoverCfg(const Disassembly& dis, const BinaryImage& image,
     bool start_new = true;
     for (size_t i = 0; i < n; ++i) {
       const DisasmInsn& di = dis.insns[i];
-      if (start_new || cfg.jump_targets.count(di.addr) != 0) {
+      if (start_new || cfg.is_jump_target[i] != 0) {
         ++block;
       }
       cfg.block_id[i] = block;

@@ -57,6 +57,9 @@ struct CfgInfo {
   // Addresses that some (recovered, over-approximated) control transfer may
   // target. Instrumentation must not pun over these.
   std::unordered_set<uint64_t> jump_targets;
+  // The same targets by instruction index (parallel to Disassembly::insns;
+  // 1 = some recovered transfer may land on this instruction).
+  std::vector<uint8_t> is_jump_target;
   // Basic-block id per instruction (parallel to Disassembly::insns).
   std::vector<uint32_t> block_id;
   uint32_t num_blocks = 0;

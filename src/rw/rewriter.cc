@@ -12,6 +12,17 @@ namespace {
 
 constexpr unsigned kJmpLen = 5;  // EncodedLength(Op::kJmp)
 
+// Invokes fn(i) for every i in [0, n): on the pool, or inline without one.
+void ForEach(ThreadPool* pool, size_t n, const std::function<void(size_t)>& fn) {
+  if (pool != nullptr) {
+    pool->ParallelFor(n, fn);
+    return;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    fn(i);
+  }
+}
+
 // Re-emits a displaced instruction at the assembler's current position,
 // fixing up position-dependent fields. `old_next` is the address of the
 // instruction following the original copy.
@@ -45,15 +56,9 @@ void RelocateInsn(Assembler& as, const DisasmInsn& di) {
     default:
       break;
   }
-  if (IsMemAccess(insn.op) || insn.op == Op::kLea) {
-    if (insn.mem.rip_relative()) {
-      const uint64_t new_next = as.Here() + EncodedLength(insn.op);
-      const int64_t new_disp = static_cast<int64_t>(insn.mem.disp) +
-                               static_cast<int64_t>(old_next) -
-                               static_cast<int64_t>(new_next);
-      REDFAT_CHECK(new_disp >= INT32_MIN && new_disp <= INT32_MAX);
-      insn.mem.disp = static_cast<int32_t>(new_disp);
-    }
+  if ((IsMemAccess(insn.op) || insn.op == Op::kLea) && insn.mem.rip_relative()) {
+    as.EmitRipRelative(insn, old_next + static_cast<uint64_t>(int64_t{insn.mem.disp}));
+    return;
   }
   as.Emit(insn);
 }
@@ -64,36 +69,36 @@ Result<std::vector<SpanPlan>> PlanSpans(const Disassembly& dis, const CfgInfo& c
                                         const std::vector<PatchRequest>& requests,
                                         RewriteStats* stats) {
   REDFAT_CHECK(stats != nullptr);
+  REDFAT_CHECK(cfg.is_jump_target.size() == dis.insns.size());
   stats->requested = requests.size();
 
-  std::unordered_map<uint64_t, size_t> by_addr;
-  std::vector<uint64_t> addrs;
+  // Requests by instruction index: spans probe a flat array, and a scan of
+  // it visits the requests in address order.
+  std::vector<size_t> request_at(dis.insns.size(), SIZE_MAX);
   for (size_t r = 0; r < requests.size(); ++r) {
     const uint64_t addr = requests[r].addr;
-    if (dis.IndexAt(addr) == SIZE_MAX) {
+    const size_t index = dis.IndexAt(addr);
+    if (index == SIZE_MAX) {
       return Error(StrFormat("rewriter: request at 0x%llx is not an instruction boundary",
                              static_cast<unsigned long long>(addr)));
     }
-    const bool inserted = by_addr.emplace(addr, r).second;
-    if (!inserted) {
+    if (request_at[index] != SIZE_MAX) {
       return Error(StrFormat("rewriter: duplicate request at 0x%llx",
                              static_cast<unsigned long long>(addr)));
     }
-    addrs.push_back(addr);
+    request_at[index] = r;
   }
-  std::sort(addrs.begin(), addrs.end());
 
   std::vector<SpanPlan> spans;
-  uint64_t consumed_until = 0;  // sites below this were merged into a prior span
-  for (const uint64_t addr : addrs) {
-    if (addr < consumed_until) {
-      continue;  // payload already emitted inside the covering span
+  size_t consumed_until = 0;  // requests below this index were merged into a prior span
+  for (size_t start_index = 0; start_index < request_at.size(); ++start_index) {
+    if (request_at[start_index] == SIZE_MAX || start_index < consumed_until) {
+      continue;  // no request, or its payload is emitted inside the covering span
     }
-    const size_t start_index = dis.IndexAt(addr);
 
     // Build the overwrite span: enough whole instructions to cover the jmp.
     SpanPlan span;
-    span.addr = addr;
+    span.addr = dis.insns[start_index].addr;
     bool conflict_target = false;
     bool conflict_call = false;
     for (size_t i = start_index; span.span_len < kJmpLen; ++i) {
@@ -102,7 +107,7 @@ Result<std::vector<SpanPlan>> PlanSpans(const Disassembly& dis, const CfgInfo& c
       }
       const DisasmInsn& di = dis.insns[i];
       if (i != start_index) {
-        if (cfg.jump_targets.count(di.addr) != 0) {
+        if (cfg.is_jump_target[i] != 0) {
           conflict_target = true;
           break;
         }
@@ -114,8 +119,7 @@ Result<std::vector<SpanPlan>> PlanSpans(const Disassembly& dis, const CfgInfo& c
         }
       }
       span.insn_indices.push_back(i);
-      auto it = by_addr.find(di.addr);
-      span.payloads.push_back(it == by_addr.end() ? SIZE_MAX : it->second);
+      span.payloads.push_back(request_at[i]);
       span.span_len += di.length;
       if (conflict_call && span.span_len < kJmpLen) {
         break;  // call mid-span: remaining slots unreachable
@@ -133,7 +137,7 @@ Result<std::vector<SpanPlan>> PlanSpans(const Disassembly& dis, const CfgInfo& c
       ++stats->skipped_section_end;
       continue;
     }
-    consumed_until = dis.insns[span.insn_indices.back()].end();
+    consumed_until = span.insn_indices.back() + 1;
     spans.push_back(std::move(span));
   }
   return spans;
@@ -167,47 +171,42 @@ TrampolineCode EmitTrampolines(const Disassembly& dis, const std::vector<SpanPla
                                RewriteStats* stats) {
   RewriteStats local;
   RewriteStats& st = stats != nullptr ? *stats : local;
+  // One contiguous chunk of spans per worker, each emitted once at the
+  // blob's base. Chunk 0 stays in place; the others are rebased behind it.
+  const size_t num_chunks =
+      std::max<size_t>(1, std::min<size_t>(pool != nullptr ? pool->jobs() : 1, spans.size()));
+  const auto first_span = [&](size_t c) { return spans.size() * c / num_chunks; };
+  std::vector<Assembler> chunks(num_chunks, Assembler(trampoline_base));
+  std::vector<size_t> applied(num_chunks, 0);
   TrampolineCode code;
-  code.starts.assign(spans.size(), 0);
-  if (pool == nullptr || pool->jobs() <= 1 || spans.size() <= 1) {
-    Assembler tramp(trampoline_base);
-    for (size_t i = 0; i < spans.size(); ++i) {
-      code.starts[i] = tramp.Here();
-      st.applied += EmitSpanTrampoline(dis, tramp, spans[i], requests);
+  code.starts.resize(spans.size());
+  ForEach(pool, num_chunks, [&](size_t c) {
+    // Built in a local: neighbouring elements of `chunks` share cache lines.
+    Assembler as(trampoline_base);
+    size_t chunk_applied = 0;
+    for (size_t i = first_span(c); i < first_span(c + 1); ++i) {
+      code.starts[i] = as.Here();
+      chunk_applied += EmitSpanTrampoline(dis, as, spans[i], requests);
     }
-    code.bytes = tramp.Finish();
-  } else {
-    // Phase 1: measure every span's trampoline in parallel. Instruction
-    // encodings have fixed lengths, so the size does not depend on the
-    // final placement.
-    std::vector<size_t> sizes(spans.size(), 0);
-    pool->ParallelFor(spans.size(), [&](size_t i) {
-      Assembler probe(trampoline_base);
-      EmitSpanTrampoline(dis, probe, spans[i], requests);
-      sizes[i] = probe.SizeBytes();
-      probe.Finish();
-    });
-    // Layout: prefix sums give each span its final address.
-    uint64_t offset = 0;
-    for (size_t i = 0; i < spans.size(); ++i) {
-      code.starts[i] = trampoline_base + offset;
-      offset += sizes[i];
-    }
-    // Phase 2: emit every span at its final address in parallel.
-    std::vector<std::vector<uint8_t>> blobs(spans.size());
-    std::vector<size_t> applied(spans.size(), 0);
-    pool->ParallelFor(spans.size(), [&](size_t i) {
-      Assembler as(code.starts[i]);
-      applied[i] = EmitSpanTrampoline(dis, as, spans[i], requests);
-      blobs[i] = as.Finish();
-      REDFAT_CHECK(blobs[i].size() == sizes[i]);
-    });
-    code.bytes.reserve(offset);
-    for (size_t i = 0; i < spans.size(); ++i) {
-      st.applied += applied[i];
-      code.bytes.insert(code.bytes.end(), blobs[i].begin(), blobs[i].end());
-    }
+    chunks[c] = std::move(as);
+    applied[c] = chunk_applied;
+  });
+  std::vector<uint64_t> offsets(num_chunks + 1, 0);  // prefix sums of chunk sizes
+  for (size_t c = 0; c < num_chunks; ++c) {
+    offsets[c + 1] = offsets[c] + chunks[c].SizeBytes();
+    st.applied += applied[c];
   }
+  code.bytes = chunks[0].Finish();
+  code.bytes.resize(offsets.back());
+  ForEach(pool, num_chunks - 1, [&](size_t k) {
+    const size_t c = k + 1;
+    chunks[c].Rebase(trampoline_base + offsets[c]);
+    for (size_t i = first_span(c); i < first_span(c + 1); ++i) {
+      code.starts[i] += offsets[c];
+    }
+    const std::vector<uint8_t> bytes = chunks[c].Finish();
+    std::copy(bytes.begin(), bytes.end(), code.bytes.begin() + offsets[c]);
+  });
   st.trampolines = spans.size();
   st.trampoline_bytes = code.bytes.size();
   return code;
@@ -237,21 +236,13 @@ void PatchSpans(Section* text, const std::vector<SpanPlan>& spans,
     const int64_t rel = static_cast<int64_t>(tramp_starts[i]) -
                         static_cast<int64_t>(span.addr + kJmpLen);
     REDFAT_CHECK(rel >= INT32_MIN && rel <= INT32_MAX);
-    std::vector<uint8_t> jmp_bytes;
-    Encode({.op = Op::kJmp, .imm = rel}, &jmp_bytes);
-    REDFAT_CHECK(jmp_bytes.size() == kJmpLen);
-    std::copy(jmp_bytes.begin(), jmp_bytes.end(), text->bytes.begin() + patch_off);
+    REDFAT_CHECK(patch_off + span.span_len <= text->bytes.size());
+    Encode({.op = Op::kJmp, .imm = rel}, text->bytes.data() + patch_off);
     for (unsigned f = kJmpLen; f < span.span_len; ++f) {
       text->bytes[patch_off + f] = static_cast<uint8_t>(Op::kUd2);
     }
   };
-  if (pool != nullptr && pool->jobs() > 1 && spans.size() > 1) {
-    pool->ParallelFor(spans.size(), patch_one);
-  } else {
-    for (size_t i = 0; i < spans.size(); ++i) {
-      patch_one(i);
-    }
-  }
+  ForEach(pool, spans.size(), patch_one);
 }
 
 Rewriter::Rewriter(const BinaryImage& image) : image_(image) {

@@ -24,13 +24,14 @@
 // parallelize each stage independently):
 //   PlanSpans        — serial: overwrite-span construction + conflicts;
 //   EmitTrampolines  — per-span code emission (payloads + relocations +
-//                      jump back). Every instruction encoding has a fixed
-//                      length, so a span's trampoline size is independent
-//                      of where it is placed; with `jobs > 1` all spans are
-//                      measured in parallel, the final layout is a prefix
-//                      sum, and each span is re-emitted at its final
-//                      address — byte-identical to the serial layout;
-//   PatchSpans       — serial: overwrite the original text bytes.
+//                      jump back), in one pass: the spans are split into
+//                      one contiguous chunk per worker, each chunk is
+//                      emitted once by a relocatable Assembler at the
+//                      blob's base, the chunks are laid out by prefix sum,
+//                      and each is rebased to its final address and written
+//                      into the blob — byte-identical to emitting every
+//                      span in order at its final address;
+//   PatchSpans       — overwrite the original text bytes.
 // The Rewriter class composes the three over its own disassembly.
 #ifndef REDFAT_SRC_RW_REWRITER_H_
 #define REDFAT_SRC_RW_REWRITER_H_
@@ -50,8 +51,11 @@ namespace redfat {
 // Emits payload code into the trampoline assembler. The payload must
 // preserve all guest-visible state it does not own (the caller decides
 // which registers/flags are dead via its own clobber analysis). Payload
-// emitters must be safe to invoke concurrently from the parallel emission
-// stage (they may run once per layout phase per span).
+// emitters run once per span and must be safe to invoke concurrently from
+// the parallel emission stage. Position-dependent fields must go through
+// the Assembler's recorded forms (labels, JmpAbs/JccAbs/CallAbs,
+// EmitRipRelative), never through Here(): the code is rebased after
+// emission.
 using PayloadEmitter = std::function<void(Assembler&)>;
 
 struct PatchRequest {
@@ -96,9 +100,10 @@ size_t EmitSpanTrampoline(const Disassembly& dis, Assembler& as, const SpanPlan&
                           const std::vector<PatchRequest>& requests);
 
 // Stage 2: emits all span trampolines as one code blob based at
-// `trampoline_base`, recording each span's start address. With `jobs > 1`
-// the spans are emitted across a thread pool; the blob is byte-identical
-// to `jobs == 1`. Fills stats->applied/trampolines/trampoline_bytes.
+// `trampoline_base`, recording each span's start address. Every span is
+// emitted exactly once: in one chunk serially, or in one chunk per worker
+// that is rebased into place afterwards. The blob is byte-identical for
+// every job count. Fills stats->applied/trampolines/trampoline_bytes.
 struct TrampolineCode {
   std::vector<uint8_t> bytes;
   std::vector<uint64_t> starts;  // parallel to the span vector
@@ -107,8 +112,8 @@ TrampolineCode EmitTrampolines(const Disassembly& dis, const std::vector<SpanPla
                                const std::vector<PatchRequest>& requests,
                                uint64_t trampoline_base, unsigned jobs, RewriteStats* stats);
 
-// Pool form: same two-phase measure/layout/emit, but on the pipeline's
-// persistent workers instead of a per-call pool (nullptr = serial).
+// Pool form: same chunked emission, but on the pipeline's persistent
+// workers instead of a per-call pool (nullptr = one chunk, serial).
 TrampolineCode EmitTrampolines(const Disassembly& dis, const std::vector<SpanPlan>& spans,
                                const std::vector<PatchRequest>& requests,
                                uint64_t trampoline_base, ThreadPool* pool,

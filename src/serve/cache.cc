@@ -2,10 +2,10 @@
 
 namespace redfat {
 
-bool ArtifactCache::Lookup(const CacheKey& key, CachedArtifact* out) {
+bool ArtifactCache::Lookup(const CacheKey& key, std::shared_ptr<const CachedArtifact>* out) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = index_.find(key);
-  if (it == index_.end() || !it->second->artifact.has_artifact()) {
+  if (it == index_.end() || !it->second->artifact->has_artifact()) {
     ++misses_;
     return false;
   }
@@ -29,8 +29,9 @@ std::shared_ptr<void> ArtifactCache::LookupRetained(const CacheKey& key) {
 
 void ArtifactCache::Insert(const CacheKey& key, CachedArtifact artifact,
                            std::shared_ptr<void> retained, uint64_t retained_bytes) {
+  auto shared = std::make_shared<const CachedArtifact>(std::move(artifact));
   std::lock_guard<std::mutex> lock(mu_);
-  const uint64_t charge = artifact.image_bytes.size() + artifact.sitemap.size() +
+  const uint64_t charge = shared->image_bytes.size() + shared->sitemap.size() +
                           (retained != nullptr ? retained_bytes : 0);
   auto it = index_.find(key);
   if (it != index_.end()) {
@@ -39,16 +40,16 @@ void ArtifactCache::Insert(const CacheKey& key, CachedArtifact artifact,
     // the new insert does not bring one.
     Entry& e = *it->second;
     bytes_ -= e.charged_bytes;
-    e.artifact = std::move(artifact);
+    e.artifact = std::move(shared);
     if (retained != nullptr) {
       e.retained = std::move(retained);
     }
-    e.charged_bytes = e.artifact.image_bytes.size() + e.artifact.sitemap.size() +
+    e.charged_bytes = e.artifact->image_bytes.size() + e.artifact->sitemap.size() +
                       (e.retained != nullptr ? retained_bytes : 0);
     bytes_ += e.charged_bytes;
     lru_.splice(lru_.begin(), lru_, it->second);
   } else {
-    lru_.push_front(Entry{key, std::move(artifact), std::move(retained), charge});
+    lru_.push_front(Entry{key, std::move(shared), std::move(retained), charge});
     index_[key] = lru_.begin();
     bytes_ += charge;
   }

@@ -13,6 +13,10 @@
 // rewrite *with* a profile still deposits its profile-independent analysis
 // under the base key, but never fabricates an untiered image it did not
 // build. Lookup() only reports entries that carry an artifact.
+//
+// Artifacts are immutable once inserted and shared by pointer: a hit holds
+// the cache's one mutex only long enough to copy a shared_ptr, so
+// concurrent hits and inserts never wait on a copy of the image bytes.
 #ifndef REDFAT_SRC_SERVE_CACHE_H_
 #define REDFAT_SRC_SERVE_CACHE_H_
 
@@ -49,9 +53,9 @@ class ArtifactCache {
   // budget == 0 means "unbounded" (no eviction).
   explicit ArtifactCache(uint64_t budget_bytes) : budget_(budget_bytes) {}
 
-  // Copies the artifact out on a hit and marks the entry most recently
-  // used. Analysis-only entries and absent keys are misses.
-  bool Lookup(const CacheKey& key, CachedArtifact* out);
+  // Hands out the artifact on a hit (`out` may be null) and marks the entry
+  // most recently used. Analysis-only entries and absent keys are misses.
+  bool Lookup(const CacheKey& key, std::shared_ptr<const CachedArtifact>* out);
 
   // The retained warm-state handle of the entry (typically the base entry),
   // or null. Bumps recency: an image being actively re-tiered should be the
@@ -71,7 +75,7 @@ class ArtifactCache {
  private:
   struct Entry {
     CacheKey key;
-    CachedArtifact artifact;
+    std::shared_ptr<const CachedArtifact> artifact;  // never null
     std::shared_ptr<void> retained;
     uint64_t charged_bytes = 0;
   };

@@ -59,6 +59,17 @@ uint64_t EstimateAnalysisBytes(const PipelineContext& ctx, size_t input_bytes) {
   return est;
 }
 
+// A cache hit's reply. The bytes are copied out of the shared artifact
+// here, after the cache lock is released.
+RewriteService::Outcome HitOutcome(const CacheKey& key, const CachedArtifact& cached) {
+  RewriteService::Outcome out;
+  out.key = key;
+  out.cache_hit = true;
+  out.image_bytes = cached.image_bytes;
+  out.sitemap = cached.sitemap;
+  return out;
+}
+
 }  // namespace
 
 // RAII per-request recorder: queue depth at arrival, latency cycles at
@@ -107,15 +118,10 @@ Result<RewriteService::Outcome> RewriteService::Rewrite(
     key.profile_fp = TierProfileFingerprint(profile);
   }
 
-  CachedArtifact cached;
+  std::shared_ptr<const CachedArtifact> cached;
   if (cache_.Lookup(key, &cached)) {
     hits_.fetch_add(1, std::memory_order_relaxed);
-    Outcome out;
-    out.key = key;
-    out.cache_hit = true;
-    out.image_bytes = std::move(cached.image_bytes);
-    out.sitemap = std::move(cached.sitemap);
-    return out;
+    return HitOutcome(key, *cached);
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
 
@@ -146,15 +152,10 @@ Result<RewriteService::Outcome> RewriteService::UploadProfile(
   key.options_fp = CacheOptionsFingerprint(opts);
   key.profile_fp = TierProfileFingerprint(profile);
 
-  CachedArtifact cached;
+  std::shared_ptr<const CachedArtifact> cached;
   if (cache_.Lookup(key, &cached)) {
     hits_.fetch_add(1, std::memory_order_relaxed);
-    Outcome out;
-    out.key = key;
-    out.cache_hit = true;
-    out.image_bytes = std::move(cached.image_bytes);
-    out.sitemap = std::move(cached.sitemap);
-    return out;
+    return HitOutcome(key, *cached);
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
 
@@ -171,17 +172,12 @@ Result<RewriteService::Outcome> RewriteService::UploadProfile(
 
 Result<RewriteService::Outcome> RewriteService::FetchArtifact(const CacheKey& key) {
   RequestScope scope(this);
-  CachedArtifact cached;
+  std::shared_ptr<const CachedArtifact> cached;
   if (!cache_.Lookup(key, &cached)) {
     return Error(StrFormat("no cached artifact for key %s", key.ToString().c_str()));
   }
   hits_.fetch_add(1, std::memory_order_relaxed);
-  Outcome out;
-  out.key = key;
-  out.cache_hit = true;
-  out.image_bytes = std::move(cached.image_bytes);
-  out.sitemap = std::move(cached.sitemap);
-  return out;
+  return HitOutcome(key, *cached);
 }
 
 Result<RewriteService::Outcome> RewriteService::RewriteMiss(

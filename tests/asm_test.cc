@@ -64,6 +64,124 @@ TEST(Assembler, HereTracksPosition) {
   EXPECT_EQ(as.Here(), 0x10bu);
 }
 
+TEST(Assembler, ForwardLabelWithSeveralBranches) {
+  Assembler as(0x1000);
+  auto target = as.NewLabel();
+  as.Jmp(target);               // [0, 5)
+  as.Jcc(Cond::kNe, target);    // [5, 11)
+  as.Call(target);              // [11, 16)
+  as.Bind(target);
+  as.Ret();
+  const std::vector<uint8_t> bytes = as.Finish();
+  ASSERT_EQ(bytes.size(), 17u);
+  EXPECT_EQ(Decode(bytes.data(), 5).value().insn.imm, 11);
+  EXPECT_EQ(Decode(bytes.data() + 5, 6).value().insn.imm, 5);
+  EXPECT_EQ(Decode(bytes.data() + 11, 5).value().insn.imm, 0);
+}
+
+// One of every position-dependent form: branches and rip-relative operands
+// that point outside the code, label branches both ways, and a label's
+// absolute address.
+constexpr uint64_t kJmpTarget = 0x401000;
+constexpr uint64_t kJccTarget = 0x402000;
+constexpr uint64_t kCallTarget = 0x403000;
+constexpr uint64_t kLeaTarget = 0x600010;
+constexpr uint64_t kLoadTarget = 0x600020;
+constexpr uint64_t kStoreTarget = 0x600030;
+constexpr uint64_t kStoreITarget = 0x600040;
+
+void EmitRelocatableSample(Assembler& as) {
+  const MemOperand rip = MemAt(Reg::kRip, 0, 2);
+  const auto fwd = as.NewLabel();
+  const auto back = as.NewLabel();
+  as.Bind(back);
+  as.JmpAbs(kJmpTarget);
+  as.JccAbs(Cond::kNe, kJccTarget);
+  as.CallAbs(kCallTarget);
+  as.EmitRipRelative({.op = Op::kLea, .r0 = Reg::kRax, .mem = rip}, kLeaTarget);
+  as.EmitRipRelative({.op = Op::kLoad, .r0 = Reg::kRcx, .mem = rip}, kLoadTarget);
+  as.EmitRipRelative({.op = Op::kStoreR, .r0 = Reg::kRdx, .mem = rip}, kStoreTarget);
+  as.EmitRipRelative({.op = Op::kStoreI, .mem = rip, .imm = 7}, kStoreITarget);
+  as.Jcc(Cond::kEq, fwd);
+  as.Jmp(back);
+  as.MovLabelAddr(Reg::kRbx, fwd);
+  as.Bind(fwd);
+  as.Call(back);
+  as.Ret();
+}
+
+TEST(AssemblerRebase, MatchesEmittingAtTheFinalBase) {
+  const uint64_t bases[] = {0x10400000, 0x10400000 + 0x1234567, 0x14400000};
+  for (const uint64_t from : bases) {
+    for (const uint64_t to : bases) {
+      Assembler moved(from);
+      EmitRelocatableSample(moved);
+      moved.Rebase(to);
+      Assembler direct(to);
+      EmitRelocatableSample(direct);
+      EXPECT_EQ(moved.Finish(), direct.Finish())
+          << std::hex << "0x" << from << " -> 0x" << to;
+    }
+  }
+}
+
+TEST(AssemblerRebase, ExternalFieldsResolveAtTheFinalBase) {
+  constexpr uint64_t kFinal = 0x14400000;
+  Assembler as(0x10400000);
+  EmitRelocatableSample(as);
+  as.Rebase(kFinal);
+  const std::vector<uint8_t> bytes = as.Finish();
+  // Walk the code, resolving each PC-relative field against the final base.
+  std::vector<uint64_t> branch_targets;
+  std::vector<uint64_t> mem_targets;
+  uint64_t label_addr = 0;
+  for (size_t off = 0; off < bytes.size();) {
+    Result<Decoded> d = Decode(bytes.data() + off, bytes.size() - off);
+    ASSERT_TRUE(d.ok()) << d.error();
+    const Instruction& insn = d.value().insn;
+    const uint64_t next = kFinal + off + d.value().length;
+    if (HasRel32(insn.op)) {
+      branch_targets.push_back(next + static_cast<uint64_t>(insn.imm));
+    } else if (insn.op == Op::kMovRI) {
+      label_addr = static_cast<uint64_t>(insn.imm);
+    } else if (insn.mem.rip_relative()) {
+      mem_targets.push_back(next + static_cast<uint64_t>(int64_t{insn.mem.disp}));
+    }
+    off += d.value().length;
+  }
+  // fwd sits after the 10-byte mov; back is the start of the code.
+  const uint64_t fwd = label_addr;
+  EXPECT_EQ(branch_targets,
+            (std::vector<uint64_t>{kJmpTarget, kJccTarget, kCallTarget, fwd, kFinal, kFinal}));
+  EXPECT_EQ(mem_targets,
+            (std::vector<uint64_t>{kLeaTarget, kLoadTarget, kStoreTarget, kStoreITarget}));
+  EXPECT_EQ(fwd, kFinal + bytes.size() - 6);  // call(5) ret(1) follow the label
+}
+
+TEST(AssemblerRebase, RangeChecksApplyToTheFinalBase) {
+  // 4 GiB away from the target, the jmp cannot be encoded; moved back in
+  // range before Finish, it can.
+  Assembler as(kJmpTarget + (1ull << 32));
+  as.JmpAbs(kJmpTarget);
+  as.Rebase(0x10400000);
+  const std::vector<uint8_t> bytes = as.Finish();
+  EXPECT_EQ(Decode(bytes.data(), bytes.size()).value().insn.imm,
+            static_cast<int64_t>(kJmpTarget) - (0x10400000 + 5));
+}
+
+TEST(AssemblerDeath, RebaseOutOfRel32RangeChecks) {
+  Assembler jmp(0x10400000);
+  jmp.JmpAbs(kJmpTarget);
+  jmp.Rebase(kJmpTarget + (1ull << 31) + 16);
+  EXPECT_DEATH(jmp.Finish(), "CHECK failed");
+
+  Assembler lea(0x10400000);
+  lea.EmitRipRelative({.op = Op::kLea, .r0 = Reg::kRax, .mem = MemAt(Reg::kRip, 0)},
+                      kLeaTarget);
+  lea.Rebase(kLeaTarget + (1ull << 31) + 16);
+  EXPECT_DEATH(lea.Finish(), "CHECK failed");
+}
+
 TEST(AssemblerDeath, UnboundLabelChecks) {
   Assembler as(0);
   auto l = as.NewLabel();
