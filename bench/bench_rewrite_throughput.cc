@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "bench/common.h"
+#include "src/support/json.h"
 #include "src/support/parallel.h"
 #include "src/support/str.h"
 #include "src/workloads/synth.h"
@@ -45,12 +46,6 @@ double NowMs() {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-std::string JsonEscapePassName(const std::string& name) {
-  // Pass names are short lowercase identifiers; no escaping needed beyond
-  // trusting the pipeline's own naming.
-  return name;
 }
 
 int Main(int argc, char** argv) {
@@ -167,7 +162,7 @@ int Main(int argc, char** argv) {
       if (pi != 0) {
         json += ",";
       }
-      json += StrFormat("\"%s\":%.3f", JsonEscapePassName(pass.name).c_str(),
+      json += StrFormat("\"%s\":%.3f", JsonEscape(pass.name).c_str(),
                         pass.wall_ms);
     }
     json += "}}";

@@ -1,6 +1,7 @@
 #include "src/core/forensics_report.h"
 
 #include "src/core/sitemap.h"
+#include "src/support/json.h"
 #include "src/support/str.h"
 
 namespace redfat {
@@ -9,26 +10,6 @@ namespace {
 
 constexpr uint64_t kDumpRow = 16;
 constexpr uint64_t kDumpRows = 4;
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string Hex(uint64_t v) {
   return StrFormat("0x%llx", static_cast<unsigned long long>(v));

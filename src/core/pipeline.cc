@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cctype>
 #include <memory>
 #include <utility>
 
 #include "src/core/codegen.h"
 #include "src/core/policy.h"
 #include "src/support/check.h"
+#include "src/support/json.h"
 #include "src/support/parallel.h"
 #include "src/support/str.h"
 #include "src/support/telemetry.h"
@@ -53,169 +53,48 @@ std::string PipelineStats::ToJson() const {
     out += StrFormat(
         "{\"name\":\"%s\",\"items\":%zu,\"changed\":%zu,\"wall_ms\":%.3f,"
         "\"cycles_saved\":%llu,\"start_ms\":%.3f}",
-        p.name.c_str(), p.items, p.changed, p.wall_ms,
+        JsonEscape(p.name).c_str(), p.items, p.changed, p.wall_ms,
         static_cast<unsigned long long>(p.cycles_saved), p.start_ms);
   }
   out += "]}";
   return out;
 }
 
-// A tiny parser for exactly the object shapes ToJson() produces (plus
-// arbitrary whitespace). Not a general JSON parser.
 namespace {
 
-struct JsonCursor {
-  const std::string& s;
-  size_t i = 0;
-
-  void SkipWs() {
-    while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i])) != 0) {
-      ++i;
-    }
-  }
-  bool Eat(char c) {
-    SkipWs();
-    if (i < s.size() && s[i] == c) {
-      ++i;
-      return true;
-    }
-    return false;
-  }
-  bool Peek(char c) {
-    SkipWs();
-    return i < s.size() && s[i] == c;
-  }
-};
-
-bool ParseString(JsonCursor& c, std::string* out) {
-  if (!c.Eat('"')) {
-    return false;
-  }
-  out->clear();
-  while (c.i < c.s.size() && c.s[c.i] != '"') {
-    if (c.s[c.i] == '\\') {
-      return false;  // ToJson() never escapes; reject rather than mis-parse
-    }
-    out->push_back(c.s[c.i++]);
-  }
-  return c.Eat('"');
-}
-
-bool ParseNumber(JsonCursor& c, double* out) {
-  c.SkipWs();
-  const size_t start = c.i;
-  while (c.i < c.s.size() &&
-         (std::isdigit(static_cast<unsigned char>(c.s[c.i])) != 0 || c.s[c.i] == '-' ||
-          c.s[c.i] == '+' || c.s[c.i] == '.' || c.s[c.i] == 'e' || c.s[c.i] == 'E')) {
-    ++c.i;
-  }
-  if (c.i == start) {
-    return false;
-  }
-  try {
-    *out = std::stod(c.s.substr(start, c.i - start));
-  } catch (...) {
-    return false;
-  }
-  return true;
-}
-
-bool ParsePassObject(JsonCursor& c, PassStats* out) {
-  if (!c.Eat('{')) {
-    return false;
-  }
-  bool first = true;
-  while (!c.Peek('}')) {
-    if (!first && !c.Eat(',')) {
-      return false;
-    }
-    first = false;
-    std::string key;
-    if (!ParseString(c, &key) || !c.Eat(':')) {
-      return false;
-    }
-    if (key == "name") {
-      if (!ParseString(c, &out->name)) {
-        return false;
-      }
-      continue;
-    }
-    double num = 0;
-    if (!ParseNumber(c, &num)) {
-      return false;
-    }
-    if (key == "items") {
-      out->items = static_cast<size_t>(num);
-    } else if (key == "changed") {
-      out->changed = static_cast<size_t>(num);
-    } else if (key == "wall_ms") {
-      out->wall_ms = num;
-    } else if (key == "cycles_saved") {
-      out->cycles_saved = static_cast<uint64_t>(num);
-    } else if (key == "start_ms") {
-      out->start_ms = num;  // absent in PR-1-era output; defaults to 0
-    }  // unknown numeric keys are ignored for forward compatibility
-  }
-  return c.Eat('}');
+bool ReadPass(JsonReader& r, PassStats* p) {
+  return r.Object([&](const std::string& key) {
+    double ignored = 0;
+    // start_ms is absent in PR-1-era output and defaults to 0.
+    return key == "name"           ? r.String(&p->name)
+           : key == "items"        ? r.Number(&p->items)
+           : key == "changed"      ? r.Number(&p->changed)
+           : key == "wall_ms"      ? r.Number(&p->wall_ms)
+           : key == "cycles_saved" ? r.Number(&p->cycles_saved)
+           : key == "start_ms"     ? r.Number(&p->start_ms)
+                                   : r.Number(&ignored);
+  });
 }
 
 }  // namespace
 
 Result<PipelineStats> PipelineStatsFromJson(const std::string& json) {
-  JsonCursor c{json};
+  JsonReader r(json, "stats json");
   PipelineStats stats;
-  if (!c.Eat('{')) {
-    return Error("stats json: expected object");
-  }
-  bool first = true;
-  while (!c.Peek('}')) {
-    if (!first && !c.Eat(',')) {
-      return Error("stats json: expected ','");
-    }
-    first = false;
-    std::string key;
-    if (!ParseString(c, &key) || !c.Eat(':')) {
-      return Error("stats json: expected key");
-    }
+  r.Object([&](const std::string& key) {
     if (key == "jobs") {
-      double num = 0;
-      if (!ParseNumber(c, &num)) {
-        return Error("stats json: bad jobs");
-      }
-      stats.jobs = static_cast<unsigned>(num);
-    } else if (key == "total_ms") {
-      double num = 0;
-      if (!ParseNumber(c, &num)) {
-        return Error("stats json: bad total_ms");
-      }
-      stats.total_ms = num;
-    } else if (key == "passes") {
-      if (!c.Eat('[')) {
-        return Error("stats json: expected passes array");
-      }
-      while (!c.Peek(']')) {
-        if (!stats.passes.empty() && !c.Eat(',')) {
-          return Error("stats json: expected ',' in passes");
-        }
-        PassStats p;
-        if (!ParsePassObject(c, &p)) {
-          return Error("stats json: bad pass object");
-        }
-        stats.passes.push_back(std::move(p));
-      }
-      if (!c.Eat(']')) {
-        return Error("stats json: unterminated passes array");
-      }
-    } else {
-      return Error(StrFormat("stats json: unknown key '%s'", key.c_str()));
+      return r.Number(&stats.jobs);
     }
-  }
-  if (!c.Eat('}')) {
-    return Error("stats json: unterminated object");
-  }
-  c.SkipWs();
-  if (c.i != json.size()) {
-    return Error("stats json: trailing data");
+    if (key == "total_ms") {
+      return r.Number(&stats.total_ms);
+    }
+    if (key == "passes") {
+      return r.Array([&] { return ReadPass(r, &stats.passes.emplace_back()); });
+    }
+    return r.Fail("unknown key '" + key + "'");
+  });
+  if (const Status st = r.Finish(); !st.ok()) {
+    return Error(st.error());
   }
   return stats;
 }

@@ -74,8 +74,10 @@ struct PipelineStats {
   std::string ToJson() const;
 };
 
-// Parses the ToJson() format back (used by benches and the golden test to
-// consume `--stats` output).
+// Parses the ToJson() format back through the shared JsonReader (benches
+// and the golden test consume `--stats` output this way). Counts are exact
+// unsigned integers; unknown top-level keys are errors, unknown numeric keys
+// in a pass object are ignored for forward compatibility.
 Result<PipelineStats> PipelineStatsFromJson(const std::string& json);
 
 class TelemetryRegistry;

@@ -1,5 +1,6 @@
 #include "src/serve/protocol.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -99,6 +100,8 @@ std::vector<uint8_t> BodyReader::Rest() {
 
 namespace {
 
+constexpr size_t kFirstBodyChunk = 1 << 20;
+
 Status WriteAll(int fd, const uint8_t* data, size_t len) {
   size_t off = 0;
   while (off < len) {
@@ -173,14 +176,25 @@ Result<Frame> ReadFrame(int fd) {
   if (length == 0 || length > kMaxFramePayload) {
     return Error(StrFormat("frame: bad length %u", length));
   }
-  std::vector<uint8_t> payload(length);
-  got = ReadAll(fd, payload.data(), payload.size(), /*eof_ok=*/false);
+  uint8_t type = 0;
+  got = ReadAll(fd, &type, 1, /*eof_ok=*/false);
   if (!got.ok()) {
     return Error(got.error());
   }
   Frame f;
-  f.type = static_cast<MsgType>(payload[0]);
-  f.body.assign(payload.begin() + 1, payload.end());
+  f.type = static_cast<MsgType>(type);
+  // The body grows geometrically as bytes arrive, so a header that declares
+  // 1 GiB and sends nothing costs one 1 MiB chunk; smaller frames land in
+  // one allocation of their own size.
+  const size_t body_len = length - 1;
+  while (f.body.size() < body_len) {
+    const size_t have = f.body.size();
+    f.body.resize(std::min(body_len, std::max(kFirstBodyChunk, 2 * have)));
+    got = ReadAll(fd, f.body.data() + have, f.body.size() - have, /*eof_ok=*/false);
+    if (!got.ok()) {
+      return Error(got.error());
+    }
+  }
   return f;
 }
 

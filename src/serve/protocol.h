@@ -99,8 +99,9 @@ class BodyReader {
 // --- framed socket I/O -----------------------------------------------------
 
 // Blocking full-frame read/write on a connected stream socket. ReadFrame
-// returns an error for EOF, bad magic, oversized length, or short reads;
-// both retry EINTR internally.
+// returns an error for EOF, bad magic, oversized length, or short reads,
+// and allocates the body only as its bytes arrive (a declared length alone
+// reserves nothing); both retry EINTR internally.
 Status WriteFrame(int fd, MsgType type, const std::vector<uint8_t>& body);
 Result<Frame> ReadFrame(int fd);
 

@@ -57,8 +57,9 @@ namespace redfat {
 uint64_t HostCycleNow();
 
 // Parses a `--metrics` snapshot JSON into a tier profile: image-0 sites
-// only, cycles = trampoline + inline-check cycles (the same join
-// `redfat --profile=FILE` applies).
+// only, cycles = trampoline + inline-check cycles. The one conversion:
+// `redfat --profile=FILE` calls it too, so an offline rewrite and a daemon
+// upload tier the same profile identically.
 Result<TierProfile> TierProfileFromSnapshotJson(const std::string& json);
 
 // The fingerprint the service actually keys its cache with: transport-only

@@ -1,10 +1,9 @@
 #include "src/support/telemetry.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdlib>
 
 #include "src/support/check.h"
+#include "src/support/json.h"
 #include "src/support/str.h"
 
 namespace redfat {
@@ -119,14 +118,14 @@ std::string TelemetrySnapshot::ToJson() const {
   std::string out = "{\"counters\":{";
   bool first = true;
   for (const auto& [name, value] : counters) {
-    out += StrFormat("%s\"%s\":%llu", first ? "" : ",", name.c_str(),
+    out += StrFormat("%s\"%s\":%llu", first ? "" : ",", JsonEscape(name).c_str(),
                      static_cast<unsigned long long>(value));
     first = false;
   }
   out += "},\"gauges\":{";
   first = true;
   for (const auto& [name, value] : gauges) {
-    out += StrFormat("%s\"%s\":%.17g", first ? "" : ",", name.c_str(), value);
+    out += StrFormat("%s\"%s\":%.17g", first ? "" : ",", JsonEscape(name).c_str(), value);
     first = false;
   }
   out += "}";
@@ -136,7 +135,7 @@ std::string TelemetrySnapshot::ToJson() const {
     out += ",\"gauge_seq\":{";
     first = true;
     for (const auto& [name, seq] : gauge_seq) {
-      out += StrFormat("%s\"%s\":%llu", first ? "" : ",", name.c_str(),
+      out += StrFormat("%s\"%s\":%llu", first ? "" : ",", JsonEscape(name).c_str(),
                        static_cast<unsigned long long>(seq));
       first = false;
     }
@@ -147,7 +146,7 @@ std::string TelemetrySnapshot::ToJson() const {
     first = true;
     for (const auto& [name, h] : histograms) {
       out += StrFormat("%s\"%s\":{\"sum\":%llu,\"buckets\":{", first ? "" : ",",
-                       name.c_str(), static_cast<unsigned long long>(h.sum));
+                       JsonEscape(name).c_str(), static_cast<unsigned long long>(h.sum));
       bool bfirst = true;
       for (const auto& [index, count] : h.buckets) {
         out += StrFormat("%s\"%u\":%llu", bfirst ? "" : ",", index,
@@ -173,235 +172,75 @@ std::string TelemetrySnapshot::ToJson() const {
   return out;
 }
 
-// A tiny parser for exactly the shapes ToJson() produces (plus arbitrary
-// whitespace), mirroring the PipelineStats parser's conventions: unknown
-// numeric keys inside a site object are ignored for forward compatibility,
-// unknown top-level keys are an error.
 namespace {
 
-struct JsonCursor {
-  const std::string& s;
-  size_t i = 0;
-
-  void SkipWs() {
-    while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i])) != 0) {
-      ++i;
-    }
-  }
-  bool Eat(char c) {
-    SkipWs();
-    if (i < s.size() && s[i] == c) {
-      ++i;
-      return true;
-    }
-    return false;
-  }
-  bool Peek(char c) {
-    SkipWs();
-    return i < s.size() && s[i] == c;
-  }
-};
-
-bool ParseString(JsonCursor& c, std::string* out) {
-  if (!c.Eat('"')) {
-    return false;
-  }
-  out->clear();
-  while (c.i < c.s.size() && c.s[c.i] != '"') {
-    if (c.s[c.i] == '\\') {
-      return false;  // ToJson() never escapes; reject rather than mis-parse
-    }
-    out->push_back(c.s[c.i++]);
-  }
-  return c.Eat('"');
-}
-
-bool ParseNumber(JsonCursor& c, double* out) {
-  c.SkipWs();
-  const size_t start = c.i;
-  while (c.i < c.s.size() &&
-         (std::isdigit(static_cast<unsigned char>(c.s[c.i])) != 0 || c.s[c.i] == '-' ||
-          c.s[c.i] == '+' || c.s[c.i] == '.' || c.s[c.i] == 'e' || c.s[c.i] == 'E')) {
-    ++c.i;
-  }
-  if (c.i == start) {
-    return false;
-  }
-  try {
-    *out = std::stod(c.s.substr(start, c.i - start));
-  } catch (...) {
-    return false;
-  }
-  return true;
-}
-
-// {"name":number,...} into an ordered map.
 template <typename T>
-bool ParseNumberMap(JsonCursor& c, std::map<std::string, T>* out) {
-  if (!c.Eat('{')) {
-    return false;
-  }
-  bool first = true;
-  while (!c.Peek('}')) {
-    if (!first && !c.Eat(',')) {
-      return false;
-    }
-    first = false;
-    std::string key;
-    double num = 0;
-    if (!ParseString(c, &key) || !c.Eat(':') || !ParseNumber(c, &num)) {
-      return false;
-    }
-    (*out)[key] = static_cast<T>(num);
-  }
-  return c.Eat('}');
+bool ReadNumberMap(JsonReader& r, std::map<std::string, T>* out) {
+  return r.Object([&](const std::string& name) { return r.Number(&(*out)[name]); });
 }
 
-bool ParseSiteObject(JsonCursor& c, SiteTelemetry* out, bool* saw_id) {
-  if (!c.Eat('{')) {
-    return false;
-  }
-  *saw_id = false;
-  bool first = true;
-  while (!c.Peek('}')) {
-    if (!first && !c.Eat(',')) {
-      return false;
+bool ReadHistogram(JsonReader& r, HistogramData* h) {
+  return r.Object([&](const std::string& field) {
+    if (field == "sum") {
+      return r.Number(&h->sum);
     }
-    first = false;
-    std::string key;
-    double num = 0;
-    if (!ParseString(c, &key) || !c.Eat(':') || !ParseNumber(c, &num)) {
-      return false;
+    if (field == "buckets") {
+      return r.Object([&](const std::string& key) {
+        uint64_t index = 0;
+        return r.KeyUint(key, kNumHistogramBuckets - 1, &index) &&
+               r.Number(&h->buckets[static_cast<uint32_t>(index)]);
+      });
     }
+    return r.Fail("unknown histogram field '" + field + "'");
+  });
+}
+
+bool ReadSite(JsonReader& r, SiteTelemetry* site) {
+  bool saw_id = false;
+  const bool ok = r.Object([&](const std::string& key) {
     if (key == "id") {
-      out->site = static_cast<uint32_t>(num);
-      *saw_id = true;
-      continue;
+      saw_id = true;
+      return r.Number(&site->site);
     }
-    bool known = false;
     for (size_t e = 0; e < kNumSiteEvents; ++e) {
       if (key == SiteEventName(static_cast<SiteEvent>(e))) {
-        out->counts[e] = static_cast<uint64_t>(num);
-        known = true;
-        break;
+        return r.Number(&site->counts[e]);
       }
     }
-    (void)known;  // unknown numeric keys are ignored for forward compatibility
-  }
-  return c.Eat('}');
+    double ignored = 0;
+    return r.Number(&ignored);
+  });
+  return ok && (saw_id || r.Fail("site object without \"id\""));
 }
 
 }  // namespace
 
 Result<TelemetrySnapshot> TelemetrySnapshotFromJson(const std::string& json) {
-  JsonCursor c{json};
+  JsonReader r(json, "metrics json");
   TelemetrySnapshot snap;
-  if (!c.Eat('{')) {
-    return Error("metrics json: expected object");
-  }
-  bool first = true;
-  while (!c.Peek('}')) {
-    if (!first && !c.Eat(',')) {
-      return Error("metrics json: expected ','");
-    }
-    first = false;
-    std::string key;
-    if (!ParseString(c, &key) || !c.Eat(':')) {
-      return Error("metrics json: expected key");
-    }
+  r.Object([&](const std::string& key) {
     if (key == "counters") {
-      if (!ParseNumberMap(c, &snap.counters)) {
-        return Error("metrics json: bad counters object");
-      }
-    } else if (key == "gauges") {
-      if (!ParseNumberMap(c, &snap.gauges)) {
-        return Error("metrics json: bad gauges object");
-      }
-    } else if (key == "gauge_seq") {
-      if (!ParseNumberMap(c, &snap.gauge_seq)) {
-        return Error("metrics json: bad gauge_seq object");
-      }
-    } else if (key == "histograms") {
-      if (!c.Eat('{')) {
-        return Error("metrics json: expected histograms object");
-      }
-      bool hfirst = true;
-      while (!c.Peek('}')) {
-        if (!hfirst && !c.Eat(',')) {
-          return Error("metrics json: expected ',' in histograms");
-        }
-        hfirst = false;
-        std::string name;
-        if (!ParseString(c, &name) || !c.Eat(':') || !c.Eat('{')) {
-          return Error("metrics json: bad histogram entry");
-        }
-        HistogramData h;
-        bool ffirst = true;
-        while (!c.Peek('}')) {
-          if (!ffirst && !c.Eat(',')) {
-            return Error("metrics json: expected ',' in histogram");
-          }
-          ffirst = false;
-          std::string field;
-          if (!ParseString(c, &field) || !c.Eat(':')) {
-            return Error("metrics json: bad histogram field");
-          }
-          if (field == "sum") {
-            double num = 0;
-            if (!ParseNumber(c, &num)) {
-              return Error("metrics json: bad histogram sum");
-            }
-            h.sum = static_cast<uint64_t>(num);
-          } else if (field == "buckets") {
-            std::map<std::string, uint64_t> raw;
-            if (!ParseNumberMap(c, &raw)) {
-              return Error("metrics json: bad histogram buckets");
-            }
-            for (const auto& [index_str, count] : raw) {
-              h.buckets[static_cast<uint32_t>(
-                  std::strtoul(index_str.c_str(), nullptr, 10))] = count;
-            }
-          } else {
-            return Error(
-                StrFormat("metrics json: unknown histogram field '%s'", field.c_str()));
-          }
-        }
-        if (!c.Eat('}')) {
-          return Error("metrics json: unterminated histogram");
-        }
-        snap.histograms[name] = std::move(h);
-      }
-      if (!c.Eat('}')) {
-        return Error("metrics json: unterminated histograms object");
-      }
-    } else if (key == "sites") {
-      if (!c.Eat('[')) {
-        return Error("metrics json: expected sites array");
-      }
-      while (!c.Peek(']')) {
-        if (!snap.sites.empty() && !c.Eat(',')) {
-          return Error("metrics json: expected ',' in sites");
-        }
-        SiteTelemetry site;
-        bool saw_id = false;
-        if (!ParseSiteObject(c, &site, &saw_id) || !saw_id) {
-          return Error("metrics json: bad site object");
-        }
-        snap.sites.push_back(site);
-      }
-      if (!c.Eat(']')) {
-        return Error("metrics json: unterminated sites array");
-      }
-    } else {
-      return Error(StrFormat("metrics json: unknown key '%s'", key.c_str()));
+      return ReadNumberMap(r, &snap.counters);
     }
-  }
-  if (!c.Eat('}')) {
-    return Error("metrics json: unterminated object");
-  }
-  c.SkipWs();
-  if (c.i != json.size()) {
-    return Error("metrics json: trailing data");
+    if (key == "gauges") {
+      return ReadNumberMap(r, &snap.gauges);
+    }
+    if (key == "gauge_seq") {
+      return ReadNumberMap(r, &snap.gauge_seq);
+    }
+    if (key == "histograms") {
+      // A repeated name replaces the earlier histogram instead of adding to it.
+      return r.Object([&](const std::string& name) {
+        return ReadHistogram(r, &(snap.histograms[name] = HistogramData{}));
+      });
+    }
+    if (key == "sites") {
+      return r.Array([&] { return ReadSite(r, &snap.sites.emplace_back()); });
+    }
+    return r.Fail("unknown key '" + key + "'");
+  });
+  if (const Status st = r.Finish(); !st.ok()) {
+    return Error(st.error());
   }
   return snap;
 }

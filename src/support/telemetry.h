@@ -178,8 +178,7 @@ struct SiteTelemetry {
 };
 
 // A merged, point-in-time view of a registry. Serializes to the single-line
-// `--metrics` JSON; TelemetrySnapshotFromJson parses exactly that format
-// back (benches and external harnesses consume it).
+// `--metrics` JSON (names escaped by JsonEscape).
 struct TelemetrySnapshot {
   std::vector<SiteTelemetry> sites;                // sorted by id, non-zero only
   std::map<std::string, uint64_t> counters;        // monotonic named counts
@@ -200,6 +199,10 @@ struct TelemetrySnapshot {
   std::string ToJson() const;
 };
 
+// Reads `--metrics` JSON back through the shared JsonReader (support/json.h):
+// counts are exact unsigned integers, a bucket index must be below
+// kNumHistogramBuckets, unknown top-level keys are errors and unknown numeric
+// keys in a site object are ignored.
 Result<TelemetrySnapshot> TelemetrySnapshotFromJson(const std::string& json);
 
 // Sums snapshots from several runs/processes into one profile: per-site

@@ -1,38 +1,11 @@
 #include "src/support/trace.h"
 
-#include <cctype>
-#include <map>
-#include <memory>
-
+#include "src/support/json.h"
 #include "src/support/str.h"
 
 namespace redfat {
 
 namespace {
-
-// Escapes the characters JSON cannot carry raw. Event/category names in
-// this repo are plain identifiers, but foreign strings must not be able to
-// break the document.
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          out += StrFormat("\\u%04x", static_cast<unsigned>(static_cast<unsigned char>(ch)));
-        } else {
-          out.push_back(ch);
-        }
-    }
-  }
-  return out;
-}
 
 std::string ArgsJson(const std::vector<TraceArg>& args) {
   std::string out = "{";
@@ -148,259 +121,70 @@ std::string TraceWriter::ToJson() const {
 
 // --- validation ------------------------------------------------------------
 //
-// A small stand-alone JSON parser (objects, arrays, strings, numbers,
-// true/false/null) — independent of the emitters above so a bug in ToJson
-// cannot hide from its own validator.
+// A walk over the shared JsonReader, independent of the emitters above so
+// a bug in ToJson cannot hide from its own validator. Keys the contract
+// does not name are skipped.
 namespace {
 
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  double number = 0;
-  std::string str;
-  std::vector<JsonValue> array;
-  std::map<std::string, JsonValue> object;
-
-  const JsonValue* Get(const std::string& key) const {
-    const auto it = object.find(key);
-    return it == object.end() ? nullptr : &it->second;
+bool ValidateEvent(JsonReader& r, size_t index) {
+  using Kind = JsonReader::Kind;
+  if (r.Peek() != Kind::kObject) {
+    return r.Fail(StrFormat("event %zu is not an object", index));
   }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& s) : s_(s) {}
-
-  Result<JsonValue> Parse() {
-    JsonValue v;
-    Status st = ParseValue(&v);
-    if (!st.ok()) {
-      return Error(st.error());
+  std::string ph;
+  bool name = false, pid = false, tid = false, ts = false, dur = false;
+  bool args = false;  // a non-empty object
+  const auto is = [&r](Kind kind, bool* flag) {
+    *flag = r.Peek() == kind;
+    return r.Skip();
+  };
+  const bool walked = r.Object([&](const std::string& key) {
+    if (key == "args" && r.Peek() == Kind::kObject) {
+      return r.Object([&](const std::string&) {
+        args = true;
+        return r.Skip();
+      });
     }
-    SkipWs();
-    if (i_ != s_.size()) {
-      return Error("trace json: trailing data");
-    }
-    return v;
-  }
-
- private:
-  void SkipWs() {
-    while (i_ < s_.size() && std::isspace(static_cast<unsigned char>(s_[i_])) != 0) {
-      ++i_;
-    }
-  }
-  bool Eat(char c) {
-    SkipWs();
-    if (i_ < s_.size() && s_[i_] == c) {
-      ++i_;
-      return true;
-    }
-    return false;
-  }
-  bool Peek(char c) {
-    SkipWs();
-    return i_ < s_.size() && s_[i_] == c;
-  }
-
-  Status ParseString(std::string* out) {
-    if (!Eat('"')) {
-      return Error("trace json: expected string");
-    }
-    out->clear();
-    while (i_ < s_.size() && s_[i_] != '"') {
-      char ch = s_[i_++];
-      if (ch == '\\') {
-        if (i_ >= s_.size()) {
-          return Error("trace json: bad escape");
-        }
-        const char esc = s_[i_++];
-        switch (esc) {
-          case '"': ch = '"'; break;
-          case '\\': ch = '\\'; break;
-          case '/': ch = '/'; break;
-          case 'n': ch = '\n'; break;
-          case 'r': ch = '\r'; break;
-          case 't': ch = '\t'; break;
-          case 'b': ch = '\b'; break;
-          case 'f': ch = '\f'; break;
-          case 'u': {
-            if (i_ + 4 > s_.size()) {
-              return Error("trace json: bad \\u escape");
-            }
-            for (int k = 0; k < 4; ++k) {
-              if (std::isxdigit(static_cast<unsigned char>(s_[i_ + k])) == 0) {
-                return Error("trace json: bad \\u escape");
-              }
-            }
-            i_ += 4;
-            ch = '?';  // validation only; exact code point is irrelevant
-            break;
-          }
-          default:
-            return Error("trace json: bad escape");
-        }
-      }
-      out->push_back(ch);
-    }
-    if (!Eat('"')) {
-      return Error("trace json: unterminated string");
-    }
-    return Status::Ok();
-  }
-
-  Status ParseValue(JsonValue* out) {
-    SkipWs();
-    if (i_ >= s_.size()) {
-      return Error("trace json: unexpected end");
-    }
-    const char c = s_[i_];
-    if (c == '{') {
-      ++i_;
-      out->kind = JsonValue::Kind::kObject;
-      bool first = true;
-      while (!Peek('}')) {
-        if (!first && !Eat(',')) {
-          return Error("trace json: expected ',' in object");
-        }
-        first = false;
-        std::string key;
-        Status st = ParseString(&key);
-        if (!st.ok()) {
-          return st;
-        }
-        if (!Eat(':')) {
-          return Error("trace json: expected ':'");
-        }
-        JsonValue child;
-        st = ParseValue(&child);
-        if (!st.ok()) {
-          return st;
-        }
-        out->object.emplace(std::move(key), std::move(child));
-      }
-      Eat('}');
-      return Status::Ok();
-    }
-    if (c == '[') {
-      ++i_;
-      out->kind = JsonValue::Kind::kArray;
-      bool first = true;
-      while (!Peek(']')) {
-        if (!first && !Eat(',')) {
-          return Error("trace json: expected ',' in array");
-        }
-        first = false;
-        JsonValue child;
-        Status st = ParseValue(&child);
-        if (!st.ok()) {
-          return st;
-        }
-        out->array.push_back(std::move(child));
-      }
-      Eat(']');
-      return Status::Ok();
-    }
-    if (c == '"') {
-      out->kind = JsonValue::Kind::kString;
-      return ParseString(&out->str);
-    }
-    if (s_.compare(i_, 4, "true") == 0) {
-      out->kind = JsonValue::Kind::kBool;
-      out->number = 1;
-      i_ += 4;
-      return Status::Ok();
-    }
-    if (s_.compare(i_, 5, "false") == 0) {
-      out->kind = JsonValue::Kind::kBool;
-      i_ += 5;
-      return Status::Ok();
-    }
-    if (s_.compare(i_, 4, "null") == 0) {
-      i_ += 4;
-      return Status::Ok();
-    }
-    // Number.
-    const size_t start = i_;
-    while (i_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[i_])) != 0 || s_[i_] == '-' ||
-            s_[i_] == '+' || s_[i_] == '.' || s_[i_] == 'e' || s_[i_] == 'E')) {
-      ++i_;
-    }
-    if (i_ == start) {
-      return Error(StrFormat("trace json: unexpected character '%c'", c));
-    }
-    try {
-      out->number = std::stod(s_.substr(start, i_ - start));
-    } catch (...) {
-      return Error("trace json: bad number");
-    }
-    out->kind = JsonValue::Kind::kNumber;
-    return Status::Ok();
-  }
-
-  const std::string& s_;
-  size_t i_ = 0;
-};
-
-bool IsNumber(const JsonValue* v) {
-  return v != nullptr && v->kind == JsonValue::Kind::kNumber;
-}
-bool IsString(const JsonValue* v) {
-  return v != nullptr && v->kind == JsonValue::Kind::kString;
+    return key == "ph" && r.Peek() == Kind::kString ? r.String(&ph)
+           : key == "name"                          ? is(Kind::kString, &name)
+           : key == "pid"                           ? is(Kind::kNumber, &pid)
+           : key == "tid"                           ? is(Kind::kNumber, &tid)
+           : key == "ts"                            ? is(Kind::kNumber, &ts)
+           : key == "dur"                           ? is(Kind::kNumber, &dur)
+                                                    : r.Skip();
+  });
+  // The first contract rule the event breaks, if any. Metadata events (ph
+  // "M") need no timestamp, complete events ("X") a duration, counter
+  // events ("C") args.
+  const char* bad = ph.size() != 1           ? "ph"
+                    : !name                  ? "name"
+                    : !pid || !tid           ? "pid/tid"
+                    : ph == "M"              ? nullptr
+                    : !ts                    ? "ts"
+                    : ph == "X" && !dur      ? "dur"
+                    : ph == "C" && !args     ? "args"
+                                             : nullptr;
+  return walked &&
+         (bad == nullptr || r.Fail(StrFormat("event %zu: missing/bad \"%s\"", index, bad)));
 }
 
 }  // namespace
 
 Status ValidateTraceEventJson(const std::string& json) {
-  JsonParser parser(json);
-  Result<JsonValue> parsed = parser.Parse();
-  if (!parsed.ok()) {
-    return Error(parsed.error());
+  JsonReader r(json, "trace json");
+  bool saw_events = false;
+  r.Object([&](const std::string& key) {
+    if (key != "traceEvents") {
+      return r.Skip();
+    }
+    saw_events = true;
+    size_t index = 0;
+    return r.Array([&] { return ValidateEvent(r, index++); });
+  });
+  if (!saw_events) {
+    r.Fail("missing traceEvents array");
   }
-  const JsonValue& root = parsed.value();
-  if (root.kind != JsonValue::Kind::kObject) {
-    return Error("trace json: root is not an object");
-  }
-  const JsonValue* events = root.Get("traceEvents");
-  if (events == nullptr || events->kind != JsonValue::Kind::kArray) {
-    return Error("trace json: missing traceEvents array");
-  }
-  for (size_t i = 0; i < events->array.size(); ++i) {
-    const JsonValue& e = events->array[i];
-    const std::string where = StrFormat("trace json: event %zu", i);
-    if (e.kind != JsonValue::Kind::kObject) {
-      return Error(where + " is not an object");
-    }
-    const JsonValue* ph = e.Get("ph");
-    if (!IsString(ph) || ph->str.size() != 1) {
-      return Error(where + ": missing/bad \"ph\"");
-    }
-    if (!IsString(e.Get("name"))) {
-      return Error(where + ": missing/bad \"name\"");
-    }
-    if (!IsNumber(e.Get("pid")) || !IsNumber(e.Get("tid"))) {
-      return Error(where + ": missing/bad \"pid\"/\"tid\"");
-    }
-    const char kind = ph->str[0];
-    if (kind == 'M') {
-      continue;  // metadata events need no timestamp
-    }
-    if (!IsNumber(e.Get("ts"))) {
-      return Error(where + ": missing/bad \"ts\"");
-    }
-    if (kind == 'X' && !IsNumber(e.Get("dur"))) {
-      return Error(where + ": complete event missing \"dur\"");
-    }
-    if (kind == 'C') {
-      const JsonValue* args = e.Get("args");
-      if (args == nullptr || args->kind != JsonValue::Kind::kObject ||
-          args->object.empty()) {
-        return Error(where + ": counter event missing \"args\"");
-      }
-    }
-  }
-  return Status::Ok();
+  return r.Finish();
 }
 
 }  // namespace redfat

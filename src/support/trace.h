@@ -74,10 +74,11 @@ class TraceWriter {
   size_t dropped_ = 0;
 };
 
-// Structural validation of trace-event JSON: parses the string with a
-// stand-alone JSON parser and checks the trace-event contract (a
-// "traceEvents" array of objects; each with string "ph"/"name" and numeric
-// "pid"/"tid"/"ts"; "dur" required for ph "X"; "args" required for ph "C").
+// Structural validation of trace-event JSON: walks the string with the
+// shared JsonReader (support/json.h, so nesting is capped) and checks the
+// trace-event contract (a "traceEvents" array of objects; each with string
+// "ph"/"name" and numeric "pid"/"tid"/"ts"; "dur" required for ph "X";
+// "args" required for ph "C"). Keys the contract does not name are skipped.
 Status ValidateTraceEventJson(const std::string& json);
 
 }  // namespace redfat

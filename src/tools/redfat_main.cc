@@ -205,23 +205,16 @@ int MergeMetricsMain(const std::vector<std::string>& paths) {
   return 0;
 }
 
-// Loads a --metrics snapshot into the tier pass's input: plain (image-0)
-// site ids mapped to the cycles the site's checks cost at runtime.
+// Loads a --metrics snapshot into the tier pass's input through the same
+// conversion a redfatd profile upload uses.
 Result<TierProfile> TierProfileFromMetrics(const std::string& path) {
   Result<std::string> text = ReadWholeFile(path);
   if (!text.ok()) {
     return Error(text.error());
   }
-  Result<TelemetrySnapshot> snap = TelemetrySnapshotFromJson(text.value());
-  if (!snap.ok()) {
-    return Error(StrFormat("%s: %s", path.c_str(), snap.error().c_str()));
-  }
-  TierProfile profile;
-  for (const SiteTelemetry& st : snap.value().sites) {
-    if (ImageOfSiteKey(st.site) != 0) {
-      continue;  // multi-image keys: only the main image's sites apply
-    }
-    profile.cycles_by_site[st.site] = st.tramp_cycles() + st.inline_cycles();
+  Result<TierProfile> profile = TierProfileFromSnapshotJson(text.value());
+  if (!profile.ok()) {
+    return Error(StrFormat("%s: %s", path.c_str(), profile.error().c_str()));
   }
   return profile;
 }

@@ -97,6 +97,20 @@ cmp base_out.txt tiered_out.txt || fail "tiered output differs from baseline"
 "$TOOLS/rfobjdump" mcf.tiered.rfbin > tiered_dis.txt || fail "rfobjdump tiered"
 grep -q ".redfat.inline" tiered_dis.txt || fail "no inline-check section in dump"
 
+# A hostile profile (a negative count, 1 MB of '[') is a parse error with
+# exit status 1 for both profile consumers, never a crash.
+printf '{"counters":{"a":-1}}\n' > hostile_count.json
+head -c 1048576 /dev/zero | tr '\0' '[' > hostile_nesting.json
+for bad in hostile_count.json hostile_nesting.json; do
+  for cmd in "--profile=$bad mcf.rfbin hostile.rfbin" "--merge-metrics hostile_out.json $bad"; do
+    status=0
+    # shellcheck disable=SC2086  # $cmd is a word list on purpose
+    "$TOOLS/redfat" $cmd 2> hostile_err.txt || status=$?
+    [ "$status" -eq 1 ] || fail "redfat $cmd exited $status"
+    grep -q "metrics json" hostile_err.txt || fail "redfat $cmd printed no parse error"
+  done
+done
+
 # Hardening tiers (policy layer). extensive is byte-identical to the
 # default flags; fast runs clean; contradictory flag combos are rejected.
 "$TOOLS/redfat" --harden=extensive mcf.rfbin mcf.ext.rfbin

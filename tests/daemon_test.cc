@@ -5,6 +5,8 @@
 // Unix-domain socket, including malformed-frame handling.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cstdint>
@@ -534,6 +536,72 @@ TEST_F(DaemonFixture, MalformedFramesAreRejectedWithoutKillingTheDaemon) {
   ASSERT_TRUE(client.Connect(socket_path_).ok());
   Result<std::string> stats = client.Stats();
   EXPECT_TRUE(stats.ok()) << (stats.ok() ? "" : stats.error());
+}
+
+// --- framing -------------------------------------------------------------
+
+long MaxRssKb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss;
+}
+
+// A 9-byte header that declares kMaxFramePayload and then hangs up: the
+// read fails with a mid-frame EOF instead of first reserving 1 GiB.
+TEST(FrameProtocol, HostileDeclaredLengthAllocatesOnlyWhatArrives) {
+  int fds[2];
+  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  std::vector<uint8_t> header;
+  PutU32(&header, kFrameMagic);
+  PutU32(&header, kMaxFramePayload);
+  PutU8(&header, static_cast<uint8_t>(MsgType::kRewrite));
+  ASSERT_EQ(write(fds[1], header.data(), header.size()),
+            static_cast<ssize_t>(header.size()));
+  close(fds[1]);
+  const long before_kb = MaxRssKb();
+  Result<Frame> frame = ReadFrame(fds[0]);
+  const long grown_kb = MaxRssKb() - before_kb;
+  close(fds[0]);
+  ASSERT_FALSE(frame.ok());
+  EXPECT_NE(frame.error().find("EOF mid-frame"), std::string::npos) << frame.error();
+  EXPECT_LT(grown_kb, 64 * 1024) << "max RSS grew by " << grown_kb << " KiB";
+}
+
+// Bodies on both sides of every growth step arrive intact.
+TEST(FrameProtocol, BodiesOfEverySizeRoundTrip) {
+  int fds[2];
+  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  const std::vector<size_t> sizes = {0, 1, (1 << 20) - 1, 1 << 20, (1 << 20) + 1,
+                                     (3 << 20) + 3};
+  std::vector<std::vector<uint8_t>> bodies;
+  for (size_t n : sizes) {
+    std::vector<uint8_t> body(n);
+    for (size_t i = 0; i < n; ++i) {
+      body[i] = static_cast<uint8_t>(i * 131 + n);
+    }
+    bodies.push_back(std::move(body));
+  }
+  std::thread writer([&] {
+    for (const std::vector<uint8_t>& body : bodies) {
+      EXPECT_TRUE(WriteFrame(fds[1], MsgType::kOk, body).ok());
+    }
+    close(fds[1]);
+  });
+  bool ok = true;
+  for (size_t k = 0; ok && k < bodies.size(); ++k) {
+    Result<Frame> frame = ReadFrame(fds[0]);
+    ok = frame.ok() && frame.value().type == MsgType::kOk && frame.value().body == bodies[k];
+    EXPECT_TRUE(ok) << bodies[k].size() << "-byte frame: "
+                    << (frame.ok() ? "wrong type or body" : frame.error());
+  }
+  if (ok) {
+    EXPECT_FALSE(ReadFrame(fds[0]).ok());  // clean EOF after the last frame
+  }
+  uint8_t sink[4096];  // drain whatever is left so the writer always finishes
+  while (read(fds[0], sink, sizeof(sink)) > 0) {
+  }
+  writer.join();
+  close(fds[0]);
 }
 
 TEST(DaemonClientFallback, ConnectFailsFastWhenNoDaemonListens) {

@@ -254,6 +254,18 @@ TEST(PipelineStatsTest, JsonRoundTrip) {
   EXPECT_EQ(parsed.value().Find("nope"), nullptr);
 }
 
+TEST(PipelineStatsTest, JsonRoundTripsPassNamesThatNeedEscaping) {
+  PipelineStats stats;
+  stats.passes.push_back(PassStats{"we\"ird\\name", 1, 0, 0.5, 0, 0});
+  const std::string json = stats.ToJson();
+  EXPECT_NE(json.find("\"name\":\"we\\\"ird\\\\name\""), std::string::npos) << json;
+  Result<PipelineStats> parsed = PipelineStatsFromJson(json);
+  ASSERT_TRUE(parsed.ok()) << parsed.error();
+  ASSERT_EQ(parsed.value().passes.size(), 1u);
+  EXPECT_EQ(parsed.value().passes[0].name, stats.passes[0].name);
+  EXPECT_EQ(parsed.value().ToJson(), json);
+}
+
 TEST(PipelineStatsTest, JsonParserRejectsMalformedInput) {
   EXPECT_FALSE(PipelineStatsFromJson("").ok());
   EXPECT_FALSE(PipelineStatsFromJson("{").ok());

@@ -136,6 +136,27 @@ TEST(TelemetryTest, SnapshotJsonRoundTrip) {
   EXPECT_EQ(s9->lowfat_fails(), 1u);
 }
 
+// Names are escaped on the way out and decoded on the way in, so a counter
+// named a"b survives `redfat --merge-metrics` as the same counter.
+TEST(TelemetryTest, SnapshotJsonRoundTripsNamesThatNeedEscaping) {
+  TelemetrySnapshot snap;
+  snap.counters["a\"b"] = 1;
+  snap.counters["back\\slash\nline"] = 2;
+  snap.gauges["g\"q"] = 0.5;
+  snap.gauge_seq["g\"q"] = 1;
+  snap.histograms["h\x01"].sum = 3;
+  snap.histograms["h\x01"].buckets = {{2, 1}};
+  const std::string json = snap.ToJson();
+  EXPECT_NE(json.find("\"a\\\"b\":1"), std::string::npos) << json;
+  Result<TelemetrySnapshot> parsed = TelemetrySnapshotFromJson(json);
+  ASSERT_TRUE(parsed.ok()) << parsed.error();
+  EXPECT_EQ(parsed.value().counters, snap.counters);
+  EXPECT_EQ(parsed.value().gauges, snap.gauges);
+  EXPECT_EQ(parsed.value().gauge_seq, snap.gauge_seq);
+  EXPECT_EQ(parsed.value().histograms.at("h\x01").buckets, snap.histograms.at("h\x01").buckets);
+  EXPECT_EQ(MergeTelemetrySnapshots({parsed.value()}).ToJson(), json);
+}
+
 TEST(TelemetryTest, SnapshotJsonRejectsMalformedInput) {
   EXPECT_FALSE(TelemetrySnapshotFromJson("").ok());
   EXPECT_FALSE(TelemetrySnapshotFromJson("{").ok());
