@@ -82,9 +82,10 @@ struct RunConfig {
   ForensicRing* forensics = nullptr;
   // Tier label stamped into forensic reports ("" = unknown).
   std::string forensic_tier;
-  // Optional per-instruction observer (not owned), e.g. the debug tier's
-  // shadow-check observer. Wired into the VM before the run; null (the
-  // default) keeps the VM's observer hook on its fast path.
+  // Optional DBI observer (not owned), e.g. the debug tier's shadow-check
+  // observer. Wired into the VM before the run. The fast engine runs its
+  // decode-time plans with specialization, chaining and traces left on;
+  // null (the default) skips the observer hook entirely.
   ExecObserver* observer = nullptr;
   // Optional site tables parallel to the `images` argument of RunImages
   // (missing/null entries are fine). When set alongside `trace`, the harness

@@ -1,7 +1,5 @@
 #include "src/dbi/memcheck.h"
 
-#include "src/support/check.h"
-
 namespace redfat {
 
 AllocOutcome Memcheck::Malloc(Memory& mem, uint64_t size) {
@@ -22,7 +20,17 @@ FreeOutcome Memcheck::Free(Memory& mem, uint64_t ptr) {
     return FreeOutcome{heapcost::kLegacyFree};
   }
   auto it = sizes_.find(ptr);
-  REDFAT_CHECK(it != sizes_.end());
+  if (it == sizes_.end()) {
+    // Not a live payload: a guest double free (the shadow still says
+    // freed) or an invalid one. Report it and leave the heap untouched.
+    FreeOutcome bad{heapcost::kLegacyFree + costs_.alloc_extra};
+    bad.corrupted = true;
+    bad.corrupt_kind = shadow_.Query(ptr) == ShadowState::kFree
+                           ? ErrorKind::kDoubleFree
+                           : ErrorKind::kFreelistCorruption;
+    bad.corrupt_addr = ptr;
+    return bad;
+  }
   shadow_.Mark(ptr, it->second, ShadowState::kFree);
   sizes_.erase(it);
   quarantine_.push_back(ptr);
@@ -33,23 +41,21 @@ FreeOutcome Memcheck::Free(Memory& mem, uint64_t ptr) {
   return FreeOutcome{heapcost::kLegacyFree + costs_.alloc_extra};
 }
 
-uint64_t Memcheck::OnInstruction(Vm& vm, uint64_t addr, const Instruction& insn) {
-  uint64_t cycles = costs_.dispatch;
-  if (IsControlFlow(insn.op)) {
-    cycles += costs_.branch_extra;
+bool Memcheck::Plan(const Vm& /*vm*/, uint64_t /*addr*/, const Instruction& insn,
+                    ObserverPlan* plan) const {
+  *plan = costs_.PlanFor(insn.op);
+  return true;
+}
+
+void Memcheck::Check(Vm& vm, uint64_t addr, const Instruction& insn) {
+  const uint64_t ea =
+      ComputeEffectiveAddress(vm.cpu(), insn.mem, addr + EncodedLength(insn.op));
+  const ShadowState state = shadow_.QueryRange(ea, insn.mem.access_size());
+  if (state == ShadowState::kRedzone) {
+    vm.ReportMemError(0, ErrorKind::kBounds, ea);
+  } else if (state == ShadowState::kFree) {
+    vm.ReportMemError(0, ErrorKind::kUaf, ea);
   }
-  if (IsMemAccess(insn.op)) {
-    const uint64_t ea =
-        ComputeEffectiveAddress(vm.cpu(), insn.mem, addr + EncodedLength(insn.op));
-    const ShadowState state = shadow_.QueryRange(ea, insn.mem.access_size());
-    if (state == ShadowState::kRedzone) {
-      vm.ReportMemError(0, ErrorKind::kBounds, ea);
-    } else if (state == ShadowState::kFree) {
-      vm.ReportMemError(0, ErrorKind::kUaf, ea);
-    }
-    cycles += costs_.shadow_check;
-  }
-  return cycles;
 }
 
 RunOutcome RunMemcheck(const BinaryImage& image, const RunConfig& config,
@@ -63,6 +69,11 @@ RunOutcome RunMemcheck(const BinaryImage& image, const RunConfig& config,
   vm.set_rng_seed(config.rng_seed);
   vm.set_instruction_limit(config.instruction_limit);
   vm.set_engine(config.engine);
+  vm.set_chaining(config.chain);
+  vm.set_specialize(config.specialize);
+  if (config.code_cache_size != 0) {
+    vm.set_code_cache_size(config.code_cache_size);
+  }
   if (config.metrics_epoch != 0 && config.on_epoch) {
     vm.set_epoch_hook(config.metrics_epoch, config.on_epoch);
   }

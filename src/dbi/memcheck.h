@@ -2,7 +2,11 @@
 //
 // Heavyweight dynamic binary instrumentation over the *original* binary:
 // every guest instruction pays a JIT/dispatch cost, and every explicit
-// memory access is checked against redzone-only shadow memory. The
+// memory access is checked against redzone-only shadow memory. Like
+// Valgrind, which instruments each superblock once when it translates it,
+// the observer plans each instruction when the VM decodes it (a fixed
+// charge, and whether to check) and checks only the flagged accesses at
+// run time. The
 // allocator wraps each heap object with 16-byte redzones on both sides and
 // tracks Allocated/Redzone/Free states in the shadow map, with freed blocks
 // quarantined to catch use-after-free.
@@ -37,6 +41,22 @@ struct MemcheckCostModel {
   // (perlbench, gobmk, povray) suffers far more than streaming code.
   uint64_t branch_extra = 55;
   uint64_t alloc_extra = 150;  // malloc/free interception + shadow marking
+
+  // The plan of one instrumented instruction: dispatch, plus branch_extra
+  // on a control transfer, plus shadow_check on an explicit access, which
+  // is the one thing checked.
+  ObserverPlan PlanFor(Op op) const {
+    ObserverPlan plan;
+    plan.cycles = dispatch;
+    if (IsControlFlow(op)) {
+      plan.cycles += branch_extra;
+    }
+    if (IsMemAccess(op)) {
+      plan.cycles += shadow_check;
+      plan.check = true;
+    }
+    return plan;
+  }
 };
 
 class Memcheck : public GuestAllocator, public ExecObserver {
@@ -50,8 +70,11 @@ class Memcheck : public GuestAllocator, public ExecObserver {
   FreeOutcome Free(Memory& mem, uint64_t ptr) override;
   const char* name() const override { return "memcheck"; }
 
-  // ExecObserver
-  uint64_t OnInstruction(Vm& vm, uint64_t addr, const Instruction& insn) override;
+  // ExecObserver: every instruction is planned; OnInstruction is the
+  // default Plan-then-Check.
+  bool Plan(const Vm& vm, uint64_t addr, const Instruction& insn,
+            ObserverPlan* plan) const override;
+  void Check(Vm& vm, uint64_t addr, const Instruction& insn) override;
 
   const ShadowMap& shadow() const { return shadow_; }
 

@@ -14,7 +14,10 @@
 //
 // Costs reuse the Memcheck model (dispatch + shadow-check per access,
 // superblock chaining on control transfers): the debug tier is explicitly
-// a DBI-priced configuration, not a production one.
+// a DBI-priced configuration, not a production one. Like Memcheck, the
+// observer plans each instruction when the VM decodes it (no charge and no
+// check inside trampoline code), so the fast engine keeps chaining and
+// traces on and calls Check only before the flagged accesses.
 #ifndef REDFAT_SRC_DBI_SHADOW_CHECK_H_
 #define REDFAT_SRC_DBI_SHADOW_CHECK_H_
 
@@ -30,7 +33,10 @@ class ShadowCheckObserver : public ExecObserver {
   explicit ShadowCheckObserver(MemcheckCostModel costs = MemcheckCostModel{})
       : costs_(costs) {}
 
-  uint64_t OnInstruction(Vm& vm, uint64_t addr, const Instruction& insn) override;
+  // OnInstruction is the default Plan-then-Check.
+  bool Plan(const Vm& vm, uint64_t addr, const Instruction& insn,
+            ObserverPlan* plan) const override;
+  void Check(Vm& vm, uint64_t addr, const Instruction& insn) override;
 
   uint64_t checks() const { return checks_; }
   uint64_t errors() const { return errors_; }

@@ -15,13 +15,14 @@ void ForensicRing::OnAlloc(uint64_t ptr, uint64_t size, uint64_t pc,
   p.alloc_cycles = cycles;
   p.alloc_epoch = epoch;
   live_[ptr] = p;
-  // The address is live again: any stale freed-ring entry for it would
-  // otherwise shadow the new object in UAF/double-free lookups.
-  for (AllocProvenance& f : freed_) {
-    if (f.ptr == ptr) {
-      f.ptr = 0;
-      f.size = 0;
-    }
+  // The address is live again: its stale freed-ring entry would otherwise
+  // shadow the new object in UAF/double-free lookups.
+  const auto stale = freed_seq_.find(ptr);
+  if (stale != freed_seq_.end()) {
+    AllocProvenance& f = freed_[stale->second - evicted_];
+    f.ptr = 0;
+    f.size = 0;
+    freed_seq_.erase(stale);
   }
 }
 
@@ -38,8 +39,13 @@ void ForensicRing::OnFree(uint64_t ptr, uint64_t pc, uint64_t instruction,
   p.free_instruction = instruction;
   p.free_cycles = cycles;
   p.free_epoch = epoch;
+  freed_seq_[ptr] = evicted_ + freed_.size();
   freed_.push_back(p);
   if (freed_.size() > capacity_) {
+    const auto oldest = freed_seq_.find(freed_.front().ptr);
+    if (oldest != freed_seq_.end() && oldest->second == evicted_) {
+      freed_seq_.erase(oldest);
+    }
     freed_.pop_front();
     ++evicted_;
   }
@@ -66,15 +72,8 @@ const AllocProvenance* ForensicRing::FindFreed(uint64_t addr) const {
 }
 
 const AllocProvenance* ForensicRing::FreedAt(uint64_t ptr) const {
-  if (ptr == 0) {
-    return nullptr;
-  }
-  for (auto it = freed_.rbegin(); it != freed_.rend(); ++it) {
-    if (it->ptr == ptr) {
-      return &*it;
-    }
-  }
-  return nullptr;
+  const auto it = freed_seq_.find(ptr);
+  return it != freed_seq_.end() ? &freed_[it->second - evicted_] : nullptr;
 }
 
 ForensicRing::Proximity ForensicRing::Nearest(uint64_t addr) const {

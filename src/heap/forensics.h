@@ -12,7 +12,10 @@
 // entry per live allocation, exact — frees need it). The freed ring keeps
 // the most recent `capacity` frees and evicts FIFO; evictions are counted,
 // never silent, so "no provenance found" can be distinguished from
-// "provenance aged out".
+// "provenance aged out". A pointer has at most one freed entry that is not
+// cleared (reallocating it clears the entry), and an index from pointer to
+// that entry keeps the per-malloc/free work O(1); only the report-time
+// lookups (FindFreed, Nearest) scan the ring.
 #ifndef REDFAT_SRC_HEAP_FORENSICS_H_
 #define REDFAT_SRC_HEAP_FORENSICS_H_
 
@@ -20,6 +23,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <unordered_map>
 
 #include "src/vm/vm.h"
 
@@ -93,6 +97,9 @@ class ForensicRing : public HeapObserver {
   size_t capacity_;
   std::map<uint64_t, AllocProvenance> live_;  // keyed by base pointer
   std::deque<AllocProvenance> freed_;         // oldest first; bounded
+  // Sequence number of each pointer's un-cleared freed_ entry; freed_[i]
+  // has sequence number evicted_ + i.
+  std::unordered_map<uint64_t, uint64_t> freed_seq_;
   uint64_t evicted_ = 0;
 };
 

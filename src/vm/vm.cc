@@ -62,12 +62,16 @@ void Vm::LoadImage(const BinaryImage& image) {
   // every chain link — links are Block* into the cleared cache), all baked
   // traces, and the memory TLB.
   icache_.clear();
+  ClearCodeCache();
+  memory_.InvalidateTlb();
+}
+
+void Vm::ClearCodeCache() {
   block_cache_.clear();
   traces_.clear();
   trace_recording_ = false;
   trace_head_ = nullptr;
   trace_rec_ = Trace{};
-  memory_.InvalidateTlb();
 }
 
 void Vm::set_code_cache_size(size_t entries) {
@@ -75,12 +79,31 @@ void Vm::set_code_cache_size(size_t entries) {
   block_cache_size_ = entries;
   // Resize invalidates every Block* (chain links, trace heads): drop the lot
   // and rebuild on demand.
-  block_cache_.clear();
-  traces_.clear();
-  trace_recording_ = false;
-  trace_head_ = nullptr;
-  trace_rec_ = Trace{};
+  ClearCodeCache();
 }
+
+void Vm::set_observer(ExecObserver* o) {
+  observer_ = o;
+  ClearCodeCache();  // blocks and traces carry the previous observer's plans
+}
+
+uint64_t ExecObserver::OnInstruction(Vm& vm, uint64_t addr, const Instruction& insn) {
+  ObserverPlan plan;
+  if (!Plan(vm, addr, insn, &plan)) {
+    return 0;
+  }
+  if (plan.check) {
+    Check(vm, addr, insn);
+  }
+  return plan.cycles;
+}
+
+bool ExecObserver::Plan(const Vm& /*vm*/, uint64_t /*addr*/, const Instruction& /*insn*/,
+                        ObserverPlan* /*plan*/) const {
+  return false;
+}
+
+void ExecObserver::Check(Vm& /*vm*/, uint64_t /*addr*/, const Instruction& /*insn*/) {}
 
 void Vm::set_telemetry(TelemetryRegistry* t) {
   telemetry_ = t;
@@ -195,7 +218,7 @@ const Vm::Exec* Vm::FetchDecode(uint64_t addr, std::string* fault) {
   }
   Exec ex;
   ex.insn = d.value().insn;
-  ex.length = d.value().length;
+  ex.length = static_cast<uint8_t>(d.value().length);
   auto [pos, inserted] = icache_.emplace(addr, ex);
   (void)inserted;
   return &pos->second;
@@ -265,6 +288,17 @@ void Vm::BuildSpec(Exec* ex, uint64_t addr) {
   }
 }
 
+void Vm::PlanObserver(Exec* ex, uint64_t addr) {
+  ObserverPlan plan;
+  if (!observer_->Plan(*this, addr, ex->insn, &plan)) {
+    ex->obs = kObsCall;
+    return;
+  }
+  REDFAT_CHECK(plan.cycles <= UINT32_MAX);
+  ex->obs = plan.check ? kObsCheck : kObsCharge;
+  ex->obs_cycles = static_cast<uint32_t>(plan.cycles);
+}
+
 Vm::Block* Vm::FetchBlock(uint64_t addr, std::string* fault) {
   if (block_cache_.empty()) {
     block_cache_.resize(block_cache_size_);
@@ -309,8 +343,11 @@ Vm::Block* Vm::FetchBlock(uint64_t addr, std::string* fault) {
     }
     Exec ex;
     ex.insn = d.value().insn;
-    ex.length = d.value().length;
+    ex.length = static_cast<uint8_t>(d.value().length);
     BuildSpec(&ex, cur);
+    if (observer_ != nullptr) {
+      PlanObserver(&ex, cur);
+    }
     b.execs.push_back(ex);
     cur += ex.length;
     const Op op = ex.insn.op;
@@ -322,9 +359,11 @@ Vm::Block* Vm::FetchBlock(uint64_t addr, std::string* fault) {
   // cmp/test+jcc macro-op fusion: a Jcc terminates its block, so the fusable
   // pair is always the last two entries. The fused handler reads the Jcc's
   // own spec for cond/target, so the marker carries no extra state and the
-  // pair still executes unfused when the instruction budget splits it.
+  // pair still executes unfused when the instruction budget splits it. A
+  // Jcc the observer must check or call on runs alone: that call belongs
+  // after the compare.
   const size_t m = b.execs.size();
-  if (m >= 2 && b.execs[m - 1].spec.op == kSJcc) {
+  if (m >= 2 && b.execs[m - 1].spec.op == kSJcc && b.execs[m - 1].obs == kObsCharge) {
     Spec& c = b.execs[m - 2].spec;
     if (c.op == kSCmpRR) {
       c.op = kSCmpRRJcc;
@@ -853,8 +892,24 @@ bool Vm::ExecuteOne(const Exec& ex, std::string* fault) {
   return true;
 }
 
-size_t Vm::ExecSpecs(Exec* execs, size_t count, size_t budget,
-                     std::string* fault, bool* faulted) {
+inline bool Vm::Observe(const Exec& ex, uint64_t addr) {
+  if (ex.obs != kObsCharge) {
+    cpu_.rip = addr;  // reports carry it
+    if (ex.obs == kObsCheck) {
+      observer_->Check(*this, addr, ex.insn);
+    } else {
+      cycles_ += observer_->OnInstruction(*this, addr, ex.insn);
+    }
+  }
+  // After the check, as the stepper adds OnInstruction's return value: a
+  // report's trace timestamp excludes the charge, a halt includes it.
+  cycles_ += ex.obs_cycles;
+  return !halt_;
+}
+
+template <bool kObserved>
+size_t Vm::ExecSpecsImpl(Exec* execs, size_t count, size_t budget,
+                         std::string* fault, bool* faulted) {
   const size_t n = count < budget ? count : budget;
   uint64_t* const regs = cpu_.regs;
   Flags& f = cpu_.flags;
@@ -872,6 +927,11 @@ size_t Vm::ExecSpecs(Exec* execs, size_t count, size_t budget,
   while (i < n) {
     Exec& ex = execs[i];
     const Spec& s = ex.spec;
+    if constexpr (kObserved) {
+      if (!Observe(ex, s.next - ex.length)) {
+        return i;  // the observer halted the run; rip is this instruction's
+      }
+    }
     ++instructions_;
     switch (static_cast<SpecOp>(s.op)) {
       case kSNop:
@@ -1075,6 +1135,9 @@ size_t Vm::ExecSpecs(Exec* execs, size_t count, size_t budget,
         }
         const Spec& j = execs[i + 1].spec;
         ++instructions_;
+        if constexpr (kObserved) {
+          cycles_ += execs[i + 1].obs_cycles;  // only charge-only Jccs fuse
+        }
         cycles_ += model_.branch;
         cpu_.rip = EvalCond(static_cast<Cond>(j.cond)) ? j.target : j.next;
         return i + 2;
@@ -1328,13 +1391,7 @@ void Vm::RunBlockLoop(RunResult* res) {
       (tshard_ != nullptr || trace_ != nullptr || sampler_ != nullptr) &&
       !tramp_ranges_.empty();
   const bool track_sb = h_superblock_len_ != nullptr;
-  // The per-instruction observer hook is exactly what chaining and
-  // specialization elide, so observer-attached runs transparently fall back
-  // to generic unchained dispatch: bit-identical results, the observer fires
-  // before every instruction, just slower.
-  const bool use_spec = spec_ && observer_ == nullptr;
-  const bool use_chain = chain_ && observer_ == nullptr;
-  const bool form_traces = use_chain && use_spec;
+  const bool form_traces = chain_ && spec_;
   Block* patch_from = nullptr;  // fully-executed predecessor awaiting a link
   int patch_slot = 0;
   while (!halt_) {
@@ -1425,24 +1482,11 @@ void Vm::RunBlockLoop(RunResult* res) {
           budget < total ? static_cast<size_t>(budget) : total;
       bool faulted = false;
       size_t executed = 0;
-      if (use_spec) {
+      if (spec_) {
         executed = ExecSpecs(block->execs.data(), total, n, &fault, &faulted);
-      } else if (observer_ == nullptr) {
-        for (size_t i = 0; i < n; ++i) {
-          ++instructions_;
-          if (!ExecuteOne(block->execs[i], &fault)) {
-            faulted = true;
-            break;
-          }
-          ++executed;
-          if (halt_) {
-            break;
-          }
-        }
       } else {
         for (size_t i = 0; i < n; ++i) {
-          cycles_ += observer_->OnInstruction(*this, cpu_.rip, block->execs[i].insn);
-          if (halt_) {
+          if (observer_ != nullptr && !Observe(block->execs[i], cpu_.rip)) {
             break;  // observer reported a fatal memory error (Policy::kHarden)
           }
           ++instructions_;
@@ -1491,8 +1535,8 @@ void Vm::RunBlockLoop(RunResult* res) {
           FinishTraceRecording(true);  // bakes only if >= 2 segments made it
         }
       }
-      if (!full || !use_chain) {
-        if (use_chain) {
+      if (!full || !chain_) {
+        if (chain_) {
           ++dispatch_.chain_exits;
         }
         break;

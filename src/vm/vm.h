@@ -144,12 +144,37 @@ struct RunResult {
 
 class Vm;
 
-// Hook for dynamic-binary-instrumentation style baselines (Memcheck): runs
-// before each instruction and returns extra cycles to charge.
+// An observer's decode-time answer for one instruction (ExecObserver::Plan).
+struct ObserverPlan {
+  uint64_t cycles = 0;  // fixed charge, added after the check
+  bool check = false;   // call ExecObserver::Check before the instruction
+};
+
+// Hook for dynamic-binary-instrumentation style baselines (Memcheck, the
+// debug tier's shadow checker), in two halves:
+//   * Plan, at decode time: the instruction's fixed cycle charge and
+//     whether its access needs a check. The fast engine asks once per
+//     decoded instruction, caches the answer in its blocks and traces, and
+//     then only adds the charge and calls Check where the plan asks for
+//     one, with chaining and traces left on.
+//   * OnInstruction, before each instruction: returns the cycles to charge.
+//     The reference stepper calls only this. The default is Plan, then
+//     Check, so one classification serves both engines.
+// An observer with no plan (Plan returns false, the default) gets
+// OnInstruction before every instruction under either engine.
 class ExecObserver {
  public:
   virtual ~ExecObserver() = default;
-  virtual uint64_t OnInstruction(Vm& vm, uint64_t addr, const Instruction& insn) = 0;
+  virtual uint64_t OnInstruction(Vm& vm, uint64_t addr, const Instruction& insn);
+  // Fills *plan for `insn` decoded at `addr` and returns true, or returns
+  // false when there is no plan. A plan may depend only on the instruction,
+  // its address and the loaded images, never on run-time state.
+  virtual bool Plan(const Vm& vm, uint64_t addr, const Instruction& insn,
+                    ObserverPlan* plan) const;
+  // Checks the access of an instruction whose plan asked for it, with the
+  // CPU state from before the instruction executes. Reports go through
+  // Vm::ReportMemError.
+  virtual void Check(Vm& vm, uint64_t addr, const Instruction& insn);
 };
 
 // Hook for allocation-provenance tracking (implemented by ForensicRing in
@@ -182,7 +207,8 @@ class Vm {
   void LoadImage(const BinaryImage& image);
 
   void set_allocator(GuestAllocator* a) { allocator_ = a; }
-  void set_observer(ExecObserver* o) { observer_ = o; }
+  // Decoded blocks and traces cache the observer's plans, so this drops them.
+  void set_observer(ExecObserver* o);
   void set_policy(Policy p) { policy_ = p; }
   void set_inputs(std::vector<uint64_t> inputs) {
     inputs_ = std::move(inputs);
@@ -197,8 +223,7 @@ class Vm {
   // Direct superblock chaining (default on): a block's exit patches a cached
   // successor pointer, so steady-state control transfers block -> block
   // without a dispatcher round-trip. Guest-visible results are bit-identical
-  // with chaining on or off; observer-attached runs transparently fall back
-  // to unchained dispatch so the observer keeps firing per instruction.
+  // with chaining on or off, with or without an observer attached.
   void set_chaining(bool on) { chain_ = on; }
   bool chaining() const { return chain_; }
   // Specialized opcode handlers (default on): decode-time classification of
@@ -346,11 +371,23 @@ class Vm {
     uint64_t next = 0;       // static fall-through address (insn end)
   };
 
+  // What the block engine does for the attached observer before an Exec.
+  enum ObsOp : uint8_t {
+    kObsCharge = 0,  // add obs_cycles only (0 when no observer is attached)
+    kObsCheck,       // planned: Check, then add obs_cycles
+    kObsCall,        // no plan: add OnInstruction's cycles
+  };
+
   struct Exec {
     Instruction insn;
-    unsigned length = 0;
+    uint8_t length = 0;
+    uint8_t obs = kObsCharge;  // ObsOp, from the observer's plan
+    uint32_t obs_cycles = 0;   // the plan's fixed charge
     Spec spec;
   };
+  // The plan fields fill alignment padding: the hot loops stream Exec
+  // arrays, and a larger Exec measurably slows the unobserved engine.
+  static_assert(sizeof(Exec) == 72, "keep Exec at 72 bytes");
 
   // A superblock: decoded straight-line instruction run starting at `entry`.
   // Blocks end at the first control transfer / hostcall / trap / hlt (that
@@ -403,14 +440,30 @@ class Vm {
   Block* FetchBlock(uint64_t addr, std::string* fault);
   // Fills ex->spec from ex->insn as decoded at address `addr`.
   void BuildSpec(Exec* ex, uint64_t addr);
+  // Fills ex->obs/obs_cycles from the attached observer's plan.
+  void PlanObserver(Exec* ex, uint64_t addr);
+  // Drops every decoded block, chain link and trace (and any recording).
+  void ClearCodeCache();
   void RunStepLoop(RunResult* res);
   void RunBlockLoop(RunResult* res);
+  // The attached observer's part of `ex` at `addr`, before it executes, in
+  // stepper order: the check or call, then the charge. Returns false when
+  // the observer halted the run.
+  bool Observe(const Exec& ex, uint64_t addr);
   // Executes up to `budget` guest instructions from execs[0..count) through
   // the specialized handlers. Returns instructions executed (== execs
   // consumed, counting a fused pair as two of each). On return cpu_.rip is
-  // materialized to the next instruction to execute.
+  // materialized to the next instruction to execute. The observed variant
+  // is the same loop with Observe ahead of each instruction, so runs with
+  // no observer pay nothing for it.
   size_t ExecSpecs(Exec* execs, size_t count, size_t budget,
-                   std::string* fault, bool* faulted);
+                   std::string* fault, bool* faulted) {
+    return observer_ == nullptr ? ExecSpecsImpl<false>(execs, count, budget, fault, faulted)
+                                : ExecSpecsImpl<true>(execs, count, budget, fault, faulted);
+  }
+  template <bool kObserved>
+  size_t ExecSpecsImpl(Exec* execs, size_t count, size_t budget,
+                       std::string* fault, bool* faulted);
   // Runs the trace (cpu_.rip == t.entry), looping while it closes on itself.
   // Returns false on a fault (message in *fault). Respects instruction/
   // sampler/epoch boundaries exactly, exiting mid-trace when one lands

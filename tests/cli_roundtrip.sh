@@ -186,6 +186,18 @@ grep -q '"tier":"debug"' uaf_err.json || fail "error-report JSON missing tier"
     || fail "double-free log run failed"
 cmp uaf_base.txt df_out.txt || fail "double-free log run changed the output"
 grep -q '"kind":"double-free"' df_err.json || fail "double free not diagnosed"
+# Memcheck reports the same guest double free (no ring attached) instead
+# of aborting the host: exit 134 with the message under harden, the benign
+# checksum under log.
+if "$TOOLS/rfrun" --runtime=memcheck uaf.rfbin 2 > /dev/null 2> mc_df_err.txt; then
+  fail "memcheck double free not detected"
+else
+  [ $? -eq 134 ] || fail "unexpected memcheck double-free exit code"
+fi
+grep -q "MEMORY ERROR: double free" mc_df_err.txt || fail "memcheck double free not reported"
+"$TOOLS/rfrun" --runtime=memcheck --policy=log uaf.rfbin 2 > mc_df_out.txt 2> /dev/null \
+    || fail "memcheck double-free log run failed"
+cmp uaf_base.txt mc_df_out.txt || fail "memcheck double-free log run changed the output"
 
 # Server-latency histograms: request lifetimes land in
 # heap.alloc_lifetime_cycles with non-empty percentiles.

@@ -4,12 +4,17 @@
 // (core/forensics_report.h) through the harness and the debug tier.
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <map>
+
 #include "src/core/forensics_report.h"
 #include "src/core/harness.h"
 #include "src/core/policy.h"
 #include "src/core/redfat.h"
 #include "src/dbi/shadow_check.h"
 #include "src/heap/forensics.h"
+#include "src/support/rng.h"
+#include "src/support/str.h"
 #include "src/support/telemetry.h"
 #include "src/workloads/builder.h"
 #include "src/workloads/synth.h"
@@ -77,6 +82,99 @@ TEST(ForensicRing, FreedRingEvictsFifoAndCounts) {
   EXPECT_EQ(ring.FreedAt(0x1000), nullptr);  // oldest aged out
   EXPECT_NE(ring.FreedAt(0x1100), nullptr);
   EXPECT_NE(ring.FreedAt(0x1200), nullptr);
+}
+
+// The freed ring as a plain scan: FIFO entries, cleared (ptr and size 0)
+// when their pointer is allocated again, newest match wins. The indexed
+// ring must answer exactly like it.
+struct FreedRingModel {
+  struct Entry {
+    uint64_t ptr = 0;
+    uint64_t size = 0;
+    uint64_t free_pc = 0;
+  };
+  size_t capacity;
+  std::map<uint64_t, uint64_t> live;  // ptr -> size
+  std::deque<Entry> freed;
+  uint64_t evicted = 0;
+
+  void Alloc(uint64_t ptr, uint64_t size) {
+    if (ptr == 0) {
+      return;
+    }
+    live[ptr] = size;
+    for (Entry& e : freed) {
+      if (e.ptr == ptr) {
+        e.ptr = 0;
+        e.size = 0;
+      }
+    }
+  }
+  void Free(uint64_t ptr, uint64_t pc) {
+    const auto it = live.find(ptr);
+    if (it == live.end()) {
+      return;
+    }
+    freed.push_back(Entry{ptr, it->second, pc});
+    live.erase(it);
+    if (freed.size() > capacity) {
+      freed.pop_front();
+      ++evicted;
+    }
+  }
+  const Entry* FreedAt(uint64_t ptr) const {
+    for (auto it = freed.rbegin(); it != freed.rend(); ++it) {
+      if (ptr != 0 && it->ptr == ptr) {
+        return &*it;
+      }
+    }
+    return nullptr;
+  }
+};
+
+TEST(ForensicRing, IndexedLookupsMatchAScanningModel) {
+  // Random alloc/free traffic over a few reused addresses, including double
+  // frees, failed (null) allocations and an allocator handing out a live
+  // pointer again.
+  constexpr uint64_t kAddrs[] = {0x1000, 0x1040, 0x1080, 0x2000, 0x2040, 0x3000, 0x3400};
+  for (const size_t capacity : {size_t{1}, size_t{2}, size_t{7}, size_t{1024}}) {
+    ForensicRing ring(capacity);
+    FreedRingModel model{capacity};
+    Rng rng(0xf0e45 + capacity);
+    for (uint64_t step = 1; step <= 6000; ++step) {
+      const uint64_t ptr = rng.Below(20) == 0 ? 0 : kAddrs[rng.Below(std::size(kAddrs))];
+      if (rng.Below(2) == 0) {
+        const uint64_t size = 16 * rng.Range(1, 4);
+        ring.OnAlloc(ptr, size, /*pc=*/step, step, step, 0);
+        model.Alloc(ptr, size);
+      } else {
+        ring.OnFree(ptr, /*pc=*/step, step, step, 0);
+        model.Free(ptr, step);
+      }
+      const std::string at = StrFormat("capacity %zu step %llu", capacity,
+                                       static_cast<unsigned long long>(step));
+      ASSERT_EQ(ring.evicted(), model.evicted) << at;
+      ASSERT_EQ(ring.freed().size(), model.freed.size()) << at;
+      for (size_t i = 0; i < model.freed.size(); ++i) {
+        ASSERT_EQ(ring.freed()[i].ptr, model.freed[i].ptr) << at << " entry " << i;
+        ASSERT_EQ(ring.freed()[i].size, model.freed[i].size) << at << " entry " << i;
+        ASSERT_EQ(ring.freed()[i].free_pc, model.freed[i].free_pc) << at << " entry " << i;
+      }
+      for (const uint64_t p : {uint64_t{0}, kAddrs[0], kAddrs[1], kAddrs[2], kAddrs[3],
+                               kAddrs[4], kAddrs[5], kAddrs[6]}) {
+        const FreedRingModel::Entry* want = model.FreedAt(p);
+        const AllocProvenance* got = ring.FreedAt(p);
+        ASSERT_EQ(got != nullptr, want != nullptr) << at << " ptr " << p;
+        ASSERT_EQ(ring.WasFreed(p), want != nullptr) << at << " ptr " << p;
+        if (want != nullptr) {
+          EXPECT_EQ(got->ptr, p) << at;
+          EXPECT_EQ(got->size, want->size) << at;
+          EXPECT_EQ(got->free_pc, want->free_pc) << at;
+        }
+      }
+    }
+    EXPECT_GT(ring.evicted(), 0u) << "capacity " << capacity << " never evicted";
+  }
 }
 
 TEST(ForensicRing, NearestReportsDistanceAndSide) {

@@ -2,6 +2,7 @@
 
 #include "src/dbi/memcheck.h"
 #include "src/workloads/builder.h"
+#include "src/workloads/synth.h"
 
 namespace redfat {
 namespace {
@@ -100,6 +101,54 @@ TEST(Memcheck, DispatchCostDominates) {
   EXPECT_EQ(mc.outputs, base.outputs);
   EXPECT_GT(mc.result.cycles, 3 * base.result.cycles)
       << "DBI must be much slower than native";
+}
+
+// A guest double free is a reported memory error, not a host abort: under
+// kHarden the run halts on it, under kLog the second free is skipped and
+// the run finishes with the benign mode's output.
+TEST(Memcheck, DoubleFreeIsReportedUnderBothPolicies) {
+  const BinaryImage img = GenerateUafProgram(UafParams{});
+  RunConfig benign;
+  benign.inputs = {0};
+  const RunOutcome base = RunMemcheck(img, benign);
+  ASSERT_EQ(base.result.reason, HaltReason::kExit);
+  ASSERT_TRUE(base.errors.empty());
+  for (const Policy policy : {Policy::kHarden, Policy::kLog}) {
+    RunConfig cfg;
+    cfg.inputs = {2};
+    cfg.policy = policy;
+    const RunOutcome out = RunMemcheck(img, cfg);
+    ASSERT_EQ(out.errors.size(), 1u) << static_cast<int>(policy);
+    EXPECT_EQ(out.errors[0].kind, ErrorKind::kDoubleFree);
+    EXPECT_TRUE(out.errors[0].has_addr);
+    if (policy == Policy::kHarden) {
+      EXPECT_EQ(out.result.reason, HaltReason::kMemErrorAbort);
+    } else {
+      EXPECT_EQ(out.result.reason, HaltReason::kExit);
+      EXPECT_EQ(out.outputs, base.outputs);
+    }
+  }
+}
+
+// Freeing a pointer that was never a payload base (here, an interior one)
+// is reported as an invalid free and leaves the heap alone.
+TEST(Memcheck, InvalidFreeIsReported) {
+  ProgramBuilder pb;
+  Assembler& as = pb.text();
+  as.MovRI(Reg::kRdi, 64);
+  as.HostCall(HostFn::kMalloc);
+  as.MovRR(Reg::kR12, Reg::kRax);
+  as.Lea(Reg::kRdi, MemAt(Reg::kR12, 8));
+  as.HostCall(HostFn::kFree);
+  as.MovRR(Reg::kRdi, Reg::kR12);
+  as.HostCall(HostFn::kFree);  // the real object is still live
+  pb.EmitExit(0);
+  RunConfig cfg;
+  cfg.policy = Policy::kLog;
+  const RunOutcome out = RunMemcheck(pb.Finish(), cfg);
+  EXPECT_EQ(out.result.reason, HaltReason::kExit);
+  ASSERT_EQ(out.errors.size(), 1u);
+  EXPECT_EQ(out.errors[0].kind, ErrorKind::kFreelistCorruption);
 }
 
 TEST(Memcheck, ShadowStateLifecycle) {

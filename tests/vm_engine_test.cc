@@ -8,25 +8,33 @@
 // mid-block / mid-chain / mid-trace, mem-error aborts at the same points,
 // hostcall/trap termination, one-instruction self-loops, direct-mapped code
 // cache collisions evicting chained-to blocks, TLB + chain invalidation
-// across LoadImage, and observer attachment forcing the transparent
-// unchained fallback.
+// across LoadImage — and observed runs: the debug tier's shadow checker and
+// Memcheck, planned on the fast engine, and both again behind a decorator
+// that has no plan, in every mode.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "src/core/forensics_report.h"
 #include "src/core/harness.h"
+#include "src/core/policy.h"
 #include "src/core/redfat.h"
 #include "src/dbi/memcheck.h"
+#include "src/dbi/shadow_check.h"
+#include "src/heap/forensics.h"
 #include "src/heap/legacy_heap.h"
 #include "src/support/rng.h"
 #include "src/support/str.h"
 #include "src/support/telemetry.h"
 #include "src/support/trace.h"
+#include "src/vm/profiler.h"
 #include "src/workloads/builder.h"
+#include "src/workloads/cve.h"
 #include "src/workloads/kraken.h"
 #include "src/workloads/synth.h"
 
@@ -44,6 +52,7 @@ struct RunFingerprint {
   uint64_t touched_pages = 0;
   std::string metrics;  // telemetry snapshot JSON ("" when not attached)
   std::string trace;    // trace-event JSON ("" when not attached)
+  std::string extra;    // whatever else a differential leg produced
 };
 
 std::string FormatResult(const RunResult& r) {
@@ -64,10 +73,12 @@ RunFingerprint Fingerprint(const RunOutcome& out, const std::string& metrics,
   fp.result = FormatResult(out.result);
   fp.outputs = out.outputs;
   for (const MemErrorReport& e : out.errors) {
-    fp.errors.push_back(StrFormat("site=%u kind=%d rip=0x%llx idx=%llu", e.site,
-                                  static_cast<int>(e.kind),
+    fp.errors.push_back(StrFormat("site=%u kind=%d rip=0x%llx idx=%llu addr=%d:0x%llx",
+                                  e.site, static_cast<int>(e.kind),
                                   static_cast<unsigned long long>(e.rip),
-                                  static_cast<unsigned long long>(e.instruction_index)));
+                                  static_cast<unsigned long long>(e.instruction_index),
+                                  e.has_addr ? 1 : 0,
+                                  static_cast<unsigned long long>(e.addr)));
   }
   std::vector<std::pair<uint32_t, uint64_t>> counters(out.counters.begin(),
                                                       out.counters.end());
@@ -108,11 +119,16 @@ constexpr EngineMode kModes[] = {
 };
 constexpr size_t kNumModes = sizeof(kModes) / sizeof(kModes[0]);
 
-// Runs `img` under every dispatch mode with identical config (telemetry +
+// One differential leg: runs the program under `c` (engine and dispatch
+// knobs already set) and returns the outcome. Anything else the run produces
+// that must match across modes goes into *extra.
+using Leg = std::function<RunOutcome(const RunConfig& c, std::string* extra)>;
+
+// Runs `leg` under every dispatch mode with identical config (telemetry +
 // trace attached when `observe`) and asserts every produced artifact matches
-// the stepper's.
-void ExpectEnginesAgree(const BinaryImage& img, RuntimeKind kind, RunConfig cfg,
-                        bool observe, const std::string& what) {
+// the stepper's. Returns the stepper's fingerprint.
+RunFingerprint ExpectEnginesAgree(const Leg& leg, const RunConfig& cfg, bool observe,
+                                  const std::string& what) {
   RunFingerprint ref;
   for (size_t i = 0; i < kNumModes; ++i) {
     TelemetryRegistry telemetry;
@@ -125,9 +141,11 @@ void ExpectEnginesAgree(const BinaryImage& img, RuntimeKind kind, RunConfig cfg,
       c.telemetry = &telemetry;
       c.trace = &trace;
     }
-    const RunOutcome out = RunImage(img, kind, c);
+    std::string extra;
+    const RunOutcome out = leg(c, &extra);
     RunFingerprint fp = Fingerprint(out, observe ? telemetry.Snapshot().ToJson() : "",
                                     observe ? trace.ToJson() : "");
+    fp.extra = std::move(extra);
     if (i == 0) {
       ref = std::move(fp);
       continue;
@@ -141,7 +159,103 @@ void ExpectEnginesAgree(const BinaryImage& img, RuntimeKind kind, RunConfig cfg,
     EXPECT_EQ(ref.touched_pages, fp.touched_pages) << tag;
     EXPECT_EQ(ref.metrics, fp.metrics) << tag;
     EXPECT_EQ(ref.trace, fp.trace) << tag;
+    EXPECT_EQ(ref.extra, fp.extra) << tag;
   }
+  return ref;
+}
+
+void ExpectEnginesAgree(const BinaryImage& img, RuntimeKind kind, const RunConfig& cfg,
+                        bool observe, const std::string& what) {
+  ExpectEnginesAgree([&](const RunConfig& c, std::string*) { return RunImage(img, kind, c); },
+                     cfg, observe, what);
+}
+
+// Forwards OnInstruction to `inner` and supplies no plan, like a timing or
+// sampling decorator: the fast engine must call it before every instruction
+// and still reproduce the stepper.
+class ForwardingObserver : public ExecObserver {
+ public:
+  explicit ForwardingObserver(ExecObserver* inner) : inner_(inner) {}
+  uint64_t OnInstruction(Vm& vm, uint64_t addr, const Instruction& insn) override {
+    ++calls;
+    return inner_->OnInstruction(vm, addr, insn);
+  }
+  uint64_t calls = 0;
+
+ private:
+  ExecObserver* inner_;
+};
+
+ResolvedPolicy ResolveTier(HardenTier tier) {
+  HardeningPolicy p;
+  p.tier = tier;
+  return p.Resolve().value();
+}
+
+// The debug tier as `rfrun --harden=debug --metrics-epoch --error-report
+// --sample-period` runs it: ShadowCheckObserver over redfat-debug with a
+// forensic ring, a sampler and, when the differential attaches telemetry,
+// an epoch hook cutting delta snapshots. `forward` hides the observer
+// behind a ForwardingObserver.
+Leg DebugTierLeg(const BinaryImage& hardened, bool forward) {
+  return [&hardened, forward](const RunConfig& cfg, std::string* extra) {
+    ShadowCheckObserver shadow;
+    ForwardingObserver forwarder(&shadow);
+    ForensicRing ring;
+    SampleProfiler sampler(97);
+    TelemetrySnapshot prev;
+    RunConfig c = cfg;
+    c.observer = forward ? static_cast<ExecObserver*>(&forwarder) : &shadow;
+    c.forensics = &ring;
+    c.sampler = &sampler;
+    if (c.telemetry != nullptr) {
+      c.metrics_epoch = 3001;
+      c.on_epoch = [&] {
+        const TelemetrySnapshot cur = c.telemetry->Snapshot();
+        *extra += DeltaTelemetrySnapshot(cur, prev).ToJson() + "\n";
+        prev = cur;
+      };
+    }
+    const RunOutcome out = RunImage(hardened, RuntimeKind::kRedFatDebug, c);
+    *extra += ForensicReportsToJson(out.forensic_reports, ring) + "\n" + sampler.ToFolded();
+    *extra += StrFormat("checks=%llu errors=%llu\n",
+                        static_cast<unsigned long long>(shadow.checks()),
+                        static_cast<unsigned long long>(shadow.errors()));
+    return out;
+  };
+}
+
+// Memcheck as RunMemcheck runs it, or, with `forward`, the same run with
+// the observer reached only through a ForwardingObserver.
+Leg MemcheckLeg(const BinaryImage& img, bool forward) {
+  return [&img, forward](const RunConfig& c, std::string*) {
+    if (!forward) {
+      return RunMemcheck(img, c);
+    }
+    Vm vm(c.model);
+    Memcheck memcheck;
+    ForwardingObserver forwarder(&memcheck);
+    vm.set_allocator(&memcheck);
+    vm.set_observer(&forwarder);
+    vm.set_policy(c.policy);
+    vm.set_inputs(c.inputs);
+    vm.set_rng_seed(c.rng_seed);
+    vm.set_instruction_limit(c.instruction_limit);
+    vm.set_engine(c.engine);
+    vm.set_chaining(c.chain);
+    vm.set_specialize(c.specialize);
+    vm.set_telemetry(c.telemetry);
+    vm.set_trace(c.trace);
+    vm.LoadImage(img);
+    RunOutcome out;
+    out.result = vm.Run();
+    out.outputs = vm.outputs();
+    out.errors = vm.mem_errors();
+    out.counters = vm.counters();
+    out.prof_counts = vm.prof_counts();
+    out.touched_pages = vm.memory().TouchedPages();
+    return out;
+  };
 }
 
 struct GoldenConfig {
@@ -201,8 +315,9 @@ TEST(VmEngine, GoldenConfigsAgreeOnKraken) {
   }
 }
 
-// Memcheck attaches a per-instruction ExecObserver; it must fire at the same
-// points (and charge the same cycles) inside a block as under the stepper.
+// Memcheck plans every instruction; its charges and checks must land at the
+// same points inside blocks, chains and traces as under the stepper, and
+// the same again when it is reached through a decorator with no plan.
 TEST(VmEngine, MemcheckObserverAgrees) {
   SynthParams p;
   p.seed = 77;
@@ -210,17 +325,122 @@ TEST(VmEngine, MemcheckObserverAgrees) {
   const BinaryImage img = GenerateSynthProgram(p);
   RunConfig base;
   base.inputs = RefInputs(15);
-  RunFingerprint fps[2];
-  const VmEngine engines[2] = {VmEngine::kStep, VmEngine::kBlock};
-  for (int i = 0; i < 2; ++i) {
-    RunConfig c = base;
-    c.engine = engines[i];
-    fps[i] = Fingerprint(RunMemcheck(img, c), "", "");
+  for (const bool forward : {false, true}) {
+    ExpectEnginesAgree(MemcheckLeg(img, forward), base, /*observe=*/true,
+                       forward ? "memcheck synth (forwarded)" : "memcheck synth");
   }
-  EXPECT_EQ(fps[0].result, fps[1].result);
-  EXPECT_EQ(fps[0].outputs, fps[1].outputs);
-  EXPECT_EQ(fps[0].errors, fps[1].errors);
-  EXPECT_EQ(fps[0].touched_pages, fps[1].touched_pages);
+}
+
+// The debug tier: ShadowCheckObserver over redfat-debug with every sink a
+// `rfrun --harden=debug` run can attach, on benign workloads and on the
+// uaf workload's detection under both policies.
+TEST(VmEngine, DebugTierObserverAgrees) {
+  const RedFatTool debug(ResolveTier(HardenTier::kDebug));
+  SynthParams p;
+  p.seed = 0xd57e55;
+  p.mem_pct = 35;
+  p.churn_pct = 4;
+  struct Case {
+    std::string name;
+    BinaryImage image;
+    std::vector<uint64_t> inputs;
+  };
+  std::vector<Case> cases = {
+      {"synth", GenerateSynthProgram(p), RefInputs(15)},
+      {"kraken", BuildKrakenBenchmark(KrakenSuite().front()), RefInputs(40)},
+      {"uaf", GenerateUafProgram(UafParams{}), {1}},
+      {"double-free", GenerateUafProgram(UafParams{}), {2}},
+  };
+  for (const Case& c : cases) {
+    Result<InstrumentResult> ir = debug.Instrument(c.image);
+    ASSERT_TRUE(ir.ok()) << c.name << ": " << ir.error();
+    for (const Policy policy : {Policy::kHarden, Policy::kLog}) {
+      RunConfig cfg;
+      cfg.inputs = c.inputs;
+      cfg.policy = policy;
+      for (const bool forward : {false, true}) {
+        ExpectEnginesAgree(DebugTierLeg(ir.value().image, forward), cfg, /*observe=*/true,
+                           StrFormat("debug %s policy=%d%s", c.name.c_str(),
+                                     static_cast<int>(policy), forward ? " (forwarded)" : ""));
+      }
+    }
+  }
+}
+
+// Memcheck on the Table 2 CVE images, attack and benign inputs, both
+// policies: detections, addresses and cycles must match the stepper's.
+TEST(VmEngine, MemcheckAgreesOnTable2Cves) {
+  for (const VulnCase& vc : CveCases()) {
+    for (const auto& inputs : {vc.attack_inputs, vc.benign_inputs}) {
+      for (const Policy policy : {Policy::kHarden, Policy::kLog}) {
+        RunConfig cfg;
+        cfg.inputs = inputs;
+        cfg.policy = policy;
+        for (const bool forward : {false, true}) {
+          ExpectEnginesAgree(MemcheckLeg(vc.image, forward), cfg, /*observe=*/true,
+                             StrFormat("memcheck %s input=%llu policy=%d%s", vc.name.c_str(),
+                                       static_cast<unsigned long long>(inputs.at(0)),
+                                       static_cast<int>(policy),
+                                       forward ? " (forwarded)" : ""));
+        }
+      }
+    }
+  }
+}
+
+// Detections made by ShadowCheckObserver itself on a fast-tier image (no
+// inline check covers the access): the overflowing store sits mid-block,
+// and under kHarden the halting instruction's charge is still added, so
+// cycles match the stepper's exactly.
+TEST(VmEngine, ShadowCheckHaltsMidBlockWithTheStepperCycles) {
+  // One ambiguous store 64 bytes past a 64-byte object's base (the
+  // trailing redzone), three instructions into its block.
+  ProgramBuilder overflow;
+  {
+    Assembler& as = overflow.text();
+    as.MovRI(Reg::kRdi, 64);
+    as.HostCall(HostFn::kMalloc);
+    as.MovRR(Reg::kRcx, Reg::kRax);
+    as.AddI(Reg::kRcx, 64);
+    as.Store(Reg::kRdx, MemBIS(Reg::kNone, Reg::kRcx, 0, 0));
+    overflow.EmitExit(0);
+  }
+  // A store through the stale pointer of a freed object.
+  ProgramBuilder stale;
+  {
+    Assembler& as = stale.text();
+    as.MovRI(Reg::kRdi, 64);
+    as.HostCall(HostFn::kMalloc);
+    as.MovRR(Reg::kRcx, Reg::kRax);
+    as.MovRR(Reg::kRdi, Reg::kRax);
+    as.HostCall(HostFn::kFree);
+    as.Store(Reg::kRdx, MemBIS(Reg::kNone, Reg::kRcx, 0, 0));
+    stale.EmitExit(0);
+  }
+  const RedFatTool fast(ResolveTier(HardenTier::kFast));
+  const std::pair<const char*, BinaryImage> programs[] = {
+      {"overflow", overflow.Finish()}, {"stale store", stale.Finish()}};
+  for (const auto& [name, program] : programs) {
+    const InstrumentResult ir = fast.Instrument(program).value();
+    ASSERT_TRUE(ir.sites.empty()) << name << ": the access must be left to the observer";
+    for (const Policy policy : {Policy::kHarden, Policy::kLog}) {
+      RunConfig cfg;
+      cfg.policy = policy;
+      for (const bool forward : {false, true}) {
+        ExpectEnginesAgree(DebugTierLeg(ir.image, forward), cfg, /*observe=*/true,
+                           StrFormat("%s policy=%d%s", name, static_cast<int>(policy),
+                                     forward ? " (forwarded)" : ""));
+      }
+      ShadowCheckObserver observer;
+      RunConfig chained = cfg;
+      chained.observer = &observer;
+      const RunOutcome out = RunImage(ir.image, RuntimeKind::kRedFatDebug, chained);
+      EXPECT_EQ(out.result.reason, policy == Policy::kHarden ? HaltReason::kMemErrorAbort
+                                                             : HaltReason::kExit)
+          << name;
+      EXPECT_EQ(out.errors.size(), 1u) << name;
+    }
+  }
 }
 
 // (b) Randomized programs from the fuzz generator: arbitrary byte soup must
@@ -264,7 +484,7 @@ TEST(VmEngine, InstructionLimitMidBlock) {
 }
 
 // A mem-error abort raised by the observer (memcheck) in the middle of a
-// block must stop at the same instruction with the same report.
+// block must stop at the same instruction with the same report and cycles.
 TEST(VmEngine, MemErrorAbortMidBlock) {
   ProgramBuilder pb;
   Assembler& a = pb.text();
@@ -282,16 +502,12 @@ TEST(VmEngine, MemErrorAbortMidBlock) {
   for (const Policy policy : {Policy::kHarden, Policy::kLog}) {
     RunConfig cfg;
     cfg.policy = policy;
-    RunFingerprint fps[2];
-    const VmEngine engines[2] = {VmEngine::kStep, VmEngine::kBlock};
-    for (int i = 0; i < 2; ++i) {
-      RunConfig c = cfg;
-      c.engine = engines[i];
-      fps[i] = Fingerprint(RunMemcheck(img, c), "", "");
+    for (const bool forward : {false, true}) {
+      const RunFingerprint ref = ExpectEnginesAgree(
+          MemcheckLeg(img, forward), cfg, /*observe=*/true,
+          StrFormat("policy=%d%s", static_cast<int>(policy), forward ? " (forwarded)" : ""));
+      ASSERT_FALSE(ref.errors.empty());
     }
-    EXPECT_EQ(fps[0].result, fps[1].result) << "policy=" << static_cast<int>(policy);
-    EXPECT_EQ(fps[0].errors, fps[1].errors) << "policy=" << static_cast<int>(policy);
-    ASSERT_FALSE(fps[0].errors.empty());
   }
 }
 
@@ -662,37 +878,84 @@ TEST(VmChaining, LoadImageInvalidatesChainsAndTraces) {
   EXPECT_EQ(vm.outputs()[1], 11u * 200u);
 }
 
-// Attaching a per-instruction observer must transparently fall back to
-// unchained, unspecialized dispatch — same guest results, observer fired
-// once per instruction, zero chains formed even with chaining requested.
-TEST(VmChaining, ObserverForcesUnchainedFallback) {
-  class CountingObserver : public ExecObserver {
+// An observer with a plan keeps chaining and traces on: the fast engine
+// adds the cached charges and never calls OnInstruction. One with no plan
+// is called before every instruction, chained or not. Both reproduce the
+// stepper, which calls OnInstruction (Plan, then Check) every time.
+TEST(VmChaining, ObservedRunsKeepChainsAndTraces) {
+  class PlannedCounter : public ExecObserver {
    public:
-    uint64_t OnInstruction(Vm&, uint64_t, const Instruction&) override {
-      ++count;
-      return 0;
+    uint64_t OnInstruction(Vm& vm, uint64_t addr, const Instruction& insn) override {
+      ++calls;
+      return ExecObserver::OnInstruction(vm, addr, insn);
     }
-    uint64_t count = 0;
+    bool Plan(const Vm&, uint64_t, const Instruction& insn,
+              ObserverPlan* plan) const override {
+      plan->cycles = IsControlFlow(insn.op) ? 5 : 2;
+      return true;
+    }
+    uint64_t calls = 0;
   };
   const BinaryImage img = BuildHotLoop(400);
-  uint64_t counts[2] = {0, 0};
-  RunFingerprint fps[2];
+  RunFingerprint ref;
+  for (const bool forward : {false, true}) {
+    for (const VmEngine engine : {VmEngine::kStep, VmEngine::kBlock}) {
+      PlannedCounter planned;
+      ForwardingObserver forwarder(&planned);
+      RunConfig cfg;  // chain + specialize left at production defaults
+      cfg.engine = engine;
+      cfg.observer = forward ? static_cast<ExecObserver*>(&forwarder) : &planned;
+      const RunOutcome out = RunImage(img, RuntimeKind::kBaseline, cfg);
+      const std::string tag = StrFormat("forward=%d engine=%d", forward ? 1 : 0,
+                                        static_cast<int>(engine));
+      if (engine == VmEngine::kBlock) {
+        EXPECT_GT(out.dispatch.block_chains, 0u) << tag;
+        EXPECT_GT(out.dispatch.traces_formed, 0u) << tag;
+        EXPECT_GT(out.dispatch.trace_runs, 0u) << tag;
+      }
+      const bool per_instruction = forward || engine == VmEngine::kStep;
+      EXPECT_EQ(planned.calls, per_instruction ? out.result.instructions : 0u) << tag;
+      EXPECT_EQ(forwarder.calls, forward ? out.result.instructions : 0u) << tag;
+      const RunFingerprint fp = Fingerprint(out, "", "");
+      if (!forward && engine == VmEngine::kStep) {
+        ref = fp;
+        continue;
+      }
+      EXPECT_EQ(ref.result, fp.result) << tag;
+      EXPECT_EQ(ref.outputs, fp.outputs) << tag;
+    }
+  }
+  // The charges really are in the cycle count.
+  const RunOutcome bare = RunImage(img, RuntimeKind::kBaseline, RunConfig{});
+  EXPECT_NE(ref.result, Fingerprint(bare, "", "").result);
+}
+
+// Blocks and traces cache the observer's plans, so attaching an observer
+// mid-run must drop the code built without one: a run that goes hot
+// unobserved, then resumes observed, charges exactly what the stepper does.
+TEST(VmChaining, SetObserverDropsCachedPlans) {
+  const BinaryImage img = BuildHotLoop(400);
+  uint64_t cycles[2] = {0, 0};
   const VmEngine engines[2] = {VmEngine::kStep, VmEngine::kBlock};
   for (int i = 0; i < 2; ++i) {
-    CountingObserver obs;
-    RunConfig cfg;  // chain + specialize left at production defaults
-    cfg.engine = engines[i];
-    cfg.observer = &obs;
-    const RunOutcome out = RunImage(img, RuntimeKind::kBaseline, cfg);
-    fps[i] = Fingerprint(out, "", "");
-    counts[i] = obs.count;
-    EXPECT_EQ(out.dispatch.block_chains, 0u) << "engine=" << i;
-    EXPECT_EQ(out.dispatch.traces_formed, 0u) << "engine=" << i;
-    EXPECT_EQ(obs.count, out.result.instructions) << "engine=" << i;
+    Vm vm;
+    GlibcLikeAllocator alloc;
+    ShadowCheckObserver observer;
+    vm.set_allocator(&alloc);
+    vm.set_engine(engines[i]);
+    vm.LoadImage(img);
+    vm.set_instruction_limit(1500);
+    ASSERT_EQ(vm.Run().reason, HaltReason::kInstrLimit);
+    vm.set_observer(&observer);
+    vm.set_instruction_limit(~uint64_t{0});
+    const RunResult r = vm.Run();
+    ASSERT_EQ(r.reason, HaltReason::kExit);
+    cycles[i] = r.cycles;
+    if (engines[i] == VmEngine::kBlock) {
+      EXPECT_GT(vm.dispatch_stats().traces_formed, 0u);
+    }
   }
-  EXPECT_EQ(fps[0].result, fps[1].result);
-  EXPECT_EQ(fps[0].outputs, fps[1].outputs);
-  EXPECT_EQ(counts[0], counts[1]);
+  EXPECT_EQ(cycles[0], cycles[1]);
 }
 
 // The cache-size knob: rejects zero and non-powers-of-two via REDFAT_CHECK
