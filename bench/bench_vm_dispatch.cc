@@ -13,8 +13,11 @@
 //
 // Guest-visible results are asserted identical across every mode on every
 // cell (the bit-identity contract the differential test proves exhaustively,
-// re-checked on the bench workload); only the host time may differ. CI gates
-// on speedup_instrumented ≥ 3x (chained vs step, telemetry off).
+// re-checked on the bench workload); only the host time may differ. Each
+// cell also records its deterministic dispatch counters. CI gates on
+// speedup_instrumented ≥ 3x (chained vs step, telemetry off), and on the
+// instrumented chained cells' counters: no code-cache evictions, and a chain
+// ratio block_chains / (block_chains + chain_exits) of at least 0.9.
 //
 //   bench_vm_dispatch [--quick] [--out FILE]
 #include <chrono>
@@ -60,6 +63,7 @@ struct Cell {
   uint64_t instructions = 0;
   double wall_ms = 0.0;  // best of reps
   double mips = 0.0;     // guest instructions / host second, in millions
+  Vm::DispatchStats dispatch;  // deterministic; identical across reps
 };
 
 int Main(int argc, char** argv) {
@@ -125,6 +129,7 @@ int Main(int argc, char** argv) {
           const double wall = NowMs() - t0;
           REDFAT_CHECK(out.result.reason == HaltReason::kExit);
           cell.instructions = out.result.instructions;
+          cell.dispatch = out.dispatch;
           fingerprint = StrFormat(
               "%llu/%llu/%llu", static_cast<unsigned long long>(out.result.cycles),
               static_cast<unsigned long long>(out.result.instructions),
@@ -196,9 +201,16 @@ int Main(int argc, char** argv) {
     }
     json += StrFormat(
         "{\"image\":\"%s\",\"mode\":\"%s\",\"telemetry\":%s,"
-        "\"instructions\":%llu,\"wall_ms\":%.3f,\"mips\":%.3f}",
+        "\"instructions\":%llu,\"wall_ms\":%.3f,\"mips\":%.3f,"
+        "\"blocks_built\":%llu,\"code_cache_evictions\":%llu,\"block_chains\":%llu,"
+        "\"chain_exits\":%llu,\"traces_formed\":%llu}",
         c.image, c.mode, c.telemetry ? "true" : "false",
-        static_cast<unsigned long long>(c.instructions), c.wall_ms, c.mips);
+        static_cast<unsigned long long>(c.instructions), c.wall_ms, c.mips,
+        static_cast<unsigned long long>(c.dispatch.blocks_built),
+        static_cast<unsigned long long>(c.dispatch.code_cache_evictions),
+        static_cast<unsigned long long>(c.dispatch.block_chains),
+        static_cast<unsigned long long>(c.dispatch.chain_exits),
+        static_cast<unsigned long long>(c.dispatch.traces_formed));
   }
   json += "]}\n";
 

@@ -1,7 +1,6 @@
 #include "src/heap/legacy_heap.h"
 
 #include "src/support/bits.h"
-#include "src/support/check.h"
 
 namespace redfat {
 
@@ -22,24 +21,21 @@ uint64_t LegacyHeap::Alloc(Memory& mem, uint64_t size) {
   }
   mem.WriteU64(chunk, chunk_size);
   const uint64_t payload = chunk + 16 + padding_;
-  live_[payload] = chunk_size;
+  chunks_[payload] = Chunk{chunk_size, true};
   return payload;
 }
 
-void LegacyHeap::Free(uint64_t ptr) {
-  auto it = live_.find(ptr);
-  REDFAT_CHECK(it != live_.end());
-  const uint64_t chunk_size = it->second;
-  const uint64_t chunk = ptr - 16 - padding_;
-  live_.erase(it);
-  free_lists_[chunk_size].push_back(chunk);
-}
-
-uint64_t LegacyHeap::SizeOf(Memory& mem, uint64_t ptr) const {
-  auto it = live_.find(ptr);
-  REDFAT_CHECK(it != live_.end());
-  (void)mem;
-  return it->second - 16 - 2 * padding_;
+bool LegacyHeap::Free(uint64_t ptr, ErrorKind* error) {
+  const auto it = chunks_.find(ptr);
+  if (it == chunks_.end() || !it->second.live) {
+    if (error != nullptr) {
+      *error = it != chunks_.end() ? ErrorKind::kDoubleFree : ErrorKind::kFreelistCorruption;
+    }
+    return false;
+  }
+  it->second.live = false;
+  free_lists_[it->second.size].push_back(ptr - 16 - padding_);
+  return true;
 }
 
 }  // namespace redfat

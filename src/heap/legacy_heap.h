@@ -31,18 +31,26 @@ class LegacyHeap {
 
   // Returns the payload pointer, or 0 on exhaustion.
   uint64_t Alloc(Memory& mem, uint64_t size);
-  // `ptr` must be a payload pointer returned by Alloc.
-  void Free(uint64_t ptr);
-  // Payload size recorded at allocation; CHECK-fails for unknown pointers.
-  uint64_t SizeOf(Memory& mem, uint64_t ptr) const;
+  // Frees a live payload pointer returned by Alloc and returns true. Any
+  // other pointer leaves the heap untouched and returns false, with *error
+  // (when given) set to kDoubleFree for a payload freed and not since
+  // reallocated, else to kFreelistCorruption, the invalid-free kind.
+  bool Free(uint64_t ptr, ErrorKind* error = nullptr);
   // Was this pointer handed out (and not yet freed)?
-  bool IsLive(uint64_t ptr) const { return live_.count(ptr) != 0; }
+  bool IsLive(uint64_t ptr) const {
+    const auto it = chunks_.find(ptr);
+    return it != chunks_.end() && it->second.live;
+  }
 
  private:
+  struct Chunk {
+    uint64_t size = 0;  // chunk bytes, header and padding included
+    bool live = false;
+  };
   uint64_t padding_;
   uint64_t bump_ = kLegacyHeapBase + 64;
   std::unordered_map<uint64_t, std::vector<uint64_t>> free_lists_;  // by chunk size
-  std::unordered_map<uint64_t, uint64_t> live_;  // payload ptr -> chunk size
+  std::unordered_map<uint64_t, Chunk> chunks_;  // payload ptr -> chunk, ever carved
 };
 
 // GuestAllocator binding for baseline (uninstrumented) runs.
@@ -56,10 +64,14 @@ class GlibcLikeAllocator : public GuestAllocator {
   }
   FreeOutcome Free(Memory& mem, uint64_t ptr) override {
     (void)mem;
-    if (ptr != 0) {
-      heap_.Free(ptr);
+    // A double or invalid free is the guest's error to report, not a host
+    // abort (glibc aborts the guest, too).
+    FreeOutcome out{heapcost::kLegacyFree};
+    if (ptr != 0 && !heap_.Free(ptr, &out.corrupt_kind)) {
+      out.corrupted = true;
+      out.corrupt_addr = ptr;
     }
-    return FreeOutcome{heapcost::kLegacyFree};
+    return out;
   }
   const char* name() const override { return "glibc-like"; }
 

@@ -81,8 +81,15 @@ FreeOutcome RedFatAllocator::Free(Memory& mem, uint64_t ptr) {
     }
     return out;
   }
+  if (!legacy_.Free(slot, &out.corrupt_kind)) {
+    // A double or invalid free of a non-fat object: reported, not a host
+    // abort, and the metadata is left as it is.
+    out.corrupted = true;
+    out.corrupt_addr = ptr;
+    out.cycles = heapcost::kFreePush;
+    return out;
+  }
   mem.WriteU64(slot, 0);
-  legacy_.Free(slot);
   out.cycles = heapcost::kFreePush + heapcost::kRedzoneMeta;
   return out;
 }

@@ -1,7 +1,5 @@
 #include "src/heap/shadow_allocator.h"
 
-#include "src/support/check.h"
-
 namespace redfat {
 
 void ShadowRedFatAllocator::MarkShadow(Memory& mem, uint64_t addr, uint64_t size,
@@ -35,7 +33,7 @@ AllocOutcome ShadowRedFatAllocator::Malloc(Memory& mem, uint64_t size) {
   MarkShadow(mem, slot, kRedzoneSize, GuestShadow::kRedzone);        // leading redzone
   MarkShadow(mem, ptr, size, GuestShadow::kOk);                      // payload (clear stale)
   MarkShadow(mem, ptr + size, kRedzoneSize, GuestShadow::kRedzone);  // trailing redzone
-  sizes_[ptr] = size;
+  objects_[ptr] = Object{size, true};
   // O(size) shadow marking is the scheme's intrinsic cost.
   out.ptr = ptr;
   out.cycles = cycles + heapcost::ShadowMarkCycles(size + 2 * kRedzoneSize);
@@ -46,10 +44,19 @@ FreeOutcome ShadowRedFatAllocator::Free(Memory& mem, uint64_t ptr) {
   if (ptr == 0) {
     return FreeOutcome{heapcost::kFreePush};
   }
-  auto it = sizes_.find(ptr);
-  REDFAT_CHECK(it != sizes_.end());
-  const uint64_t size = it->second;
-  sizes_.erase(it);
+  auto it = objects_.find(ptr);
+  if (it == objects_.end() || !it->second.live) {
+    // Not a live payload: a guest double free (freed and not since
+    // reallocated) or an invalid one. Report it and leave the heap untouched.
+    FreeOutcome bad{heapcost::kFreePush};
+    bad.corrupted = true;
+    bad.corrupt_kind =
+        it != objects_.end() ? ErrorKind::kDoubleFree : ErrorKind::kFreelistCorruption;
+    bad.corrupt_addr = ptr;
+    return bad;
+  }
+  const uint64_t size = it->second.size;
+  it->second.live = false;
   MarkShadow(mem, ptr, size, GuestShadow::kFreed);
   const uint64_t slot = ptr - kRedzoneSize;
   uint64_t cycles = 0;

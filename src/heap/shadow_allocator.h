@@ -38,7 +38,11 @@ class ShadowRedFatAllocator : public GuestAllocator {
 
   LowFatHeap lowfat_;
   LegacyHeap legacy_;
-  std::unordered_map<uint64_t, uint64_t> sizes_;  // user ptr -> user size
+  struct Object {
+    uint64_t size = 0;  // user size
+    bool live = false;
+  };
+  std::unordered_map<uint64_t, Object> objects_;  // user ptr -> object, ever allocated
 };
 
 }  // namespace redfat

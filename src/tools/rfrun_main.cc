@@ -47,8 +47,9 @@
 //                          block exit back through the dispatcher. Bisects
 //                          chained against plain block mode without
 //                          rebuilding; results are bit-identical
-//   --code-cache-size=N    block engine code-cache capacity in superblock
-//                          entries (default 4096; must be a power of two)
+//   --code-cache-size=N    block engine code-cache capacity in superblocks
+//                          (default 4096; must be a power of two); a full
+//                          cache is flushed whole before the next block
 //   --trace FILE           Chrome trace-event JSON of the run (trampoline
 //                          slices, allocator events; guest cycles as µs)
 //   --report               human-readable per-site report on stdout, joining

@@ -42,6 +42,13 @@ inline void LogicFlags(Flags& f, uint64_t r) {
   f.cf = false;
   f.of = false;
 }
+
+// Code-cache slot of a block entry address. Text and trampoline bases are
+// multiples of every power-of-two table size, so the index comes from the
+// high bits of a multiplicative (Fibonacci) hash, not the low address bits.
+inline size_t SlotIndex(uint64_t addr, size_t mask) {
+  return static_cast<size_t>((addr * 0x9E3779B97F4A7C15ULL) >> 32) & mask;
+}
 }  // namespace
 
 void Vm::LoadImage(const BinaryImage& image) {
@@ -67,18 +74,19 @@ void Vm::LoadImage(const BinaryImage& image) {
 }
 
 void Vm::ClearCodeCache() {
-  block_cache_.clear();
+  cache_slots_.assign(cache_slots_.size(), CacheSlot{});
+  blocks_.clear();
+  exec_pool_.clear();
   traces_.clear();
   trace_recording_ = false;
   trace_head_ = nullptr;
   trace_rec_ = Trace{};
+  patch_from_ = nullptr;
 }
 
 void Vm::set_code_cache_size(size_t entries) {
   REDFAT_CHECK(entries != 0 && (entries & (entries - 1)) == 0);
-  block_cache_size_ = entries;
-  // Resize invalidates every Block* (chain links, trace heads): drop the lot
-  // and rebuild on demand.
+  code_cache_size_ = entries;
   ClearCodeCache();
 }
 
@@ -169,6 +177,27 @@ void Vm::OnCountSite(uint32_t site) {
   }
   if (tshard_ != nullptr) {
     tshard_->AddSite(SiteKeyFor(site), SiteEvent::kChecks);
+  }
+}
+
+void Vm::EnterRange(const TrampRange* range) {
+  const bool now = range != nullptr;
+  // A visit also closes when rip crosses directly between ranges with a
+  // different attribution (trampoline vs inline region, or another image):
+  // each visit's cycles must land on exactly one bucket.
+  if (now == t_in_tramp_ &&
+      (!now || (range->inline_region == t_inline_ && range->image == t_image_))) {
+    return;
+  }
+  if (t_in_tramp_) {
+    FlushTrampolineVisit();
+  }
+  if (now) {
+    t_in_tramp_ = true;
+    t_inline_ = range->inline_region;
+    t_image_ = range->image;
+    t_entry_cycles_ = cycles_;
+    t_have_site_ = false;
   }
 }
 
@@ -300,30 +329,35 @@ void Vm::PlanObserver(Exec* ex, uint64_t addr) {
 }
 
 Vm::Block* Vm::FetchBlock(uint64_t addr, std::string* fault) {
-  if (block_cache_.empty()) {
-    block_cache_.resize(block_cache_size_);
+  if (!cache_slots_.empty()) {
+    const size_t mask = cache_slots_.size() - 1;
+    for (size_t i = SlotIndex(addr, mask);; i = (i + 1) & mask) {
+      const CacheSlot& slot = cache_slots_[i];
+      if (slot.block == nullptr) {
+        break;
+      }
+      if (slot.entry == addr) {
+        return slot.block;
+      }
+    }
   }
-  Block& b = block_cache_[addr & (block_cache_size_ - 1)];
-  if (b.entry == addr) {
-    return &b;
+  if (blocks_.size() >= code_cache_size_) {
+    // Full: flush whole. Nothing else holds a block across this call (the
+    // flush also drops the pending link, traces and any recording), so no
+    // stale pointer survives it.
+    dispatch_.code_cache_evictions += blocks_.size();
+    ClearCodeCache();
   }
-  // Direct-mapped: a colliding resident block is simply rebuilt over. Links
-  // pointing AT the evicted block are left alone — followers validate the
-  // target's entry tag, so a stale link misses and re-dispatches.
-  if (b.entry != ~uint64_t{0}) {
-    ++dispatch_.code_cache_evictions;
+  if (blocks_.capacity() < code_cache_size_) {
+    blocks_.reserve(code_cache_size_);  // blocks never move until a flush
   }
-  b.entry = ~uint64_t{0};
-  b.execs.clear();
-  b.succ[0] = nullptr;
-  b.succ[1] = nullptr;
-  b.hits = 0;
-  b.trace = -1;
+  Block& b = blocks_.emplace_back();
+  b.first = static_cast<uint32_t>(exec_pool_.size());
   const TrampRange* entry_range = TrampRangeAt(addr);
   b.range = entry_range;
   uint64_t cur = addr;
   uint8_t buf[16];
-  while (b.execs.size() < kMaxBlockInsns) {
+  while (exec_pool_.size() - b.first < kMaxBlockInsns) {
     // Never span a trampoline/inline-region boundary: one range
     // classification at block entry must hold for every instruction in it.
     if (cur != addr && TrampRangeAt(cur) != entry_range) {
@@ -332,29 +366,30 @@ Vm::Block* Vm::FetchBlock(uint64_t addr, std::string* fault) {
     memory_.ReadBytes(cur, buf, sizeof(buf));
     Result<Decoded> d = Decode(buf, sizeof(buf));
     if (!d.ok()) {
-      if (b.execs.empty()) {
+      if (exec_pool_.size() == b.first) {
         *fault = StrFormat("fetch at 0x%llx: %s", static_cast<unsigned long long>(cur),
                            d.error().c_str());
+        blocks_.pop_back();
         return nullptr;
       }
       // End the block cleanly before the undecodable instruction; the next
       // dispatch at its address reproduces the step engine's fetch fault.
       break;
     }
-    Exec ex;
+    Exec& ex = exec_pool_.emplace_back();
     ex.insn = d.value().insn;
     ex.length = static_cast<uint8_t>(d.value().length);
     BuildSpec(&ex, cur);
     if (observer_ != nullptr) {
       PlanObserver(&ex, cur);
     }
-    b.execs.push_back(ex);
     cur += ex.length;
     const Op op = ex.insn.op;
     if (IsControlFlow(op) || op == Op::kHostCall || op == Op::kTrap || op == Op::kHlt) {
       break;  // superblock terminator (kUd2 faults in ExecuteOne instead)
     }
   }
+  b.count = static_cast<uint32_t>(exec_pool_.size() - b.first);
   b.fall_rip = cur;
   // cmp/test+jcc macro-op fusion: a Jcc terminates its block, so the fusable
   // pair is always the last two entries. The fused handler reads the Jcc's
@@ -362,9 +397,10 @@ Vm::Block* Vm::FetchBlock(uint64_t addr, std::string* fault) {
   // pair still executes unfused when the instruction budget splits it. A
   // Jcc the observer must check or call on runs alone: that call belongs
   // after the compare.
-  const size_t m = b.execs.size();
-  if (m >= 2 && b.execs[m - 1].spec.op == kSJcc && b.execs[m - 1].obs == kObsCharge) {
-    Spec& c = b.execs[m - 2].spec;
+  Exec* const execs = ExecsOf(b);
+  const size_t m = b.count;
+  if (m >= 2 && execs[m - 1].spec.op == kSJcc && execs[m - 1].obs == kObsCharge) {
+    Spec& c = execs[m - 2].spec;
     if (c.op == kSCmpRR) {
       c.op = kSCmpRRJcc;
     } else if (c.op == kSCmpRI) {
@@ -374,8 +410,30 @@ Vm::Block* Vm::FetchBlock(uint64_t addr, std::string* fault) {
     }
   }
   b.entry = addr;
+  InsertBlock(&b);
   ++dispatch_.blocks_built;
   return &b;
+}
+
+void Vm::InsertBlock(Block* b) {
+  auto place = [this](Block* blk) {
+    const size_t mask = cache_slots_.size() - 1;
+    size_t i = SlotIndex(blk->entry, mask);
+    while (cache_slots_[i].block != nullptr) {
+      i = (i + 1) & mask;
+    }
+    cache_slots_[i] = CacheSlot{blk->entry, blk};
+  };
+  if (2 * blocks_.size() > cache_slots_.size()) {
+    const std::vector<CacheSlot> old = std::move(cache_slots_);
+    cache_slots_.assign(std::max(kMinCacheSlots, 2 * old.size()), CacheSlot{});
+    for (const CacheSlot& slot : old) {
+      if (slot.block != nullptr) {
+        place(slot.block);
+      }
+    }
+  }
+  place(b);
 }
 
 uint64_t Vm::EffectiveAddress(const MemOperand& mem, uint64_t next_rip) const {
@@ -1140,27 +1198,28 @@ size_t Vm::ExecSpecsImpl(Exec* execs, size_t count, size_t budget,
         }
         cycles_ += model_.branch;
         cpu_.rip = EvalCond(static_cast<Cond>(j.cond)) ? j.target : j.next;
-        return i + 2;
+        ++i;  // the Jcc half; `transfer` steps past it
+        goto transfer;
       }
       case kSJmp:
         cycles_ += model_.branch;
         cpu_.rip = s.target;
-        return i + 1;
+        goto transfer;
       case kSJcc:
         cycles_ += model_.branch;
         cpu_.rip = EvalCond(static_cast<Cond>(s.cond)) ? s.target : s.next;
-        return i + 1;
+        goto transfer;
       case kSJmpR:
         cycles_ += model_.call_ret;
         cpu_.rip = regs[s.r0];
-        return i + 1;
+        goto transfer;
       case kSCall: {
         const uint64_t rsp = regs[4] - 8;  // 4 = RegIndex(kRsp)
         regs[4] = rsp;
         memory_.WriteFast(rsp, s.next, 8);
         cycles_ += model_.call_ret;
         cpu_.rip = s.target;
-        return i + 1;
+        goto transfer;
       }
       case kSCallR: {
         const uint64_t rsp = regs[4] - 8;
@@ -1168,14 +1227,14 @@ size_t Vm::ExecSpecsImpl(Exec* execs, size_t count, size_t budget,
         memory_.WriteFast(rsp, s.next, 8);
         cycles_ += model_.call_ret;
         cpu_.rip = regs[s.r0];  // after the push, like the reference
-        return i + 1;
+        goto transfer;
       }
       case kSRet: {
         const uint64_t rsp = regs[4];
         cpu_.rip = memory_.ReadFast(rsp, 8);
         regs[4] = rsp + 8;
         cycles_ += model_.call_ret;
-        return i + 1;
+        goto transfer;
       }
       case kSPush: {
         const uint64_t rsp = regs[4] - 8;
@@ -1205,6 +1264,16 @@ size_t Vm::ExecSpecsImpl(Exec* execs, size_t count, size_t budget,
         break;
     }
     ++i;
+    continue;
+  transfer:
+    // A control transfer ends a block, or a trace segment. Inside a trace
+    // lap, go on only if it reached the next segment's entry (the guard);
+    // otherwise exit with rip at the actual target.
+    ++i;
+    if (i < n && execs[i].spec.next - execs[i].length == cpu_.rip) {
+      continue;
+    }
+    return i;
   }
   if (i != 0) {
     // Straight-line exit (budget cap, or a block that ends without control
@@ -1219,24 +1288,27 @@ void Vm::BeginTraceRecording(Block* head) {
   trace_head_ = head;
   trace_rec_ = Trace{};
   trace_rec_.entry = head->entry;
-  trace_rec_.range = head->range;
 }
 
 void Vm::RecordTraceBlock(const Block& b, uint64_t next_rip) {
-  if (b.range != trace_rec_.range ||
-      (!trace_rec_.seg_end.empty() && b.entry == trace_rec_.entry)) {
-    // Left the head's range, or arrived back at the head: stop here (a
-    // closed loop is the ideal trace; a range change can't be a segment).
-    FinishTraceRecording(true);
+  if (trace_rec_.segments != 0 && b.entry == trace_rec_.entry) {
+    FinishTraceRecording(true);  // arrived back at the head: a closed loop
     return;
   }
-  trace_rec_.seg_entry.push_back(b.entry);
-  trace_rec_.execs.insert(trace_rec_.execs.end(), b.execs.begin(), b.execs.end());
-  trace_rec_.seg_end.push_back(static_cast<uint32_t>(trace_rec_.execs.size()));
-  trace_rec_.seg_last_cf.push_back(!b.execs.empty() &&
-                                   IsControlFlow(b.execs.back().insn.op));
-  if (next_rip == trace_rec_.entry ||
-      trace_rec_.seg_end.size() >= kMaxTraceSegments ||
+  const Exec* const execs = ExecsOf(b);
+  trace_rec_.execs.insert(trace_rec_.execs.end(), execs, execs + b.count);
+  ++trace_rec_.segments;
+  const uint32_t end = static_cast<uint32_t>(trace_rec_.execs.size());
+  if (trace_rec_.range_of.empty() || trace_rec_.range_of.back() != b.range) {
+    trace_rec_.range_of.push_back(b.range);
+    trace_rec_.range_end.push_back(end);
+  } else {
+    trace_rec_.range_end.back() = end;
+  }
+  if (IsControlFlow(execs[b.count - 1].insn.op)) {
+    trace_rec_.cf_pos.push_back(end - 1);
+  }
+  if (next_rip == trace_rec_.entry || trace_rec_.segments >= kMaxTraceSegments ||
       trace_rec_.execs.size() >= kMaxTraceInsns) {
     FinishTraceRecording(true);
   }
@@ -1244,70 +1316,115 @@ void Vm::RecordTraceBlock(const Block& b, uint64_t next_rip) {
 
 void Vm::FinishTraceRecording(bool bake) {
   trace_recording_ = false;
-  // The head pointer is only trusted if its slot still holds the head (the
-  // block may have been evicted and rebuilt mid-recording).
-  Block* head =
-      trace_head_ != nullptr && trace_head_->entry == trace_rec_.entry ? trace_head_
-                                                                       : nullptr;
-  if (bake && head != nullptr && trace_rec_.seg_end.size() >= 2 &&
-      traces_.size() < kMaxTraces) {
+  Block* head = trace_head_;  // a flush ends the recording, so it is live
+  if (bake && trace_rec_.segments >= 2 && traces_.size() < kMaxTraces) {
     head->trace = static_cast<int32_t>(traces_.size());
-    const uint64_t segs = trace_rec_.seg_end.size();
+    const uint64_t segs = trace_rec_.segments;
     traces_.push_back(std::make_unique<Trace>(std::move(trace_rec_)));
     ++dispatch_.traces_formed;
     dispatch_.trace_len.sum += segs;
     ++dispatch_.trace_len.buckets[HistogramBucketIndex(segs)];
-  } else if (head != nullptr) {
+  } else {
     head->trace = -2;  // don't retry a head that can't form a useful trace
   }
   trace_rec_ = Trace{};
   trace_head_ = nullptr;
 }
 
-bool Vm::ExecTrace(Trace& t, bool track_sb, std::string* fault) {
+size_t Vm::ExecPlain(Exec* execs, size_t n, std::string* fault, bool* faulted) {
+  for (size_t i = 0; i < n; ++i) {
+    if (observer_ != nullptr && !Observe(execs[i], cpu_.rip)) {
+      return i;  // observer reported a fatal memory error (Policy::kHarden)
+    }
+    ++instructions_;
+    if (!ExecuteOne(execs[i], fault)) {
+      *faulted = true;
+      return i;
+    }
+    if (halt_) {
+      return i + 1;
+    }
+  }
+  return n;
+}
+
+uint64_t Vm::NextBoundary() const {
+  uint64_t stop_at = instruction_limit_;
+  if (epoch_every_ != 0 && epoch_next_ < stop_at) {
+    stop_at = epoch_next_;
+  }
+  if (sampler_ != nullptr && sampler_next_ < stop_at) {
+    stop_at = sampler_next_;
+  }
+  return stop_at;
+}
+
+void Vm::RunBoundaryHooks() {
+  if (sampler_ != nullptr && instructions_ == sampler_next_) {
+    TakeSampleNow();
+  }
+  if (epoch_every_ != 0 && instructions_ == epoch_next_) {
+    epoch_hook_();
+    epoch_next_ += epoch_every_;
+  }
+}
+
+void Vm::RecordTraceSuperblocks(const Trace& t, size_t from, size_t done) {
+  size_t start = from;  // first exec not yet added to sb_run_len_
+  for (const uint32_t cf : t.cf_pos) {
+    if (cf < from) {
+      continue;
+    }
+    if (cf >= from + done) {
+      break;
+    }
+    h_superblock_len_->Record(sb_run_len_ + cf + 1 - start);
+    sb_run_len_ = 0;
+    start = cf + 1;
+  }
+  sb_run_len_ += from + done - start;
+}
+
+bool Vm::ExecTrace(Trace& t, bool track_tramp, bool track_sb, std::string* fault) {
   ++dispatch_.trace_runs;
+  const size_t total = t.execs.size();
   for (;;) {
-    size_t seg_start = 0;
-    for (size_t seg = 0; seg < t.seg_end.size(); ++seg) {
-      const size_t seg_end = t.seg_end[seg];
-      if (seg != 0 && cpu_.rip != t.seg_entry[seg]) {
-        return true;  // interior guard failed: rip is intact, re-dispatch
+    // One ExecSpecs call covers the lap. It splits where an instruction
+    // budget ends (a sample or epoch is then taken in place), and with a
+    // sink attached where the range changes, so EnterRange lands between
+    // the two instructions that change range.
+    size_t pos = 0;
+    size_t run = 0;
+    while (pos < total) {
+      if (pos != 0 && cpu_.rip != t.execs[pos].spec.next - t.execs[pos].length) {
+        return true;  // guard failed at the split: rip is intact, re-dispatch
       }
-      uint64_t stop_at = instruction_limit_;
-      if (epoch_every_ != 0 && epoch_next_ < stop_at) {
-        stop_at = epoch_next_;
+      if (instructions_ >= instruction_limit_) {
+        return true;  // the dispatcher halts exactly here
       }
-      if (sampler_ != nullptr && sampler_next_ < stop_at) {
-        stop_at = sampler_next_;
+      const size_t end = track_tramp ? t.range_end[run] : total;
+      if (track_tramp) {
+        EnterRange(t.range_of[run]);
       }
-      if (instructions_ >= stop_at) {
-        return true;  // boundary due: the dispatcher handles it exactly
-      }
-      const size_t seg_insns = seg_end - seg_start;
-      const uint64_t budget = stop_at - instructions_;
+      const size_t len = end - pos;
+      const uint64_t budget = NextBoundary() - instructions_;
+      const size_t n = budget < len ? static_cast<size_t>(budget) : len;
       bool faulted = false;
-      const size_t done =
-          ExecSpecs(&t.execs[seg_start], seg_insns,
-                    budget < seg_insns ? static_cast<size_t>(budget) : seg_insns,
-                    fault, &faulted);
+      const size_t done = ExecSpecs(&t.execs[pos], len, n, fault, &faulted);
       if (track_sb && done > 0) {
-        sb_run_len_ += done;
-        if (done == seg_insns && t.seg_last_cf[seg]) {
-          h_superblock_len_->Record(sb_run_len_);
-          sb_run_len_ = 0;
-        }
+        RecordTraceSuperblocks(t, pos, done);
       }
       if (faulted) {
         return false;
       }
-      if (halt_ || done < seg_insns) {
-        return true;  // halted, or an instruction boundary split the segment
+      if (halt_ || done < n) {
+        return true;  // halted, or a guard failed inside the run
       }
-      if ((sampler_ != nullptr && instructions_ == sampler_next_) ||
-          (epoch_every_ != 0 && instructions_ == epoch_next_)) {
-        return true;  // land the boundary in the dispatcher's checks
+      pos += done;
+      if (pos == end) {
+        ++run;
       }
-      seg_start = seg_end;
+      RunBoundaryHooks();
     }
     if (cpu_.rip != t.entry) {
       return true;
@@ -1331,24 +1448,7 @@ void Vm::RunStepLoop(RunResult* res) {
       break;
     }
     if (track_tramp) {
-      const TrampRange* range = TrampRangeAt(cpu_.rip);
-      const bool now = range != nullptr;
-      // A visit also closes when rip crosses directly between ranges with a
-      // different attribution (trampoline vs inline region, or another
-      // image) — each visit's cycles must land on exactly one bucket.
-      if (now != t_in_tramp_ ||
-          (now && (range->inline_region != t_inline_ || range->image != t_image_))) {
-        if (t_in_tramp_) {
-          FlushTrampolineVisit();
-        }
-        if (now) {
-          t_in_tramp_ = true;
-          t_inline_ = range->inline_region;
-          t_image_ = range->image;
-          t_entry_cycles_ = cycles_;
-          t_have_site_ = false;
-        }
-      }
+      EnterRange(TrampRangeAt(cpu_.rip));
     }
     const Exec* ex = FetchDecode(cpu_.rip, &fault);
     if (ex == nullptr) {
@@ -1375,13 +1475,7 @@ void Vm::RunStepLoop(RunResult* res) {
         sb_run_len_ = 0;
       }
     }
-    if (sampler_ != nullptr && instructions_ == sampler_next_) {
-      TakeSampleNow();
-    }
-    if (epoch_every_ != 0 && instructions_ == epoch_next_) {
-      epoch_hook_();
-      epoch_next_ += epoch_every_;
-    }
+    RunBoundaryHooks();
   }
 }
 
@@ -1392,50 +1486,35 @@ void Vm::RunBlockLoop(RunResult* res) {
       !tramp_ranges_.empty();
   const bool track_sb = h_superblock_len_ != nullptr;
   const bool form_traces = chain_ && spec_;
-  Block* patch_from = nullptr;  // fully-executed predecessor awaiting a link
-  int patch_slot = 0;
+  patch_from_ = nullptr;
   while (!halt_) {
     if (instructions_ >= instruction_limit_) {
       halt_reason_ = HaltReason::kInstrLimit;
       break;
     }
-    if (track_tramp) {
-      // Blocks never span a trampoline/inline-region boundary and end at
-      // every control transfer, so rip's range can only change at a block
-      // entry: one classification here is exactly equivalent to the step
-      // engine's per-instruction check. Chain links only connect same-range
-      // blocks, so skipping the dispatcher never skips a range transition.
-      const TrampRange* range = TrampRangeAt(cpu_.rip);
-      const bool now = range != nullptr;
-      if (now != t_in_tramp_ ||
-          (now && (range->inline_region != t_inline_ || range->image != t_image_))) {
-        if (t_in_tramp_) {
-          FlushTrampolineVisit();
-        }
-        if (now) {
-          t_in_tramp_ = true;
-          t_inline_ = range->inline_region;
-          t_image_ = range->image;
-          t_entry_cycles_ = cycles_;
-          t_have_site_ = false;
-        }
-      }
-    }
     Block* block = FetchBlock(cpu_.rip, &fault);
     if (block == nullptr) {
+      if (track_tramp) {
+        EnterRange(TrampRangeAt(cpu_.rip));  // the stepper classifies before fetching
+      }
       halt_reason_ = HaltReason::kFault;
       res->fault_message = fault;
       break;
     }
-    if (patch_from != nullptr) {
+    // Blocks never span a trampoline/inline-region boundary and end at every
+    // control transfer, so rip's range can only change at a block entry:
+    // the visit bookkeeping on each edge into a block (here, on link
+    // follows and between a trace's same-range runs) is exactly the step
+    // engine's per-instruction check.
+    if (track_tramp) {
+      EnterRange(block->range);
+    }
+    if (patch_from_ != nullptr) {
       // Direct linking: the predecessor's exit slot now transfers straight
-      // to this block on its next visit. Same-range only, so the dispatcher
-      // classification above stays equivalent when it is skipped.
-      if (block->range == patch_from->range) {
-        patch_from->succ[patch_slot] = block;
-        ++dispatch_.links_patched;
-      }
-      patch_from = nullptr;
+      // to this block on its next visit.
+      patch_from_->succ[patch_slot_] = block;
+      ++dispatch_.links_patched;
+      patch_from_ = nullptr;
     }
     // ---- chained steady state: control stays in this loop across links ----
     for (;;) {
@@ -1445,18 +1524,12 @@ void Vm::RunBlockLoop(RunResult* res) {
             // A trace executes opaque to recording; close the pending one.
             FinishTraceRecording(true);
           }
-          if (!ExecTrace(*traces_[block->trace], track_sb, &fault)) {
+          if (!ExecTrace(*traces_[block->trace], track_tramp, track_sb, &fault)) {
             halt_reason_ = HaltReason::kFault;
             res->fault_message = fault;
             return;
           }
-          if (sampler_ != nullptr && instructions_ == sampler_next_) {
-            TakeSampleNow();
-          }
-          if (epoch_every_ != 0 && instructions_ == epoch_next_) {
-            epoch_hook_();
-            epoch_next_ += epoch_every_;
-          }
+          RunBoundaryHooks();  // one due after a halting instruction
           break;  // re-dispatch at the trace's exit rip
         }
         if (!trace_recording_ && block->trace == -1 &&
@@ -1464,68 +1537,47 @@ void Vm::RunBlockLoop(RunResult* res) {
           BeginTraceRecording(block);
         }
       }
-      // Cap the dispatch count so the instruction limit and any epoch or
-      // sample boundary halt at the exact same instruction as under the step
-      // engine; the block's tail re-enters through FetchBlock (as a fresh
-      // tail block) on the next dispatch.
-      uint64_t stop_at = instruction_limit_;
-      if (epoch_every_ != 0 && epoch_next_ < stop_at) {
-        stop_at = epoch_next_;
-      }
-      if (sampler_ != nullptr && sampler_next_ < stop_at) {
-        stop_at = sampler_next_;
-      }
-      const uint64_t budget =
-          instructions_ < stop_at ? stop_at - instructions_ : 0;
-      const size_t total = block->execs.size();
-      const size_t n =
-          budget < total ? static_cast<size_t>(budget) : total;
-      bool faulted = false;
+      // Cap each call at the next instruction limit, epoch or sample
+      // boundary, so they land on the exact same instruction as under the
+      // step engine. A sample or epoch is taken in place and the block goes
+      // on; at the limit its tail re-enters through FetchBlock (as a fresh
+      // tail block) if the run resumes.
+      Exec* const execs = ExecsOf(*block);
+      const size_t total = block->count;
       size_t executed = 0;
-      if (spec_) {
-        executed = ExecSpecs(block->execs.data(), total, n, &fault, &faulted);
-      } else {
-        for (size_t i = 0; i < n; ++i) {
-          if (observer_ != nullptr && !Observe(block->execs[i], cpu_.rip)) {
-            break;  // observer reported a fatal memory error (Policy::kHarden)
-          }
-          ++instructions_;
-          if (!ExecuteOne(block->execs[i], &fault)) {
-            faulted = true;
-            break;
-          }
-          ++executed;
-          if (halt_) {
-            break;
+      for (;;) {
+        const uint64_t stop_at = NextBoundary();
+        const uint64_t budget = instructions_ < stop_at ? stop_at - instructions_ : 0;
+        const size_t left = total - executed;
+        const size_t n = budget < left ? static_cast<size_t>(budget) : left;
+        bool faulted = false;
+        const size_t done = spec_ ? ExecSpecs(execs + executed, left, n, &fault, &faulted)
+                                  : ExecPlain(execs + executed, n, &fault, &faulted);
+        executed += done;
+        if (track_sb && done > 0) {
+          // Control flow only ever terminates a block, so the executed part
+          // is straight-line except possibly the block's last instruction:
+          // one check here is exactly the step engine's per-insn check. (A
+          // fused cmp+jcc only completes as a pair, so `executed == total`
+          // still indexes the block's real last instruction.)
+          sb_run_len_ += done;
+          if (IsControlFlow(execs[executed - 1].insn.op)) {
+            h_superblock_len_->Record(sb_run_len_);
+            sb_run_len_ = 0;
           }
         }
-      }
-      if (track_sb && executed > 0) {
-        // Control flow only ever terminates a block, so the executed prefix
-        // is straight-line except possibly its last instruction: one length
-        // check here is exactly equivalent to the step engine's per-insn
-        // check. (A fused cmp+jcc only completes as a pair, so `executed ==
-        // total` still indexes the block's real last instruction.)
-        sb_run_len_ += executed;
-        if (executed <= total && IsControlFlow(block->execs[executed - 1].insn.op)) {
-          h_superblock_len_->Record(sb_run_len_);
-          sb_run_len_ = 0;
+        if (faulted) {
+          if (trace_recording_) {
+            FinishTraceRecording(true);
+          }
+          halt_reason_ = HaltReason::kFault;
+          res->fault_message = fault;
+          return;
         }
-      }
-      if (faulted) {
-        if (trace_recording_) {
-          FinishTraceRecording(true);
+        RunBoundaryHooks();
+        if (halt_ || done < n || executed == total || instructions_ >= instruction_limit_) {
+          break;
         }
-        halt_reason_ = HaltReason::kFault;
-        res->fault_message = fault;
-        return;
-      }
-      if (sampler_ != nullptr && instructions_ == sampler_next_) {
-        TakeSampleNow();
-      }
-      if (epoch_every_ != 0 && instructions_ == epoch_next_) {
-        epoch_hook_();
-        epoch_next_ += epoch_every_;
       }
       const bool full = !halt_ && executed == total;
       if (trace_recording_) {
@@ -1543,16 +1595,18 @@ void Vm::RunBlockLoop(RunResult* res) {
       }
       const int slot = cpu_.rip == block->fall_rip ? 0 : 1;
       Block* nxt = block->succ[slot];
-      if (nxt != nullptr && nxt->entry == cpu_.rip && nxt->range == block->range) {
-        // Validated link: transfer block -> block with no dispatcher work.
-        // The entry-tag check makes links left stale by collision eviction
-        // self-invalidating.
+      if (nxt != nullptr && nxt->entry == cpu_.rip) {
+        // Validated link: transfer block -> block with no dispatcher work,
+        // into or out of a trampoline too.
         ++dispatch_.block_chains;
+        if (track_tramp && nxt->range != block->range) {
+          EnterRange(nxt->range);
+        }
         block = nxt;
         continue;
       }
-      patch_from = block;
-      patch_slot = slot;
+      patch_from_ = block;
+      patch_slot_ = slot;
       ++dispatch_.chain_exits;
       break;
     }

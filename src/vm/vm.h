@@ -92,11 +92,12 @@ struct CycleModel {
 //              address-keyed decode cache (an unordered_map lookup each
 //              instruction).
 //   * kBlock — the superblock engine: straight-line decoded runs (terminated
-//              at any control transfer, hostcall or trap) stored contiguously
-//              in a direct-mapped, entry-address-keyed code cache, so the
-//              steady state executes Exec[] arrays with zero map lookups and
-//              per-block (not per-instruction) trampoline-range
-//              classification.
+//              at any control transfer, hostcall or trap) held in a code
+//              cache keyed by entry address, chained block -> block and
+//              through trampolines, with hot chains baked into traces that
+//              run a whole lap per ExecSpecs call. The steady state executes
+//              Exec[] arrays with zero map lookups, and trampoline-range
+//              classification happens once per decoded block.
 //
 // The two engines are bit-identical by contract: instructions, cycles,
 // explicit reads/writes, telemetry counters, trace slices, mem-error reports
@@ -231,10 +232,11 @@ class Vm {
   // dedicated loop instead of the generic decode-result interpreter.
   void set_specialize(bool on) { spec_ = on; }
   bool specialize() const { return spec_; }
-  // Code-cache capacity in superblock entries; must be a power of two.
-  // Resets the cache (decoded blocks and chain links are rebuilt on demand).
+  // Code-cache capacity in superblocks; must be a power of two. A cache that
+  // is full when one more block is needed is flushed whole (blocks, chain
+  // links, traces), so host memory stays bounded. Setting it drops the cache.
   void set_code_cache_size(size_t entries);
-  size_t code_cache_size() const { return block_cache_size_; }
+  size_t code_cache_size() const { return code_cache_size_; }
 
   // Host-side dispatch-layer statistics. These describe the engine, not the
   // guest: they are deliberately NOT part of the bit-identity contract (the
@@ -242,7 +244,7 @@ class Vm {
   // TelemetryRegistry. rfrun --report surfaces them as vm.* counters.
   struct DispatchStats {
     uint64_t blocks_built = 0;        // superblock decodes (cold path)
-    uint64_t code_cache_evictions = 0;  // direct-mapped collision rebuilds
+    uint64_t code_cache_evictions = 0;  // blocks dropped by capacity flushes
     uint64_t block_chains = 0;        // block->block transfers via chain link
     uint64_t chain_exits = 0;         // chained execution re-entered dispatcher
     uint64_t links_patched = 0;       // successor links installed
@@ -394,40 +396,54 @@ class Vm {
   // terminator is the block's last instruction), at a decode failure (the
   // undecodable instruction is NOT part of the block — re-dispatching at its
   // address reproduces the step engine's fault), at kMaxBlockInsns, and at
-  // any trampoline/inline-region boundary, so one range classification holds
-  // for the whole block.
+  // any trampoline/inline-region boundary, so the one range classified at
+  // decode time holds for every instruction in the block.
   //
-  // succ[] are the chain links (direct-linking a la DynamoRIO): [0] = the
-  // fall-through/untaken successor, [1] = the taken/indirect-target successor
-  // (a monomorphic inline cache for indirect transfers). Links are hints, not
-  // truth: a link is followed only after validating `succ->entry` against the
-  // actual next rip and `succ->range` against this block's range, so stale
-  // links left behind by collision eviction or a rebuilt slot self-invalidate
-  // without predecessor bookkeeping.
+  // A block's execs sit in exec_pool_, back to back with the other cached
+  // blocks'. Blocks live at stable addresses until the cache is flushed
+  // whole, so succ[] can be raw pointers (direct-linking a la DynamoRIO):
+  // [0] = the fall-through/untaken successor, [1] = the taken/indirect-
+  // target successor (a monomorphic inline cache for indirect transfers). A
+  // link is followed only after validating `succ->entry` against the actual
+  // next rip. Links cross trampoline ranges; following one that changes
+  // range runs the visit bookkeeping (EnterRange) when a sink is attached.
   struct Block {
-    uint64_t entry = ~uint64_t{0};  // tag; ~0 = empty slot
-    std::vector<Exec> execs;
+    uint64_t entry = 0;
     const TrampRange* range = nullptr;  // classification at entry (null = user code)
     uint64_t fall_rip = 0;          // address one past the last instruction
     Block* succ[2] = {nullptr, nullptr};
+    uint32_t first = 0;             // execs: exec_pool_[first, first + count)
+    uint32_t count = 0;
     uint32_t hits = 0;              // dispatcher entries; drives trace formation
     int32_t trace = -1;             // index into traces_ once promoted
   };
-  static constexpr size_t kBlockCacheSize = 4096;  // direct-mapped entries
+  // One code-cache slot: the entry tag next to the block, so a probe that
+  // hits reads one slot. Empty slots have a null block.
+  struct CacheSlot {
+    uint64_t entry = 0;
+    Block* block = nullptr;
+  };
+  static constexpr size_t kDefaultCodeCacheSize = 4096;  // blocks
+  static constexpr size_t kMinCacheSlots = 16;
   static constexpr size_t kMaxBlockInsns = 128;
 
-  // A trace: the concatenation of a hot chain's blocks into one straight-line
-  // Exec run with interior guards. Owns copies of the member blocks' execs,
-  // so collision eviction of a member block can't tear a live trace; segment
-  // i must be entered at seg_entry[i] (the guard) or execution falls back to
-  // the dispatcher with rip intact.
+  // A trace: the concatenation of a hot chain's blocks (segments) into one
+  // straight-line Exec run, which may pass through trampolines. A lap runs
+  // in one ExecSpecs call: the control transfer that ends a segment checks
+  // the next segment's entry address inline (the guard) and side-exits to
+  // the dispatcher with rip intact on a mismatch. With a sink attached the
+  // lap also splits where the trampoline range changes, so the visit
+  // bookkeeping runs at the same instruction as under the stepper.
   struct Trace {
     uint64_t entry = 0;
-    const TrampRange* range = nullptr;  // every segment shares it
     std::vector<Exec> execs;
-    std::vector<uint32_t> seg_end;     // one past each segment's last exec
-    std::vector<uint64_t> seg_entry;   // expected entry rip per segment
-    std::vector<bool> seg_last_cf;     // segment ends with a control transfer
+    uint32_t segments = 0;
+    // Maximal same-range runs: one past each run's last exec, and its range.
+    std::vector<uint32_t> range_end;
+    std::vector<const TrampRange*> range_of;
+    // Indices of the execs that end a segment with a control transfer: where
+    // the vm.superblock_len histogram records a straight-line run.
+    std::vector<uint32_t> cf_pos;
   };
   static constexpr uint32_t kTraceThreshold = 64;  // dispatches before recording
   static constexpr size_t kMaxTraceSegments = 16;
@@ -435,14 +451,20 @@ class Vm {
   static constexpr size_t kMaxTraces = 256;
 
   const Exec* FetchDecode(uint64_t addr, std::string* fault);
-  // Returns the (possibly rebuilt) superblock entered at `addr`, or null on
-  // an immediate decode fault (same message as FetchDecode's).
+  // Returns the superblock entered at `addr`, decoding it on a miss (after
+  // flushing a full cache), or null on an immediate decode fault (same
+  // message as FetchDecode's).
   Block* FetchBlock(uint64_t addr, std::string* fault);
+  // Adds `b` to the slot table, growing it to keep the load at most 1/2.
+  void InsertBlock(Block* b);
+  // The block's execs. Valid until the next FetchBlock grows the pool.
+  Exec* ExecsOf(const Block& b) { return exec_pool_.data() + b.first; }
   // Fills ex->spec from ex->insn as decoded at address `addr`.
   void BuildSpec(Exec* ex, uint64_t addr);
   // Fills ex->obs/obs_cycles from the attached observer's plan.
   void PlanObserver(Exec* ex, uint64_t addr);
-  // Drops every decoded block, chain link and trace (and any recording).
+  // Drops every decoded block, chain link and trace, any recording, and the
+  // dispatcher's pending link.
   void ClearCodeCache();
   void RunStepLoop(RunResult* res);
   void RunBlockLoop(RunResult* res);
@@ -451,9 +473,11 @@ class Vm {
   // the observer halted the run.
   bool Observe(const Exec& ex, uint64_t addr);
   // Executes up to `budget` guest instructions from execs[0..count) through
-  // the specialized handlers. Returns instructions executed (== execs
-  // consumed, counting a fused pair as two of each). On return cpu_.rip is
-  // materialized to the next instruction to execute. The observed variant
+  // the specialized handlers. A control transfer returns, unless the next
+  // exec starts at its target (the guard between a trace's segments).
+  // Returns instructions executed (== execs consumed, counting a fused pair
+  // as two of each). On return cpu_.rip is materialized to the next
+  // instruction to execute. The observed variant
   // is the same loop with Observe ahead of each instruction, so runs with
   // no observer pay nothing for it.
   size_t ExecSpecs(Exec* execs, size_t count, size_t budget,
@@ -464,11 +488,20 @@ class Vm {
   template <bool kObserved>
   size_t ExecSpecsImpl(Exec* execs, size_t count, size_t budget,
                        std::string* fault, bool* faulted);
-  // Runs the trace (cpu_.rip == t.entry), looping while it closes on itself.
-  // Returns false on a fault (message in *fault). Respects instruction/
-  // sampler/epoch boundaries exactly, exiting mid-trace when one lands
-  // inside a segment.
-  bool ExecTrace(Trace& t, bool track_sb, std::string* fault);
+  // The unspecialized executor: ExecuteOne over execs[0..n), Observe first.
+  // Same contract as ExecSpecs, without the transfer guard (blocks only).
+  size_t ExecPlain(Exec* execs, size_t n, std::string* fault, bool* faulted);
+  // Runs the trace (cpu_.rip == t.entry), one ExecSpecs call per lap,
+  // looping while it closes on itself. Returns false on a fault (message in
+  // *fault). Respects instruction/sampler/epoch boundaries exactly: a
+  // sample or epoch is taken in place, the instruction limit exits.
+  bool ExecTrace(Trace& t, bool track_tramp, bool track_sb, std::string* fault);
+  // The instruction index of the next limit, epoch or sample boundary.
+  uint64_t NextBoundary() const;
+  // The sampler and the epoch hook, when one is due at this instruction.
+  void RunBoundaryHooks();
+  // Records vm.superblock_len for `done` execs of `t` run from `from`.
+  void RecordTraceSuperblocks(const Trace& t, size_t from, size_t done);
   void BeginTraceRecording(Block* head);
   // Appends a fully-executed block to the in-progress recording; finishes
   // (bake or discard) when a stop condition hits. `next_rip` is where
@@ -484,6 +517,11 @@ class Vm {
   // runs so per-library counters stay unambiguous (§7.4).
   uint32_t SiteKeyFor(uint32_t site) const;
   void OnCountSite(uint32_t site);       // telemetry bookkeeping for Op::kCount
+  // The visit bookkeeping on an edge into `range` (null = user code): closes
+  // the current trampoline slice and opens the next when the attribution
+  // (user, trampoline or inline region, image) changes. Called only with a
+  // sink attached, before the first instruction after the edge.
+  void EnterRange(const TrampRange* range);
   void FlushTrampolineVisit();           // close the current trampoline slice
   void TakeSampleNow();                  // sampler_ fires at this boundary
   // --metrics-epoch ordinal of the current instant (0 when epochs are off).
@@ -521,8 +559,16 @@ class Vm {
   std::unordered_map<uint32_t, uint64_t> counters_;
   std::unordered_map<uint32_t, ProfCounts> prof_counts_;
   std::unordered_map<uint64_t, Exec> icache_;     // step engine decode cache
-  std::vector<Block> block_cache_;                // block engine, lazily sized
-  size_t block_cache_size_ = kBlockCacheSize;     // entries; power of two
+  // Block engine code cache: open addressing over pointer-stable blocks.
+  std::vector<CacheSlot> cache_slots_;            // power of two, lazily sized
+  // Every cached block. Reserved to the capacity, so a block never moves
+  // before the flush that drops it.
+  std::vector<Block> blocks_;
+  std::vector<Exec> exec_pool_;  // the cached blocks' execs, back to back
+  size_t code_cache_size_ = kDefaultCodeCacheSize;  // capacity; power of two
+  // Fully-executed predecessor awaiting a link to the next dispatched block.
+  Block* patch_from_ = nullptr;
+  int patch_slot_ = 0;
 
   bool chain_ = true;
   bool spec_ = true;

@@ -198,6 +198,19 @@ grep -q "MEMORY ERROR: double free" mc_df_err.txt || fail "memcheck double free 
 "$TOOLS/rfrun" --runtime=memcheck --policy=log uaf.rfbin 2 > mc_df_out.txt 2> /dev/null \
     || fail "memcheck double-free log run failed"
 cmp uaf_base.txt mc_df_out.txt || fail "memcheck double-free log run changed the output"
+# So do the baseline and redfat-shadow runtimes, whose allocators used to
+# abort the host on it.
+for RT in baseline redfat-shadow; do
+  if "$TOOLS/rfrun" --runtime=$RT uaf.rfbin 2 > /dev/null 2> df_$RT.txt; then
+    fail "$RT double free not detected"
+  else
+    [ $? -eq 134 ] || fail "unexpected $RT double-free exit code"
+  fi
+  grep -q "MEMORY ERROR: double free" df_$RT.txt || fail "$RT double free not reported"
+  "$TOOLS/rfrun" --runtime=$RT --policy=log uaf.rfbin 2 > df_$RT.out 2> /dev/null \
+      || fail "$RT double-free log run failed"
+  cmp uaf_base.txt df_$RT.out || fail "$RT double-free log run changed the output"
+done
 
 # Server-latency histograms: request lifetimes land in
 # heap.alloc_lifetime_cycles with non-empty percentiles.
@@ -233,5 +246,34 @@ grep -q '"profile.samples":[1-9]' mcf.pm.json || fail "profile metrics empty"
 "$TOOLS/redfat" --profile=mcf.pm.json --sitemap sampled.map \
     mcf.rfbin mcf.sampled.rfbin || fail "sampled-profile rewrite"
 grep -qE " (hot|cold)$" sampled.map || fail "sampled profile produced no tiers"
+
+# Every sink writes the same bytes under every engine configuration: the
+# default (links and traces run through trampolines), a 64-block code cache
+# (mcf builds more blocks than that, so it flushes), no chaining, and the
+# reference stepper.
+for ENG in default cc64 nochain step; do
+  case $ENG in
+    default) FLAGS="" ;;
+    cc64) FLAGS="--code-cache-size=64" ;;
+    nochain) FLAGS="--no-chain" ;;
+    step) FLAGS="--engine=step" ;;
+  esac
+  # shellcheck disable=SC2086
+  "$TOOLS/rfrun" --runtime=redfat $FLAGS --metrics=eng_$ENG.json --metrics-epoch=20000 \
+      --trace eng_$ENG.trace.json --sample-period=97 --profile-folded=eng_$ENG.folded \
+      mcf.hard.rfbin 50 0x3f > eng_$ENG.out || fail "$ENG sink run"
+done
+[ -s eng_default.1.json ] || fail "sink run cut fewer than two epochs"
+for ENG in cc64 nochain step; do
+  for F in eng_default.out eng_default.json eng_default.trace.json eng_default.folded \
+      eng_default.[0-9]*.json; do
+    cmp "$F" "$(echo "$F" | sed "s/eng_default/eng_$ENG/")" \
+        || fail "$ENG: $F differs from the default engine's"
+  done
+  [ "$(ls eng_$ENG.[0-9]*.json | wc -l)" = "$(ls eng_default.[0-9]*.json | wc -l)" ] \
+      || fail "$ENG: epoch file count differs"
+done
+"$TOOLS/rfrun" --runtime=redfat --code-cache-size=64 --report mcf.hard.rfbin 50 0x3f \
+    | grep -qE "code_cache_evictions +[1-9]" || fail "a 64-block cache did not flush"
 
 echo "cli_roundtrip: OK"

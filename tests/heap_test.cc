@@ -5,6 +5,7 @@
 #include "src/heap/legacy_heap.h"
 #include "src/heap/lowfat.h"
 #include "src/heap/redfat_allocator.h"
+#include "src/heap/shadow_allocator.h"
 #include "src/support/rng.h"
 
 namespace redfat {
@@ -155,8 +156,66 @@ TEST(LegacyHeap, PaddingShiftsPayload) {
   const uint64_t b = padded.Alloc(mem, 64);
   EXPECT_EQ(a % 16, 0u);
   EXPECT_EQ(b % 16, 0u);
-  // The padded heap leaves at least 16 bytes before the payload beyond the header.
-  EXPECT_EQ(padded.SizeOf(mem, b), 64u + 0u);
+  // The padded heap puts 16 more bytes before the payload, and 16 after it.
+  EXPECT_EQ(b - a, 16u);
+  EXPECT_EQ(padded.Alloc(mem, 64) - b, 16u + 16u + 64u + 16u);
+}
+
+// A guest double or invalid free is reported to the caller, never a host
+// abort, and leaves the heap as it was.
+TEST(LegacyHeap, DoubleAndInvalidFreesAreReported) {
+  Memory mem;
+  LegacyHeap heap;
+  const uint64_t a = heap.Alloc(mem, 40);
+  ErrorKind error = ErrorKind::kBounds;
+  EXPECT_TRUE(heap.Free(a, &error));
+  EXPECT_FALSE(heap.Free(a, &error));
+  EXPECT_EQ(error, ErrorKind::kDoubleFree);
+  EXPECT_FALSE(heap.Free(a + 8, &error));
+  EXPECT_EQ(error, ErrorKind::kFreelistCorruption);
+  // The rejected frees pushed nothing: one reuse, then a fresh chunk.
+  EXPECT_EQ(heap.Alloc(mem, 40), a);
+  EXPECT_NE(heap.Alloc(mem, 40), a);
+  // Reallocated, the payload is live again and frees cleanly.
+  EXPECT_TRUE(heap.Free(a, &error));
+}
+
+// The same through each runtime's GuestAllocator: baseline (glibc-like),
+// redfat-shadow, and the redfat allocator's legacy fallback for objects
+// too large for a low-fat class.
+TEST(GuestAllocators, DoubleAndInvalidFreesAreReported) {
+  GlibcLikeAllocator glibc;
+  ShadowRedFatAllocator shadow;
+  RedFatAllocator redfat;
+  struct Case {
+    const char* name;
+    GuestAllocator* alloc;
+    uint64_t size;
+  };
+  const Case cases[] = {
+      {"glibc-like", &glibc, 40},
+      {"redfat-shadow", &shadow, 40},
+      {"redfat-shadow legacy", &shadow, kMaxLowFatSize + 1},
+      {"redfat legacy", &redfat, kMaxLowFatSize + 1},
+  };
+  for (const Case& c : cases) {
+    Memory mem;
+    const uint64_t p = c.alloc->Malloc(mem, c.size).ptr;
+    ASSERT_NE(p, 0u) << c.name;
+    EXPECT_FALSE(c.alloc->Free(mem, p).corrupted) << c.name;
+    const FreeOutcome twice = c.alloc->Free(mem, p);
+    EXPECT_TRUE(twice.corrupted) << c.name;
+    EXPECT_EQ(twice.corrupt_kind, ErrorKind::kDoubleFree) << c.name;
+    EXPECT_EQ(twice.corrupt_addr, p) << c.name;
+    const FreeOutcome interior = c.alloc->Free(mem, p + 8);
+    EXPECT_TRUE(interior.corrupted) << c.name;
+    EXPECT_EQ(interior.corrupt_kind, ErrorKind::kFreelistCorruption) << c.name;
+    EXPECT_EQ(interior.corrupt_addr, p + 8) << c.name;
+    // A fresh allocation still frees cleanly.
+    const uint64_t q = c.alloc->Malloc(mem, c.size).ptr;
+    ASSERT_NE(q, 0u) << c.name;
+    EXPECT_FALSE(c.alloc->Free(mem, q).corrupted) << c.name;
+  }
 }
 
 TEST(RedFatAllocator, LayoutMatchesFigure3) {

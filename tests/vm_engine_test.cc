@@ -6,8 +6,8 @@
 // every golden config × workload, for randomized programs, and for every
 // edge the block boundary and chaining logic has: instruction limits landing
 // mid-block / mid-chain / mid-trace, mem-error aborts at the same points,
-// hostcall/trap termination, one-instruction self-loops, direct-mapped code
-// cache collisions evicting chained-to blocks, TLB + chain invalidation
+// hostcall/trap termination, one-instruction self-loops, code-cache flushes
+// with links pending and traces recording, TLB + chain invalidation
 // across LoadImage — and observed runs: the debug tier's shadow checker and
 // Memcheck, planned on the fast engine, and both again behind a decorator
 // that has no plan, in every mode.
@@ -547,10 +547,10 @@ TEST(VmEngine, SelfBranchingOneInstructionLoop) {
   ExpectEnginesAgree(img, RuntimeKind::kBaseline, cfg, /*observe=*/false, "self-loop");
 }
 
-// Two hot blocks whose entry addresses are exactly 4096 bytes apart map to
-// the same direct-mapped slot (kBlockCacheSize = 4096, indexed by address
-// bits): every iteration evicts and rebuilds — correctness must not depend
-// on residency.
+// Two hot blocks whose entry addresses are exactly 4096 bytes apart share
+// their low address bits, the layout that collided in a direct-mapped code
+// cache: the computed value must be right whatever the cache does with
+// them.
 TEST(VmEngine, CodeCacheCollisions) {
   ProgramBuilder pb;
   Assembler& a = pb.text();
@@ -786,10 +786,11 @@ TEST(VmChaining, MemErrorAbortMidChainAndMidTrace) {
   }
 }
 
-// Code-cache eviction under chaining: two hot call targets 4096 bytes apart
-// share a direct-mapped slot, so every iteration evicts a block the previous
-// iteration installed chain links to. Stale links must self-invalidate via
-// the entry tag — never execute the evicting block's code.
+// The code cache is keyed by entry address: two hot call targets 4096 bytes
+// apart share their low address bits, yet both stay resident at the
+// default size, so nothing is evicted. At a capacity of two blocks every
+// new block flushes the cache whole — links, traces and all — and the run
+// still computes the same result with the same counts.
 TEST(VmChaining, CollisionEvictionInvalidatesChainLinks) {
   ProgramBuilder pb;
   Assembler& a = pb.text();
@@ -828,17 +829,240 @@ TEST(VmChaining, CollisionEvictionInvalidatesChainLinks) {
   const RunOutcome out = RunImage(img, RuntimeKind::kBaseline, cfg);
   ASSERT_EQ(out.outputs.size(), 1u);
   EXPECT_EQ(out.outputs[0], 2000u);
-  EXPECT_GT(out.dispatch.code_cache_evictions, 0u);
-  // Shrinking the cache to two entries makes *every* block collide; chains
-  // still never go stale-wrong.
+  EXPECT_EQ(out.dispatch.code_cache_evictions, 0u);
+  EXPECT_GT(out.dispatch.block_chains, 0u);
   RunConfig tiny = cfg;
   tiny.code_cache_size = 2;
+  ExpectEnginesAgree(img, RuntimeKind::kBaseline, tiny, /*observe=*/false,
+                     "chained collisions, capacity 2");
   const RunOutcome out2 = RunImage(img, RuntimeKind::kBaseline, tiny);
   ASSERT_EQ(out2.outputs.size(), 1u);
   EXPECT_EQ(out2.outputs[0], 2000u);
   EXPECT_EQ(out2.result.instructions, out.result.instructions);
   EXPECT_EQ(out2.result.cycles, out.result.cycles);
-  EXPECT_GT(out2.dispatch.code_cache_evictions, out.dispatch.code_cache_evictions);
+  EXPECT_GT(out2.dispatch.code_cache_evictions, 0u);
+}
+
+// A full cache flushes whole at the next new block. Sweeping the capacity
+// and the iteration on which the loop first takes a cold side block makes
+// that flush land while a link is pending (the side block is reached by an
+// unlinked exit) and while a trace is being recorded (the side block comes
+// up on the hot loop's recording lap): nothing may survive it.
+TEST(VmChaining, FlushAtCapacityWhileLinkPendingAndRecording) {
+  // `pad` cold blocks ahead of the loop shift when the cache fills up.
+  auto build = [](int64_t side_at, int pad) {
+    ProgramBuilder pb;
+    Assembler& a = pb.text();
+    auto f = a.NewLabel();
+    auto main_l = a.NewLabel();
+    a.Jmp(main_l);
+    a.Bind(f);
+    a.AddI(Reg::kR15, 1);
+    a.Ret();
+    a.Bind(main_l);
+    a.MovRI(Reg::kR15, 0);
+    for (int i = 0; i < pad; ++i) {
+      auto next = a.NewLabel();
+      a.Jmp(next);
+      a.Bind(next);
+    }
+    a.MovRI(Reg::kR8, 120);
+    auto loop = a.NewLabel();
+    auto skip = a.NewLabel();
+    a.Bind(loop);
+    a.Call(f);
+    a.SubI(Reg::kR8, 1);
+    a.CmpI(Reg::kR8, side_at);
+    a.Jcc(Cond::kNe, skip);
+    a.AddI(Reg::kR15, 1000);  // the cold side block, taken once
+    a.Bind(skip);
+    a.CmpI(Reg::kR8, 0);
+    a.Jcc(Cond::kNe, loop);
+    a.MovRR(Reg::kRdi, Reg::kR15);
+    a.HostCall(HostFn::kOutputU64);
+    pb.EmitExit(0);
+    return pb.Finish();
+  };
+  bool flushed_with_traces = false;
+  for (int64_t side_at = 40; side_at <= 70; ++side_at) {
+    for (const int pad : {0, 2, 4}) {
+      const BinaryImage img = build(side_at, pad);
+      for (const size_t capacity : {size_t{4}, size_t{8}}) {
+        RunConfig cfg;
+        cfg.code_cache_size = capacity;
+        ExpectEnginesAgree(img, RuntimeKind::kBaseline, cfg, /*observe=*/true,
+                           StrFormat("side at %lld, pad %d, capacity %zu",
+                                     static_cast<long long>(side_at), pad, capacity));
+        const RunOutcome out = RunImage(img, RuntimeKind::kBaseline, cfg);
+        ASSERT_EQ(out.outputs.size(), 1u);
+        EXPECT_EQ(out.outputs[0], 1120u);
+        flushed_with_traces |=
+            out.dispatch.code_cache_evictions > 0 && out.dispatch.traces_formed > 0;
+      }
+    }
+  }
+  EXPECT_TRUE(flushed_with_traces);
+}
+
+// One differential leg per sink, each attached alone, on a hardened image
+// whose hot loops run through trampolines: links and traces cross range
+// boundaries there, and the visit bookkeeping on those edges must put every
+// trampoline slice, per-site cycle count, sample and epoch delta exactly
+// where the stepper does.
+TEST(VmChaining, CrossRangeLinksAndTracesKeepEachSinkExact) {
+  const BinaryImage base = BuildKrakenBenchmark(KrakenSuite().front());
+  const InstrumentResult hardened = RedFatTool(RedFatOptions{}).Instrument(base).value();
+  enum Sink { kTelemetry, kTrace, kSampler, kEpochs, kForensics };
+  const std::pair<Sink, const char*> sinks[] = {
+      {kTelemetry, "telemetry"}, {kTrace, "trace writer"}, {kSampler, "sampler"},
+      {kEpochs, "epoch hook"},   {kForensics, "forensic ring"}};
+  for (const auto& [which, name] : sinks) {
+    const Leg leg = [&hardened, sink = which](const RunConfig& cfg, std::string* extra) {
+      TelemetryRegistry telemetry;
+      TraceWriter trace;
+      SampleProfiler sampler(97);
+      ForensicRing ring;
+      TelemetrySnapshot prev;
+      RunConfig c = cfg;
+      switch (sink) {
+        case kTelemetry: c.telemetry = &telemetry; break;
+        case kTrace: c.trace = &trace; break;
+        case kSampler: c.sampler = &sampler; break;
+        case kEpochs:
+          c.telemetry = &telemetry;
+          c.metrics_epoch = 3001;
+          c.on_epoch = [&] {
+            const TelemetrySnapshot cur = telemetry.Snapshot();
+            *extra += DeltaTelemetrySnapshot(cur, prev).ToJson() + "\n";
+            prev = cur;
+          };
+          break;
+        case kForensics: c.forensics = &ring; break;
+      }
+      const RunOutcome out = RunImage(hardened.image, RuntimeKind::kRedFat, c);
+      if (c.telemetry != nullptr) {
+        *extra += telemetry.Snapshot().ToJson() + "\n";
+      }
+      sampler.AppendTrace(trace);
+      *extra += trace.ToJson() + "\n" + sampler.ToFolded();
+      *extra += ForensicReportsToJson(out.forensic_reports, ring);
+      return out;
+    };
+    RunConfig cfg;
+    cfg.inputs = RefInputs(40);
+    ExpectEnginesAgree(leg, cfg, /*observe=*/false, name);
+    // The chained run really did stay in its fast path through trampolines,
+    // samples and epochs included.
+    std::string ignored;
+    const RunOutcome out = leg(cfg, &ignored);
+    const double chains = static_cast<double>(out.dispatch.block_chains);
+    EXPECT_GE(chains / (chains + static_cast<double>(out.dispatch.chain_exits)), 0.9) << name;
+    EXPECT_GT(out.dispatch.trace_runs, 0u) << name;
+  }
+}
+
+// A function called from two sites: the trace headed at it bakes one
+// return site after its `ret`, so entering it from the other call site
+// fails that guard inside the lap. Every limit across two loop iterations
+// must stop at the stepper's instruction with the stepper's state.
+TEST(VmChaining, RetToTwoCallSitesDivergesInsideTrace) {
+  ProgramBuilder pb;
+  Assembler& a = pb.text();
+  auto f = a.NewLabel();
+  auto main_l = a.NewLabel();
+  a.Jmp(main_l);
+  a.Bind(f);
+  a.AddI(Reg::kR15, 1);
+  a.ImulI(Reg::kR15, 3);
+  a.Ret();
+  a.Bind(main_l);
+  a.MovRI(Reg::kR15, 0);
+  a.MovRI(Reg::kR8, 300);
+  auto loop = a.NewLabel();
+  a.Bind(loop);
+  a.Call(f);
+  a.AddI(Reg::kR15, 5);
+  a.Call(f);
+  a.SubI(Reg::kR8, 1);
+  a.CmpI(Reg::kR8, 0);
+  a.Jcc(Cond::kNe, loop);
+  a.MovRR(Reg::kRdi, Reg::kR15);
+  a.HostCall(HostFn::kOutputU64);
+  pb.EmitExit(0);
+  const BinaryImage img = pb.Finish();
+  RunConfig bounded;  // a run that skips the guard must not loop forever
+  bounded.instruction_limit = 1'000'000;
+  ExpectEnginesAgree(img, RuntimeKind::kBaseline, bounded, /*observe=*/true,
+                     "ret to two call sites");
+  const RunOutcome out = RunImage(img, RuntimeKind::kBaseline, bounded);
+  EXPECT_EQ(out.result.reason, HaltReason::kExit);
+  EXPECT_GT(out.dispatch.traces_formed, 0u);
+  EXPECT_GT(out.dispatch.trace_runs, 0u);
+  const uint64_t mid = out.result.instructions / 2;
+  for (uint64_t limit = mid; limit < mid + 2 * 12; ++limit) {
+    RunConfig cfg;
+    cfg.instruction_limit = limit;
+    ExpectEnginesAgree(img, RuntimeKind::kBaseline, cfg, /*observe=*/false,
+                       StrFormat("ret guard, limit=%llu",
+                                 static_cast<unsigned long long>(limit)));
+  }
+}
+
+// An instruction limit or a sample that falls right after a taken branch
+// inside a trace lap must leave rip at the branch target, not at the
+// fall-through: the halted VM's rip and registers match the stepper's, the
+// run resumes to the same result, and every sample carries the same pc.
+TEST(VmChaining, LimitOrSampleOnTakenBranchInsideTrace) {
+  const BinaryImage img = BuildHotLoop(400);
+  RunConfig probe;
+  probe.engine = VmEngine::kStep;
+  const uint64_t total = RunImage(img, RuntimeKind::kBaseline, probe).result.instructions;
+  auto run_to = [&img](VmEngine engine, uint64_t limit, SampleProfiler* sampler,
+                       std::string* state) {
+    Vm vm;
+    GlibcLikeAllocator alloc;
+    vm.set_allocator(&alloc);
+    vm.set_engine(engine);
+    vm.set_sampler(sampler);
+    vm.LoadImage(img);
+    vm.set_instruction_limit(limit);
+    const RunResult halted = vm.Run();
+    *state = StrFormat("%s rip=0x%llx", FormatResult(halted).c_str(),
+                       static_cast<unsigned long long>(vm.cpu().rip));
+    for (const uint64_t r : vm.cpu().regs) {
+      *state += StrFormat(" %llx", static_cast<unsigned long long>(r));
+    }
+    vm.set_instruction_limit(~uint64_t{0});
+    *state += " | " + FormatResult(vm.Run());
+    for (const uint64_t o : vm.outputs()) {
+      *state += StrFormat(" out=%llu", static_cast<unsigned long long>(o));
+    }
+    return vm.dispatch_stats();
+  };
+  bool in_trace = false;
+  for (uint64_t limit = total / 2; limit < total / 2 + 14; ++limit) {
+    std::string step;
+    std::string block;
+    run_to(VmEngine::kStep, limit, nullptr, &step);
+    const Vm::DispatchStats d = run_to(VmEngine::kBlock, limit, nullptr, &block);
+    EXPECT_EQ(step, block) << "limit=" << limit;
+    in_trace |= d.trace_runs > 0;
+  }
+  EXPECT_TRUE(in_trace);
+  for (uint64_t period = 89; period <= 103; ++period) {
+    std::string step;
+    std::string block;
+    SampleProfiler step_samples(period);
+    SampleProfiler block_samples(period);
+    run_to(VmEngine::kStep, total / 2, &step_samples, &step);
+    run_to(VmEngine::kBlock, total / 2, &block_samples, &block);
+    EXPECT_EQ(step, block) << "period=" << period;
+    TraceWriter step_trace;
+    TraceWriter block_trace;
+    step_samples.AppendTrace(step_trace);
+    block_samples.AppendTrace(block_trace);
+    EXPECT_EQ(step_trace.ToJson(), block_trace.ToJson()) << "period=" << period;
+  }
 }
 
 // LoadImage while chains and traces are live: the second image overlays the
