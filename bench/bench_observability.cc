@@ -3,7 +3,8 @@
 //
 // Runs one Kraken kernel — baseline, extensive-tier and fast-tier images —
 // with each observability sink attached in turn (none, histogram telemetry,
-// sampling profiler, forensic ring, everything). Guest cycles, instruction
+// sampling profiler, forensic ring, everything), the five interleaved
+// within each rep and each timed by its best rep. Guest cycles, instruction
 // counts and outputs are asserted bit-identical across all sinks on every
 // image (the zero-guest-cost contract); the host wall-clock overhead of each
 // sink is measured against a generous per-sink budget ceiling and written to
@@ -16,6 +17,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -52,7 +54,7 @@ struct Cell {
   const char* sink;
   uint64_t instructions = 0;
   uint64_t samples = 0;
-  double wall_ms = 0.0;  // best of reps
+  double wall_ms = 0.0;  // best of reps, each rep running every sink once
   double overhead = 1.0;  // wall / sink-off wall of the same image
   double budget = 0.0;    // 0 = this IS the reference cell
   bool within_budget = true;
@@ -118,18 +120,19 @@ int Main(int argc, char** argv) {
       {"all", true, true, true, kBudgetAll},
   };
 
+  // An image's sink cells run round-robin within each rep, and each keeps
+  // its best rep: a host phase change then slows every sink of the rep
+  // alike instead of reading as one cell's cost.
+  constexpr size_t kNumSinks = std::size(sinks);
   std::vector<Cell> cells;
   bool all_within_budget = true;
   for (const ImageCase& ic : images) {
+    Cell image_cells[kNumSinks];
     std::string ref_fingerprint;
-    double off_wall = 0.0;
-    for (const SinkCase& sc : sinks) {
-      Cell cell;
-      cell.image = ic.name;
-      cell.sink = sc.name;
-      cell.budget = sc.budget;
-      std::string fingerprint;
-      for (int rep = 0; rep < reps; ++rep) {
+    for (int rep = 0; rep < reps; ++rep) {
+      for (size_t s = 0; s < kNumSinks; ++s) {
+        const SinkCase& sc = sinks[s];
+        Cell& cell = image_cells[s];
         TelemetryRegistry telemetry;
         SampleProfiler sampler(kSamplePeriod);
         ForensicRing forensics;
@@ -152,22 +155,27 @@ int Main(int argc, char** argv) {
         cell.instructions = out.result.instructions;
         cell.samples = sampler.samples();
         // Guest-visible fingerprint: must not depend on the attached sinks.
-        fingerprint = StrFormat(
+        const std::string fingerprint = StrFormat(
             "%llu/%llu/%llu", static_cast<unsigned long long>(out.result.cycles),
             static_cast<unsigned long long>(out.result.instructions),
             static_cast<unsigned long long>(out.outputs.empty() ? 0 : out.outputs[0]));
+        if (ref_fingerprint.empty()) {
+          ref_fingerprint = fingerprint;
+        } else {
+          REDFAT_CHECK(fingerprint == ref_fingerprint);  // zero-guest-cost contract
+        }
         if (rep == 0 || wall < cell.wall_ms) {
           cell.wall_ms = wall;
         }
       }
-      if (ref_fingerprint.empty()) {
-        ref_fingerprint = fingerprint;
-      } else {
-        REDFAT_CHECK(fingerprint == ref_fingerprint);  // zero-guest-cost contract
-      }
-      if (sc.budget == 0.0) {
-        off_wall = cell.wall_ms;
-      }
+    }
+    const double off_wall = image_cells[0].wall_ms;  // sinks[0] is the reference
+    for (size_t s = 0; s < kNumSinks; ++s) {
+      const SinkCase& sc = sinks[s];
+      Cell& cell = image_cells[s];
+      cell.image = ic.name;
+      cell.sink = sc.name;
+      cell.budget = sc.budget;
       cell.overhead = off_wall > 0.0 ? cell.wall_ms / off_wall : 1.0;
       cell.within_budget = sc.budget == 0.0 || cell.overhead <= sc.budget;
       all_within_budget = all_within_budget && cell.within_budget;

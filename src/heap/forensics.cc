@@ -14,52 +14,81 @@ void ForensicRing::OnAlloc(uint64_t ptr, uint64_t size, uint64_t pc,
   p.alloc_instruction = instruction;
   p.alloc_cycles = cycles;
   p.alloc_epoch = epoch;
-  live_[ptr] = p;
-  // The address is live again: its stale freed-ring entry would otherwise
-  // shadow the new object in UAF/double-free lookups.
-  const auto stale = freed_seq_.find(ptr);
-  if (stale != freed_seq_.end()) {
-    AllocProvenance& f = freed_[stale->second - evicted_];
+  const auto [it, inserted] = index_.try_emplace(ptr, 0);
+  if (!inserted) {
+    if ((it->second & kFreedTag) == 0) {
+      slots_[it->second >> 1] = p;  // handed out again while live: replace
+      return;
+    }
+    // The address is live again: its stale freed-ring entry would otherwise
+    // shadow the new object in UAF/double-free lookups.
+    AllocProvenance& f = freed_[(it->second >> 1) - evicted_];
     f.ptr = 0;
     f.size = 0;
-    freed_seq_.erase(stale);
   }
+  uint64_t slot;
+  if (free_slots_.empty()) {
+    slot = slots_.size();
+    slots_.push_back(p);
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    slots_[slot] = p;
+  }
+  it->second = slot << 1;
 }
 
 void ForensicRing::OnFree(uint64_t ptr, uint64_t pc, uint64_t instruction,
                           uint64_t cycles, uint64_t epoch) {
-  const auto it = live_.find(ptr);
-  if (it == live_.end()) {
+  const auto it = index_.find(ptr);
+  if (it == index_.end() || (it->second & kFreedTag) != 0) {
     return;  // untracked (attached mid-run) or double free — caller detects
   }
-  AllocProvenance p = it->second;
-  live_.erase(it);
+  const uint64_t slot = it->second >> 1;
+  AllocProvenance p = slots_[slot];
+  slots_[slot].ptr = 0;
+  free_slots_.push_back(slot);
   p.freed = true;
   p.free_pc = pc;
   p.free_instruction = instruction;
   p.free_cycles = cycles;
   p.free_epoch = epoch;
-  freed_seq_[ptr] = evicted_ + freed_.size();
+  it->second = ((evicted_ + freed_.size()) << 1) | kFreedTag;
   freed_.push_back(p);
   if (freed_.size() > capacity_) {
-    const auto oldest = freed_seq_.find(freed_.front().ptr);
-    if (oldest != freed_seq_.end() && oldest->second == evicted_) {
-      freed_seq_.erase(oldest);
+    const uint64_t oldest_ptr = freed_.front().ptr;
+    if (oldest_ptr != 0) {
+      const auto oldest = index_.find(oldest_ptr);
+      if (oldest != index_.end() && oldest->second == ((evicted_ << 1) | kFreedTag)) {
+        index_.erase(oldest);
+      }
     }
     freed_.pop_front();
     ++evicted_;
   }
 }
 
+ForensicRing::Neighbours ForensicRing::LiveNeighbours(uint64_t addr) const {
+  Neighbours n;
+  for (const AllocProvenance& p : slots_) {
+    if (p.ptr == 0) {
+      continue;
+    }
+    if (p.ptr <= addr) {
+      if (n.below == nullptr || p.ptr > n.below->ptr) {
+        n.below = &p;
+      }
+    } else if (n.above == nullptr || p.ptr < n.above->ptr) {
+      n.above = &p;
+    }
+  }
+  return n;
+}
+
 const AllocProvenance* ForensicRing::FindLive(uint64_t addr) const {
   // The candidate is the greatest base <= addr.
-  auto it = live_.upper_bound(addr);
-  if (it == live_.begin()) {
-    return nullptr;
-  }
-  --it;
-  const AllocProvenance& p = it->second;
-  return addr < p.ptr + p.size ? &p : nullptr;
+  const AllocProvenance* p = LiveNeighbours(addr).below;
+  return p != nullptr && addr < p->ptr + p->size ? p : nullptr;
 }
 
 const AllocProvenance* ForensicRing::FindFreed(uint64_t addr) const {
@@ -72,8 +101,11 @@ const AllocProvenance* ForensicRing::FindFreed(uint64_t addr) const {
 }
 
 const AllocProvenance* ForensicRing::FreedAt(uint64_t ptr) const {
-  const auto it = freed_seq_.find(ptr);
-  return it != freed_seq_.end() ? &freed_[it->second - evicted_] : nullptr;
+  const auto it = index_.find(ptr);
+  if (it == index_.end() || (it->second & kFreedTag) == 0) {
+    return nullptr;
+  }
+  return &freed_[(it->second >> 1) - evicted_];
 }
 
 ForensicRing::Proximity ForensicRing::Nearest(uint64_t addr) const {
@@ -100,13 +132,14 @@ ForensicRing::Proximity ForensicRing::Nearest(uint64_t addr) const {
       best.past_end = past_end;
     }
   };
-  // Only the two live neighbours of addr can be nearest among live objects.
-  auto hi = live_.upper_bound(addr);
-  if (hi != live_.end()) {
-    consider(hi->second);
+  // Only the two live neighbours of addr can be nearest among live objects;
+  // the one above is considered first, so it wins an equal distance.
+  const Neighbours n = LiveNeighbours(addr);
+  if (n.above != nullptr) {
+    consider(*n.above);
   }
-  if (hi != live_.begin()) {
-    consider(std::prev(hi)->second);
+  if (n.below != nullptr) {
+    consider(*n.below);
   }
   // Freed objects are few (bounded ring) and matter for UAF-adjacent OOBs.
   for (const AllocProvenance& p : freed_) {

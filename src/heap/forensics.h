@@ -9,21 +9,31 @@
 // was hit, where it was allocated, and — for UAFs — where it died.
 //
 // Sizing/eviction: the live table is bounded by the guest's live heap (one
-// entry per live allocation, exact — frees need it). The freed ring keeps
+// slot per live allocation, exact — frees need it). The freed ring keeps
 // the most recent `capacity` frees and evicts FIFO; evictions are counted,
 // never silent, so "no provenance found" can be distinguished from
-// "provenance aged out". A pointer has at most one freed entry that is not
-// cleared (reallocating it clears the entry), and an index from pointer to
-// that entry keeps the per-malloc/free work O(1); only the report-time
-// lookups (FindFreed, Nearest) scan the ring.
+// "provenance aged out".
+//
+// Cost: a pointer is live, freed (it has an un-cleared ring entry;
+// reallocating it clears the entry) or untracked, never two at once. One
+// hash index maps each tracked base pointer to its live slot or to the
+// sequence number of its ring entry, so every malloc and free is one index
+// lookup plus O(1) slot and ring work (a free that evicts the oldest ring
+// entry also erases that entry's key), and FreedAt/WasFreed — the
+// double-free pre-check of every guest free — are O(1). Live slots are
+// reused through a free list; nothing is kept in address order. The
+// address lookups — FindLive, FindFreed, Nearest — scan the live slots
+// and the ring instead. They run only when an error is reported, which
+// ends the run under Policy::kHarden, so the heap events that every run
+// makes stay cheap and the rare report pays the scan.
 #ifndef REDFAT_SRC_HEAP_FORENSICS_H_
 #define REDFAT_SRC_HEAP_FORENSICS_H_
 
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <unordered_map>
+#include <vector>
 
 #include "src/vm/vm.h"
 
@@ -66,6 +76,9 @@ class ForensicRing : public HeapObserver {
     return true;
   }
 
+  // The lookups below return pointers into the ring, valid until its next
+  // OnAlloc or OnFree.
+  //
   // The live object whose [ptr, ptr+size) contains `addr`, or null.
   const AllocProvenance* FindLive(uint64_t addr) const;
   // The most recently freed object containing `addr` still in the ring, or
@@ -86,21 +99,36 @@ class ForensicRing : public HeapObserver {
   };
   Proximity Nearest(uint64_t addr) const;
 
-  size_t live_count() const { return live_.size(); }
+  size_t live_count() const { return slots_.size() - free_slots_.size(); }
   size_t freed_count() const { return freed_.size(); }
   size_t capacity() const { return capacity_; }
   uint64_t evicted() const { return evicted_; }
-  const std::map<uint64_t, AllocProvenance>& live() const { return live_; }
   const std::deque<AllocProvenance>& freed() const { return freed_; }
 
  private:
+  // An index value: (slot << 1) for a live pointer, (sequence << 1) | 1 for
+  // a pointer whose un-cleared ring entry is freed_[sequence - evicted_].
+  static constexpr uint64_t kFreedTag = 1;
+
+  // The live objects with the greatest base <= addr and the least base >
+  // addr (each null when there is none): a scan of the live slots.
+  struct Neighbours {
+    const AllocProvenance* below = nullptr;
+    const AllocProvenance* above = nullptr;
+  };
+  Neighbours LiveNeighbours(uint64_t addr) const;
+
   size_t capacity_;
-  std::map<uint64_t, AllocProvenance> live_;  // keyed by base pointer
-  std::deque<AllocProvenance> freed_;         // oldest first; bounded
-  // Sequence number of each pointer's un-cleared freed_ entry; freed_[i]
-  // has sequence number evicted_ + i.
-  std::unordered_map<uint64_t, uint64_t> freed_seq_;
+  std::vector<AllocProvenance> slots_;  // live objects; ptr 0 marks a free slot
+  std::vector<uint64_t> free_slots_;
+  std::deque<AllocProvenance> freed_;  // oldest first; bounded
   uint64_t evicted_ = 0;
+  // Declared last so it is destroyed first. Its ~capacity small nodes go to
+  // glibc's fast bins, and the larger frees of freed_'s chunks that follow
+  // consolidate them. Destroyed after freed_, they would stay binned and
+  // make the thread's next allocation-heavy work (heap-debug's next
+  // rewrite) ~25 % slower.
+  std::unordered_map<uint64_t, uint64_t> index_;  // base pointer -> tagged value
 };
 
 }  // namespace redfat

@@ -31,7 +31,7 @@ TelemetryShard::~TelemetryShard() {
 void TelemetryShard::AddSite(uint32_t site, SiteEvent ev, uint64_t delta) {
   const size_t block_index = site / kBlockSites;
   if (block_index >= kMaxBlocks) {
-    overflow_.fetch_add(delta, std::memory_order_relaxed);
+    OwnerAdd(overflow_, delta);
     return;
   }
   Block* block = blocks_[block_index].load(std::memory_order_relaxed);
@@ -43,7 +43,7 @@ void TelemetryShard::AddSite(uint32_t site, SiteEvent ev, uint64_t delta) {
   }
   const size_t slot =
       (site % kBlockSites) * kNumSiteEvents + static_cast<size_t>(ev);
-  block->v[slot].fetch_add(delta, std::memory_order_relaxed);
+  OwnerAdd(block->v[slot], delta);
 }
 
 // --- HistogramData ---------------------------------------------------------

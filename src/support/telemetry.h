@@ -8,12 +8,16 @@
 //
 // Concurrency model: the hot path (per-site increments) goes through
 // per-thread shards. A thread obtains its shard once
-// (TelemetryRegistry::shard(), mutex-guarded registration) and then
-// increments relaxed atomics it exclusively writes — no locks, no
-// contention, no false sharing between threads. Snapshot() merges all
-// shards with relaxed loads; counts from threads still running are allowed
-// to be slightly stale, never torn. Named counters and gauges are cold
-// (per-run, not per-event) and live behind the registry mutex.
+// (TelemetryRegistry::shard(), mutex-guarded registration) and is then the
+// only writer of its relaxed atomics, so an increment is a relaxed load
+// plus a relaxed store (OwnerAdd) — no lock prefix, no contention, no false
+// sharing between threads. Snapshot() merges all shards with relaxed
+// loads; counts from threads still running are allowed to be slightly
+// stale, never torn. The single-writer rule is what makes the plain store
+// safe: a second writer to one shard or cell would lose counts silently.
+// (TelemetryTest.SnapshotWhileOwnersRecord runs owners against a
+// snapshotting thread, under TSan in CI.) Named counters and gauges are
+// cold (per-run, not per-event) and live behind the registry mutex.
 //
 // When no registry is attached (the default everywhere), producers hold a
 // null pointer and skip all of this: disabled telemetry costs one branch.
@@ -21,9 +25,9 @@
 // Histograms follow the counter contract: a producer obtains a per-thread
 // HistogramCell once (TelemetryRegistry::histogram(), mutex-guarded
 // registration) and then records into relaxed atomics it exclusively
-// writes. The bucket layout is fixed (log-linear, two sub-exponent bits),
-// so Merge/Delta/JSON round-trips stay bit-exact — a histogram is just 252
-// monotonic counters plus a monotonic sum.
+// writes, with the same OwnerAdd. The bucket layout is fixed (log-linear,
+// two sub-exponent bits), so Merge/Delta/JSON round-trips stay bit-exact —
+// a histogram is just 252 monotonic counters plus a monotonic sum.
 #ifndef REDFAT_SRC_SUPPORT_TELEMETRY_H_
 #define REDFAT_SRC_SUPPORT_TELEMETRY_H_
 
@@ -69,6 +73,14 @@ inline uint32_t ImageSiteKey(uint32_t image, uint32_t site) {
 }
 inline uint32_t ImageOfSiteKey(uint32_t key) { return key >> kImageSiteShift; }
 inline uint32_t SiteOfSiteKey(uint32_t key) { return key & kMaxKeyedSite; }
+
+// Adds `delta` to a counter that only the calling thread writes. Readers
+// on other threads load it relaxed and see the old or the new value, never
+// a torn one; a second writer would lose counts, so only owners call this.
+inline void OwnerAdd(std::atomic<uint64_t>& counter, uint64_t delta) {
+  counter.store(counter.load(std::memory_order_relaxed) + delta,
+                std::memory_order_relaxed);
+}
 
 // One thread's private accumulation buffer. Obtained from
 // TelemetryRegistry::shard(); AddSite must only be called by the owning
@@ -153,8 +165,8 @@ struct HistogramData {
 class HistogramCell {
  public:
   void Record(uint64_t value) {
-    buckets_[HistogramBucketIndex(value)].fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(value, std::memory_order_relaxed);
+    OwnerAdd(buckets_[HistogramBucketIndex(value)], 1);
+    OwnerAdd(sum_, value);
   }
 
  private:

@@ -574,8 +574,13 @@ bool Vm::DoHostCall(HostFn fn, std::string* fault) {
         *fault = "hostcall free with no allocator bound";
         return false;
       }
-      if (heap_obs_ != nullptr && a0 != 0 &&
-          live_allocs_.find(a0) == live_allocs_.end() && heap_obs_->WasFreed(a0)) {
+      // One lookup serves the double-free pre-check and the bookkeeping
+      // after the allocator ran: neither the allocator nor ReportMemError
+      // touches live_allocs_, so the iterator stays valid.
+      const bool tracked = (heap_obs_ != nullptr || h_malloc_bytes_ != nullptr) && a0 != 0;
+      const auto live = tracked ? live_allocs_.find(a0) : live_allocs_.end();
+      if (heap_obs_ != nullptr && a0 != 0 && live == live_allocs_.end() &&
+          heap_obs_->WasFreed(a0)) {
         // Double free: the ring still remembers this exact base as freed and
         // it was never reallocated. Report before touching the allocator —
         // whose own double-free handling is a hard host abort, not a
@@ -589,14 +594,13 @@ bool Vm::DoHostCall(HostFn fn, std::string* fault) {
       if (fout.corrupted) {
         ReportMemError(0, fout.corrupt_kind, fout.corrupt_addr);
       }
-      if ((heap_obs_ != nullptr || h_malloc_bytes_ != nullptr) && a0 != 0) {
-        const auto it = live_allocs_.find(a0);
-        if (it != live_allocs_.end()) {
+      if (tracked) {
+        if (live != live_allocs_.end()) {
           if (h_alloc_lifetime_ != nullptr) {
-            h_alloc_lifetime_->Record(cycles_ - it->second.cycles);
+            h_alloc_lifetime_->Record(cycles_ - live->second.cycles);
           }
-          live_bytes_ -= it->second.size < live_bytes_ ? it->second.size : live_bytes_;
-          live_allocs_.erase(it);
+          live_bytes_ -= live->second.size < live_bytes_ ? live->second.size : live_bytes_;
+          live_allocs_.erase(live);
           if (h_live_bytes_ != nullptr) {
             h_live_bytes_->Record(live_bytes_);
             h_live_objects_->Record(live_allocs_.size());

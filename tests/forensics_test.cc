@@ -4,8 +4,9 @@
 // (core/forensics_report.h) through the harness and the debug tier.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
-#include <map>
+#include <vector>
 
 #include "src/core/forensics_report.h"
 #include "src/core/harness.h"
@@ -84,26 +85,46 @@ TEST(ForensicRing, FreedRingEvictsFifoAndCounts) {
   EXPECT_NE(ring.FreedAt(0x1200), nullptr);
 }
 
-// The freed ring as a plain scan: FIFO entries, cleared (ptr and size 0)
-// when their pointer is allocated again, newest match wins. The indexed
+// The ring as plain scans: live objects in an unordered table, freed ones
+// in FIFO entries that are cleared (ptr and size 0) when their pointer is
+// allocated again. Every lookup scans everything: the live object that
+// contains the address, the newest freed entry that does, and the nearest
+// object — live ones before freed ones, the higher base winning an equal
+// distance among live ones, the older entry among freed ones. The indexed
 // ring must answer exactly like it.
-struct FreedRingModel {
-  struct Entry {
+struct RingModel {
+  struct Object {
     uint64_t ptr = 0;
     uint64_t size = 0;
+    uint64_t alloc_pc = 0;
     uint64_t free_pc = 0;
+    bool freed = false;
   };
+  struct Proximity {
+    const Object* object = nullptr;
+    uint64_t distance = 0;
+    bool past_end = false;
+  };
+  explicit RingModel(size_t bound) : capacity(bound) {}
+
   size_t capacity;
-  std::map<uint64_t, uint64_t> live;  // ptr -> size
-  std::deque<Entry> freed;
+  std::vector<Object> live;
+  std::deque<Object> freed;
   uint64_t evicted = 0;
 
-  void Alloc(uint64_t ptr, uint64_t size) {
+  void Alloc(uint64_t ptr, uint64_t size, uint64_t pc) {
     if (ptr == 0) {
       return;
     }
-    live[ptr] = size;
-    for (Entry& e : freed) {
+    const Object o{ptr, size, pc};
+    const auto it = std::find_if(live.begin(), live.end(),
+                                 [&](const Object& l) { return l.ptr == ptr; });
+    if (it != live.end()) {
+      *it = o;  // handed out again while live
+    } else {
+      live.push_back(o);
+    }
+    for (Object& e : freed) {
       if (e.ptr == ptr) {
         e.ptr = 0;
         e.size = 0;
@@ -111,18 +132,41 @@ struct FreedRingModel {
     }
   }
   void Free(uint64_t ptr, uint64_t pc) {
-    const auto it = live.find(ptr);
+    const auto it = std::find_if(live.begin(), live.end(),
+                                 [&](const Object& l) { return l.ptr == ptr; });
     if (it == live.end()) {
       return;
     }
-    freed.push_back(Entry{ptr, it->second, pc});
+    Object o = *it;
     live.erase(it);
+    o.freed = true;
+    o.free_pc = pc;
+    freed.push_back(o);
     if (freed.size() > capacity) {
       freed.pop_front();
       ++evicted;
     }
   }
-  const Entry* FreedAt(uint64_t ptr) const {
+  static bool Contains(const Object& o, uint64_t addr) {
+    return addr >= o.ptr && addr < o.ptr + o.size;
+  }
+  const Object* FindLive(uint64_t addr) const {
+    for (const Object& o : live) {
+      if (Contains(o, addr)) {
+        return &o;
+      }
+    }
+    return nullptr;
+  }
+  const Object* FindFreed(uint64_t addr) const {
+    for (auto it = freed.rbegin(); it != freed.rend(); ++it) {
+      if (it->ptr != 0 && Contains(*it, addr)) {
+        return &*it;
+      }
+    }
+    return nullptr;
+  }
+  const Object* FreedAt(uint64_t ptr) const {
     for (auto it = freed.rbegin(); it != freed.rend(); ++it) {
       if (ptr != 0 && it->ptr == ptr) {
         return &*it;
@@ -130,23 +174,55 @@ struct FreedRingModel {
     }
     return nullptr;
   }
+  Proximity Nearest(uint64_t addr) const {
+    Proximity best;
+    const auto consider = [&](const Object& o, bool higher_wins_tie) {
+      const uint64_t end = o.ptr + o.size;
+      const uint64_t distance = addr < o.ptr ? o.ptr - addr : addr < end ? 0 : addr - end + 1;
+      if (best.object == nullptr || distance < best.distance ||
+          (higher_wins_tie && distance == best.distance && o.ptr > best.object->ptr)) {
+        best = Proximity{&o, distance, addr >= end};
+      }
+    };
+    for (const Object& o : live) {
+      consider(o, true);
+    }
+    for (const Object& o : freed) {
+      if (o.ptr != 0) {
+        consider(o, false);
+      }
+    }
+    return best;
+  }
 };
+
+// Same object: both null, or equal base, size, freed flag and both pcs.
+bool SameObject(const AllocProvenance* got, const RingModel::Object* want) {
+  if (got == nullptr || want == nullptr) {
+    return got == nullptr && want == nullptr;
+  }
+  return got->ptr == want->ptr && got->size == want->size && got->freed == want->freed &&
+         got->alloc_pc == want->alloc_pc && got->free_pc == want->free_pc;
+}
 
 TEST(ForensicRing, IndexedLookupsMatchAScanningModel) {
   // Random alloc/free traffic over a few reused addresses, including double
   // frees, failed (null) allocations and an allocator handing out a live
-  // pointer again.
+  // pointer again. Sizes of either parity let a probe sit exactly midway
+  // between two live objects.
   constexpr uint64_t kAddrs[] = {0x1000, 0x1040, 0x1080, 0x2000, 0x2040, 0x3000, 0x3400};
   for (const size_t capacity : {size_t{1}, size_t{2}, size_t{7}, size_t{1024}}) {
     ForensicRing ring(capacity);
-    FreedRingModel model{capacity};
+    RingModel model(capacity);
     Rng rng(0xf0e45 + capacity);
+    Rng probe_rng(0x9b0be + capacity);
+    uint64_t ties = 0;
     for (uint64_t step = 1; step <= 6000; ++step) {
       const uint64_t ptr = rng.Below(20) == 0 ? 0 : kAddrs[rng.Below(std::size(kAddrs))];
       if (rng.Below(2) == 0) {
-        const uint64_t size = 16 * rng.Range(1, 4);
+        const uint64_t size = rng.Range(1, 64);
         ring.OnAlloc(ptr, size, /*pc=*/step, step, step, 0);
-        model.Alloc(ptr, size);
+        model.Alloc(ptr, size, step);
       } else {
         ring.OnFree(ptr, /*pc=*/step, step, step, 0);
         model.Free(ptr, step);
@@ -154,6 +230,7 @@ TEST(ForensicRing, IndexedLookupsMatchAScanningModel) {
       const std::string at = StrFormat("capacity %zu step %llu", capacity,
                                        static_cast<unsigned long long>(step));
       ASSERT_EQ(ring.evicted(), model.evicted) << at;
+      ASSERT_EQ(ring.live_count(), model.live.size()) << at;
       ASSERT_EQ(ring.freed().size(), model.freed.size()) << at;
       for (size_t i = 0; i < model.freed.size(); ++i) {
         ASSERT_EQ(ring.freed()[i].ptr, model.freed[i].ptr) << at << " entry " << i;
@@ -162,7 +239,7 @@ TEST(ForensicRing, IndexedLookupsMatchAScanningModel) {
       }
       for (const uint64_t p : {uint64_t{0}, kAddrs[0], kAddrs[1], kAddrs[2], kAddrs[3],
                                kAddrs[4], kAddrs[5], kAddrs[6]}) {
-        const FreedRingModel::Entry* want = model.FreedAt(p);
+        const RingModel::Object* want = model.FreedAt(p);
         const AllocProvenance* got = ring.FreedAt(p);
         ASSERT_EQ(got != nullptr, want != nullptr) << at << " ptr " << p;
         ASSERT_EQ(ring.WasFreed(p), want != nullptr) << at << " ptr " << p;
@@ -172,8 +249,51 @@ TEST(ForensicRing, IndexedLookupsMatchAScanningModel) {
           EXPECT_EQ(got->free_pc, want->free_pc) << at;
         }
       }
+      // Probes below, at, inside and past every address the traffic uses,
+      // at both edges of every live object, far below and far above all of
+      // them, and midway between each pair of live neighbours. The lookups
+      // scan the whole ring, so a step checks every exact midpoint but only
+      // four of the other probes, drawn at random.
+      std::vector<uint64_t> probes = {0x800, 0x10000};
+      for (const uint64_t a : kAddrs) {
+        probes.insert(probes.end(), {a - 1, a, a + 31});
+      }
+      std::vector<const RingModel::Object*> by_base;
+      for (const RingModel::Object& o : model.live) {
+        probes.insert(probes.end(), {o.ptr + o.size - 1, o.ptr + o.size});
+        by_base.push_back(&o);
+      }
+      std::sort(by_base.begin(), by_base.end(),
+                [](const RingModel::Object* x, const RingModel::Object* y) {
+                  return x->ptr < y->ptr;
+                });
+      std::vector<uint64_t> checked;
+      for (size_t i = 1; i < by_base.size(); ++i) {
+        const uint64_t gap_lo = by_base[i - 1]->ptr + by_base[i - 1]->size - 1;
+        const uint64_t mid = (gap_lo + by_base[i]->ptr) / 2;
+        if ((gap_lo + by_base[i]->ptr) % 2 == 0) {
+          checked.push_back(mid);  // exactly as far from both neighbours
+          ++ties;
+        } else {
+          probes.insert(probes.end(), {mid, mid + 1});
+        }
+      }
+      for (int i = 0; i < 4; ++i) {
+        checked.push_back(probes[probe_rng.Below(probes.size())]);
+      }
+      for (const uint64_t addr : checked) {
+        ASSERT_TRUE(SameObject(ring.FindLive(addr), model.FindLive(addr))) << at << " addr " << addr;
+        ASSERT_TRUE(SameObject(ring.FindFreed(addr), model.FindFreed(addr)))
+            << at << " addr " << addr;
+        const ForensicRing::Proximity got = ring.Nearest(addr);
+        const RingModel::Proximity want = model.Nearest(addr);
+        ASSERT_TRUE(SameObject(got.object, want.object)) << at << " addr " << addr;
+        ASSERT_EQ(got.distance, want.distance) << at << " addr " << addr;
+        ASSERT_EQ(got.past_end, want.past_end) << at << " addr " << addr;
+      }
     }
     EXPECT_GT(ring.evicted(), 0u) << "capacity " << capacity << " never evicted";
+    EXPECT_GT(ties, 0u) << "capacity " << capacity << " never probed a tie";
   }
 }
 

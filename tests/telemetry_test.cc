@@ -4,6 +4,7 @@
 // the guarantee that attaching telemetry never changes guest cycles.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 #include <vector>
 
@@ -69,6 +70,118 @@ TEST(TelemetryTest, ThreadsAccumulateIntoPrivateShards) {
   const SiteTelemetry* s = snap.FindSite(7);
   ASSERT_NE(s, nullptr);
   EXPECT_EQ(s->checks(), kThreads * kPerThread);
+}
+
+// Shards and histogram cells are written with a plain relaxed store by
+// their owner (no lock prefix), so a Snapshot() racing the owners must
+// still see each counter whole: never torn, never going backwards, never
+// past the final total. Run under TSan in CI, where cells that were not
+// atomics would fail as a data race.
+TEST(TelemetryTest, SnapshotWhileOwnersRecord) {
+  TelemetryRegistry reg;
+  constexpr uint32_t kThreads = 4;
+  constexpr uint64_t kMinSnapshots = 64;
+  constexpr uint32_t kSharedSite = 7;
+  constexpr uint32_t kOwnSite = 300;  // kOwnSite + t: one site per thread
+  std::atomic<uint32_t> started{0};
+  std::atomic<uint32_t> running{kThreads};
+  std::atomic<uint64_t> snapshots{0};
+  uint64_t rounds[kThreads] = {};
+  std::vector<std::thread> threads;
+  for (uint32_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      TelemetryShard* shard = reg.shard();
+      HistogramCell* cell = reg.histogram("test.owner_values");
+      started.fetch_add(1);
+      // Record in rounds of 64 values until the main thread has taken
+      // enough snapshots to have raced every owner.
+      do {
+        for (uint64_t v = 0; v < 64; ++v) {
+          shard->AddSite(kSharedSite, SiteEvent::kChecks);
+          shard->AddSite(kOwnSite + t, SiteEvent::kTrampCycles, 3);
+          cell->Record(v);
+        }
+        ++rounds[t];
+      } while (snapshots.load() < kMinSnapshots);
+      running.fetch_sub(1);
+    });
+  }
+  while (started.load() < kThreads) {
+    std::this_thread::yield();
+  }
+
+  // What one snapshot says about the owners' counters.
+  struct Seen {
+    uint64_t checks = 0;
+    uint64_t cycles[kThreads] = {};
+    HistogramData values;
+  };
+  const auto seen_in = [&](const TelemetrySnapshot& snap) {
+    Seen seen;
+    if (const SiteTelemetry* s = snap.FindSite(kSharedSite)) {
+      seen.checks = s->checks();
+    }
+    for (uint32_t t = 0; t < kThreads; ++t) {
+      if (const SiteTelemetry* s = snap.FindSite(kOwnSite + t)) {
+        seen.cycles[t] = s->tramp_cycles();
+      }
+    }
+    if (const HistogramData* h = snap.FindHistogram("test.owner_values")) {
+      seen.values = *h;
+    }
+    return seen;
+  };
+  std::vector<Seen> history;
+  for (bool done = false; !done;) {
+    done = running.load() == 0;  // one more snapshot after the owners finish
+    history.push_back(seen_in(reg.Snapshot()));
+    snapshots.fetch_add(1);
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+
+  uint64_t total_rounds = 0;
+  for (const uint64_t r : rounds) {
+    total_rounds += r;
+  }
+  const uint64_t kValueSumPerRound = 63 * 64 / 2;
+  for (size_t i = 0; i < history.size(); ++i) {
+    const Seen& cur = history[i];
+    ASSERT_LE(cur.checks, 64 * total_rounds) << i;
+    for (uint32_t t = 0; t < kThreads; ++t) {
+      ASSERT_LE(cur.cycles[t], 3 * 64 * rounds[t]) << i;
+    }
+    ASSERT_LE(cur.values.Count(), 64 * total_rounds) << i;
+    ASSERT_LE(cur.values.sum, kValueSumPerRound * total_rounds) << i;
+    if (i == 0) {
+      continue;
+    }
+    const Seen& prev = history[i - 1];
+    ASSERT_GE(cur.checks, prev.checks) << i;
+    for (uint32_t t = 0; t < kThreads; ++t) {
+      ASSERT_GE(cur.cycles[t], prev.cycles[t]) << i;
+    }
+    ASSERT_GE(cur.values.sum, prev.values.sum) << i;
+    for (const auto& [index, count] : prev.values.buckets) {
+      const auto now = cur.values.buckets.find(index);
+      ASSERT_TRUE(now != cur.values.buckets.end() && now->second >= count) << i;
+    }
+  }
+  EXPECT_GE(history.size(), kMinSnapshots);
+  // The last snapshot was taken after every owner finished: exact.
+  const Seen& last = history.back();
+  EXPECT_EQ(last.checks, 64 * total_rounds);
+  for (uint32_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(last.cycles[t], 3 * 64 * rounds[t]);
+  }
+  EXPECT_EQ(last.values.sum, kValueSumPerRound * total_rounds);
+  ASSERT_EQ(last.values.buckets.size(), static_cast<size_t>(HistogramBucketIndex(63) + 1));
+  for (const auto& [index, count] : last.values.buckets) {
+    EXPECT_EQ(count, total_rounds * (HistogramBucketLowerBound(index + 1) -
+                                     HistogramBucketLowerBound(index)))
+        << index;
+  }
 }
 
 TEST(TelemetryTest, OutOfRangeSitesCountAsDropped) {
