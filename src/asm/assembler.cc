@@ -71,16 +71,31 @@ void Assembler::EmitBranch(Instruction insn, Label label) {
 void Assembler::EmitAbsBranch(Instruction insn, uint64_t target) {
   insn.imm = 0;
   Emit(insn);
-  const size_t end = bytes_.size();
-  fixups_.push_back(Fixup{Fixup::Kind::kExtRel32, end - 4, end, target});
+  ExternalRel32(bytes_.size() - 4, bytes_.size(), target);
 }
 
 void Assembler::EmitRipRelative(const Instruction& insn, uint64_t target) {
   REDFAT_CHECK(insn.mem.rip_relative());
   const size_t start = bytes_.size();
   Emit(insn);
-  fixups_.push_back(Fixup{Fixup::Kind::kExtRel32, start + MemDispOffset(insn.op),
-                          bytes_.size(), target});
+  ExternalRel32(start + MemDispOffset(insn.op), bytes_.size(), target);
+}
+
+size_t Assembler::Append(const uint8_t* code, size_t size) {
+  REDFAT_CHECK(!finished_);
+  const size_t at = bytes_.size();
+  bytes_.insert(bytes_.end(), code, code + size);
+  return at;
+}
+
+void Assembler::Patch32(size_t offset, uint32_t value) {
+  REDFAT_CHECK(!finished_ && offset + 4 <= bytes_.size());
+  PatchU32(&bytes_, offset, value);
+}
+
+void Assembler::ExternalRel32(size_t offset, size_t insn_end, uint64_t target) {
+  REDFAT_CHECK(!finished_ && offset + 4 <= insn_end && insn_end <= bytes_.size());
+  fixups_.push_back(Fixup{Fixup::Kind::kExtRel32, offset, insn_end, target});
 }
 
 void Assembler::MovLabelAddr(Reg r, Label label) {

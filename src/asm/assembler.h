@@ -154,6 +154,16 @@ class Assembler {
   // code is finally placed (its own disp is ignored).
   void EmitRipRelative(const Instruction& insn, uint64_t target);
 
+  // Copy-and-patch: appends code assembled elsewhere (a stencil) whose label
+  // branches are all resolved inside it, and returns the offset it starts at.
+  size_t Append(const uint8_t* code, size_t size);
+  // Overwrites the 4-byte field at `offset` (a hole in appended code).
+  void Patch32(size_t offset, uint32_t value);
+  // Records the rel32/disp32 field at `offset`, in the instruction ending at
+  // `insn_end`, as pointing to `target` outside the code. Finish resolves it
+  // against the final base, like the fields EmitRipRelative records.
+  void ExternalRel32(size_t offset, size_t insn_end, uint64_t target);
+
   // Moves the code to `new_base`: Finish resolves the base-dependent
   // fields (label addresses and the fields that point outside the code)
   // against it. Label branches are position-independent and do not change.

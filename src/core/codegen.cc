@@ -1,6 +1,9 @@
 #include "src/core/codegen.h"
 
+#include <algorithm>
 #include <array>
+#include <functional>
+#include <string_view>
 
 #include "src/support/check.h"
 
@@ -30,6 +33,17 @@ struct RegList {
   const Reg* end() const { return regs.data() + size; }
 };
 
+using Hole = PayloadStencils::Hole;
+
+// Notes, when a stencil is being recorded, that the instruction just emitted
+// ends in `hole`'s field (every hole is the last field of its instruction).
+void Mark(const Assembler& as, std::vector<Hole>* holes, Hole hole) {
+  if (holes != nullptr) {
+    hole.offset = static_cast<uint32_t>(as.SizeBytes() - 4);
+    holes->push_back(hole);
+  }
+}
+
 // Picks 4 scratch registers for one check body: anything but rsp and the
 // operand's own base/index. Registers appearing earlier in `preference`
 // (dead registers first) are chosen first so that saves are minimized.
@@ -52,18 +66,20 @@ Scratch PickScratch(const PlannedCheck& check, const RegList& preference) {
 // widened) operand. A rip-relative lea executes inside the trampoline but
 // must produce the address the original instruction would have; an
 // rsp-relative one skips the bytes the save prologue pushed.
-void EmitLowerBound(Assembler& as, const PlannedCheck& check, Reg t0, int32_t stack_bias) {
+void EmitLowerBound(Assembler& as, const PlannedCheck& check, uint32_t c, Reg t0,
+                    int32_t stack_bias, std::vector<Hole>* holes) {
   MemOperand lb = check.mem;
   lb.size_log2 = 0;  // lea ignores the access size
   if (lb.rip_relative()) {
     as.EmitRipRelative({.op = Op::kLea, .r0 = t0, .mem = lb},
                        check.anchor_next + static_cast<uint64_t>(int64_t{lb.disp}));
+    Mark(as, holes, {.kind = Hole::Kind::kRipTarget, .check = c});
     return;
   }
-  if (lb.base == Reg::kRsp) {
-    lb.disp += stack_bias;
-  }
+  const int32_t bias = lb.base == Reg::kRsp ? stack_bias : 0;
+  lb.disp += bias;
   as.Lea(t0, lb);
+  Mark(as, holes, {.kind = Hole::Kind::kDisp, .check = c, .arg = bias});
 }
 
 // Emits the ASAN-style alternative body (RedzoneImpl::kShadow): a shadow
@@ -71,14 +87,14 @@ void EmitLowerBound(Assembler& as, const PlannedCheck& check, Reg t0, int32_t st
 // naive concatenated LowFat class-bounds check. This is the "simply
 // concatenate the two schemas" design §4 argues against: two separate
 // lookups, and no malloc-size metadata so padding overflows are invisible.
-void EmitShadowCheckBody(Assembler& as, const PlannedCheck& check, const Scratch& s,
-                         const RedFatOptions& opts, int32_t stack_bias) {
+void EmitShadowCheckBody(Assembler& as, const PlannedCheck& check, uint32_t c,
+                         const Scratch& s, int32_t stack_bias, std::vector<Hole>* holes) {
   const Reg t0 = s.t0;
   const Reg t1 = s.t1;
   const Reg t2 = s.t2;
   const Reg t3 = s.t3;
   const uint32_t site = check.member_sites.front();
-  EmitLowerBound(as, check, t0, stack_bias);
+  EmitLowerBound(as, check, c, t0, stack_bias, holes);
 
   const auto done = as.NewLabel();
   const auto end = as.NewLabel();
@@ -116,6 +132,7 @@ void EmitShadowCheckBody(Assembler& as, const PlannedCheck& check, const Scratch
     as.Add(t3, t2);  // BASE + class size
     as.MovRR(t1, t0);
     as.AddI(t1, static_cast<int32_t>(check.access_len));
+    Mark(as, holes, {.kind = Hole::Kind::kAccessLen, .check = c});
     as.Cmp(t1, t3);
     as.Jcc(Cond::kUgt, err_bounds);
   }
@@ -125,21 +142,23 @@ void EmitShadowCheckBody(Assembler& as, const PlannedCheck& check, const Scratch
   as.Bind(err_uaf);
   as.Trap(TrapCode::kErrAddr, static_cast<uint32_t>(t0));
   as.Trap(TrapCode::kMemError, PackErrorArg(site, ErrorKind::kUaf));
+  Mark(as, holes, {.kind = Hole::Kind::kErrorArg, .error = ErrorKind::kUaf, .check = c});
   as.Jmp(end);
   as.Bind(err_bounds);
   as.Trap(TrapCode::kErrAddr, static_cast<uint32_t>(t0));
   as.Trap(TrapCode::kMemError, PackErrorArg(site, ErrorKind::kBounds));
+  Mark(as, holes, {.kind = Hole::Kind::kErrorArg, .error = ErrorKind::kBounds, .check = c});
   as.Bind(done);
   as.Bind(end);
 }
 
 // Emits one check body. `stack_bias` is the number of bytes pushed by the
 // save prologue (rsp-relative operands must be rebased).
-void EmitCheckBody(Assembler& as, const PlannedCheck& check, const Scratch& s,
-                   const RedFatOptions& opts, int32_t stack_bias) {
+void EmitCheckBody(Assembler& as, const PlannedCheck& check, uint32_t c, const Scratch& s,
+                   const RedFatOptions& opts, int32_t stack_bias, std::vector<Hole>* holes) {
   if (opts.redzone_impl == RedzoneImpl::kShadow) {
     REDFAT_CHECK(opts.mode == RedFatOptions::Mode::kProduction);
-    EmitShadowCheckBody(as, check, s, opts, stack_bias);
+    EmitShadowCheckBody(as, check, c, s, stack_bias, holes);
     return;
   }
   const Reg t0 = s.t0;  // LB
@@ -151,7 +170,7 @@ void EmitCheckBody(Assembler& as, const PlannedCheck& check, const Scratch& s,
 
   // STEP 1: LB = effective address of the (possibly widened) operand.
   REDFAT_CHECK(check.mem.index != Reg::kRsp);
-  EmitLowerBound(as, check, t0, stack_bias);
+  EmitLowerBound(as, check, c, t0, stack_bias, holes);
 
   const auto done = as.NewLabel();  // non-fat / passing exit
   const auto end = as.NewLabel();
@@ -206,6 +225,7 @@ void EmitCheckBody(Assembler& as, const PlannedCheck& check, const Scratch& s,
     as.ShrI(t2, 32);  // zext32(LB - (BASE+16))
     as.Add(t2, t3);
     as.AddI(t2, len);  // UB'
+    Mark(as, holes, {.kind = Hole::Kind::kAccessLen, .check = c});
     as.Add(t3, t1);    // BASE+16+SIZE
     as.Cmp(t2, t3);
     as.Jcc(Cond::kUgt, err_bounds);
@@ -217,6 +237,7 @@ void EmitCheckBody(Assembler& as, const PlannedCheck& check, const Scratch& s,
     as.Jcc(Cond::kUlt, err_bounds);
     as.MovRR(t2, t0);
     as.AddI(t2, len);  // UB
+    Mark(as, holes, {.kind = Hole::Kind::kAccessLen, .check = c});
     as.Add(t3, t1);    // BASE+16+SIZE
     as.Cmp(t2, t3);
     as.Jcc(Cond::kUgt, err_bounds);
@@ -225,14 +246,17 @@ void EmitCheckBody(Assembler& as, const PlannedCheck& check, const Scratch& s,
   // Passing fallthrough / error stubs / non-fat exit.
   if (profile && check.kind == CheckKind::kFull) {
     as.Trap(TrapCode::kProfPass, site);
+    Mark(as, holes, {.kind = Hole::Kind::kSite, .check = c});
     as.Jmp(end);
     as.Bind(err_meta);
     as.Bind(err_bounds);
     as.Bind(err_uaf);
     as.Trap(TrapCode::kProfFail, site);
+    Mark(as, holes, {.kind = Hole::Kind::kSite, .check = c});
     as.Jmp(end);
     as.Bind(done);
     as.Trap(TrapCode::kProfPass, site);  // non-fat: trivially safe
+    Mark(as, holes, {.kind = Hole::Kind::kSite, .check = c});
     as.Bind(end);
   } else {
     as.Jmp(end);
@@ -241,27 +265,30 @@ void EmitCheckBody(Assembler& as, const PlannedCheck& check, const Scratch& s,
     as.Bind(err_meta);
     as.Trap(TrapCode::kErrAddr, static_cast<uint32_t>(t0));
     as.Trap(TrapCode::kMemError, PackErrorArg(site, ErrorKind::kMeta));
+    Mark(as, holes, {.kind = Hole::Kind::kErrorArg, .error = ErrorKind::kMeta, .check = c});
     as.Jmp(end);
     as.Bind(err_uaf);
     as.Trap(TrapCode::kErrAddr, static_cast<uint32_t>(t0));
     as.Trap(TrapCode::kMemError, PackErrorArg(site, ErrorKind::kUaf));
+    Mark(as, holes, {.kind = Hole::Kind::kErrorArg, .error = ErrorKind::kUaf, .check = c});
     as.Jmp(end);
     as.Bind(err_bounds);
     as.Trap(TrapCode::kErrAddr, static_cast<uint32_t>(t0));
     as.Trap(TrapCode::kMemError, PackErrorArg(site, ErrorKind::kBounds));
+    Mark(as, holes, {.kind = Hole::Kind::kErrorArg, .error = ErrorKind::kBounds, .check = c});
     as.Bind(done);
     as.Bind(end);
   }
 }
 
-}  // namespace
-
-void EmitTrampolinePayload(Assembler& as, const PlannedTrampoline& tramp,
-                           const ClobberInfo& clobbers, const RedFatOptions& opts) {
+// The payload; `holes`, when non-null, collects its per-site fields.
+void EmitPayload(Assembler& as, const PlannedTrampoline& tramp, const ClobberInfo& clobbers,
+                 const RedFatOptions& opts, std::vector<Hole>* holes) {
   // Zero-cycle dynamic coverage accounting, one counter per member site.
-  for (const PlannedCheck& check : tramp.checks) {
-    for (uint32_t site : check.member_sites) {
-      as.Count(site);
+  for (uint32_t c = 0; c < tramp.checks.size(); ++c) {
+    for (int32_t m = 0; m < static_cast<int32_t>(tramp.checks[c].member_sites.size()); ++m) {
+      as.Count(tramp.checks[c].member_sites[m]);
+      Mark(as, holes, {.kind = Hole::Kind::kSite, .check = c, .arg = m});
     }
   }
 
@@ -311,8 +338,9 @@ void EmitTrampolinePayload(Assembler& as, const PlannedTrampoline& tramp,
   const int32_t stack_bias = static_cast<int32_t>(
       (uses_stack ? kStackRedZone : 0) + 8 * (to_save.size + (save_flags ? 1 : 0)));
 
-  for (const PlannedCheck& check : tramp.checks) {
-    EmitCheckBody(as, check, PickScratch(check, preference), opts, stack_bias);
+  for (uint32_t c = 0; c < tramp.checks.size(); ++c) {
+    const PlannedCheck& check = tramp.checks[c];
+    EmitCheckBody(as, check, c, PickScratch(check, preference), opts, stack_bias, holes);
   }
 
   if (save_flags) {
@@ -326,4 +354,77 @@ void EmitTrampolinePayload(Assembler& as, const PlannedTrampoline& tramp,
   }
 }
 
+}  // namespace
+
+void EmitTrampolinePayload(Assembler& as, const PlannedTrampoline& tramp,
+                           const ClobberInfo& clobbers, const RedFatOptions& opts) {
+  EmitPayload(as, tramp, clobbers, opts, nullptr);
+}
+
+void PayloadStencils::Emit(Assembler& as, const PlannedTrampoline& tramp,
+                           const ClobberInfo& clobbers) {
+  key_.assign({tramp.tier == Tier::kCold, clobbers.flags_dead,
+               static_cast<uint32_t>(clobbers.dead_regs.size())});
+  for (Reg r : clobbers.dead_regs) {
+    key_.push_back(static_cast<uint32_t>(r));
+  }
+  for (const PlannedCheck& check : tramp.checks) {
+    key_.push_back(static_cast<uint32_t>(check.kind) | static_cast<uint32_t>(check.mem.base) << 8 |
+                   static_cast<uint32_t>(check.mem.index) << 16 | check.mem.scale_log2 << 24u);
+    key_.push_back(static_cast<uint32_t>(check.member_sites.size()));
+  }
+  const uint64_t hash = std::hash<std::string_view>()(
+      std::string_view(reinterpret_cast<const char*>(key_.data()), 4 * key_.size()));
+  auto it = std::lower_bound(index_.begin(), index_.end(), std::pair(hash, uint32_t{0}));
+  for (; it != index_.end() && it->first == hash; ++it) {
+    const Stencil& st = stencils_[it->second];
+    if (std::equal(key_.begin(), key_.end(), keys_.begin() + st.key_at,
+                   keys_.begin() + st.key_end)) {
+      break;
+    }
+  }
+  if (it == index_.end() || it->first != hash) {
+    // A new shape: the emitter writes the stencil and notes its holes. The
+    // scratch sits where this payload goes, so its resolution of a rip hole,
+    // which every instance records anew, checks the same range.
+    Assembler scratch(as.Here());
+    const size_t holes_at = holes_.size();
+    EmitPayload(scratch, tramp, clobbers, opts_, &holes_);
+    const std::vector<uint8_t> code = scratch.Finish();
+    stencils_.push_back({keys_.size(), keys_.size() + key_.size(), code_.size(), code.size(),
+                         holes_at, holes_.size()});
+    keys_.insert(keys_.end(), key_.begin(), key_.end());
+    code_.insert(code_.end(), code.begin(), code.end());
+    it = index_.insert(it, {hash, static_cast<uint32_t>(stencils_.size() - 1)});
+  }
+
+  // Copy the shape's bytes, then patch this payload's values into the holes.
+  const Stencil& st = stencils_[it->second];
+  const size_t at = as.Append(code_.data() + st.code_at, st.code_len);
+  for (size_t k = st.holes_at; k < st.holes_end; ++k) {
+    const Hole& h = holes_[k];
+    const PlannedCheck& check = tramp.checks[h.check];
+    const size_t field = at + h.offset;
+    switch (h.kind) {
+      case Hole::Kind::kSite:
+        as.Patch32(field, check.member_sites[static_cast<size_t>(h.arg)]);
+        break;
+      case Hole::Kind::kErrorArg:
+        as.Patch32(field, PackErrorArg(check.member_sites.front(), h.error));
+        break;
+      case Hole::Kind::kAccessLen:
+        as.Patch32(field, check.access_len);
+        break;
+      case Hole::Kind::kDisp:
+        as.Patch32(field, static_cast<uint32_t>(check.mem.disp) + static_cast<uint32_t>(h.arg));
+        break;
+      case Hole::Kind::kRipTarget:
+        as.ExternalRel32(field, field + 4,
+                         check.anchor_next + static_cast<uint64_t>(int64_t{check.mem.disp}));
+        break;
+    }
+  }
+}
+
 }  // namespace redfat
+

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
+#include <span>
 #include <utility>
 
 #include "src/core/codegen.h"
@@ -411,29 +412,27 @@ class CodegenPass : public Pass {
     // accessor would compute misses one by one on this thread — and it
     // CHECK-fails on a miss once the emission region is running.
     std::vector<size_t> leader_indices;
+    std::vector<uint64_t> addrs;  // request r is plan.trampolines[r]
     leader_indices.reserve(plan.trampolines.size());
+    addrs.reserve(plan.trampolines.size());
     for (const PlannedTrampoline& tramp : plan.trampolines) {
       leader_indices.push_back(tramp.insn_index);
+      addrs.push_back(tramp.addr);
     }
     ctx.cache.PrecomputeClobbers(leader_indices, ctx.opts.jobs);
 
-    ctx.requests.clear();
-    ctx.requests.reserve(plan.trampolines.size());
-    for (const PlannedTrampoline& tramp : plan.trampolines) {
-      // All clobbers are precomputed, so the parallel emission phase only
-      // reads the cache. References into the plan/cache stay valid: both
-      // live in the context and are not resized after this pass.
-      const ClobberInfo& clobbers = ctx.cache.clobbers(tramp.insn_index);
-      PatchRequest req;
-      req.addr = tramp.addr;
-      req.emit_payload = [&tramp, &clobbers, opts = ctx.opts](Assembler& as) {
-        EmitTrampolinePayload(as, tramp, clobbers, opts);
+    // Each emission chunk instantiates its payloads from a stencil table of
+    // its own; the emission phase only reads the clobber cache.
+    const ChunkEmitterFactory payloads = [&] {
+      return [&, stencils = std::make_shared<PayloadStencils>(ctx.opts)](Assembler& as,
+                                                                        size_t r) {
+        const PlannedTrampoline& tramp = plan.trampolines[r];
+        stencils->Emit(as, tramp, ctx.cache.clobbers(tramp.insn_index));
       };
-      ctx.requests.push_back(std::move(req));
-    }
+    };
 
     Result<std::vector<SpanPlan>> planned =
-        PlanSpans(ctx.cache.disasm(), ctx.cache.cfg(), ctx.requests, &ctx.rewrite_stats);
+        PlanSpans(ctx.cache.disasm(), ctx.cache.cfg(), addrs, &ctx.rewrite_stats);
     if (!planned.ok()) {
       return Error(planned.error());
     }
@@ -441,65 +440,27 @@ class CodegenPass : public Pass {
 
     // Hot-tier spans are emitted into a second blob (the inline-check
     // region) so their runtime cycles are attributable separately from
-    // trampoline cycles. A span is hot when the request that owns it (its
-    // first payload slot) came from a hot trampoline; requests are indexed
-    // like plan.trampolines.
-    std::vector<size_t> hot_idx;
-    for (size_t i = 0; i < ctx.spans.size(); ++i) {
-      for (size_t payload : ctx.spans[i].payloads) {
-        if (payload != SIZE_MAX) {
-          if (plan.trampolines[payload].tier == Tier::kHot) {
-            hot_idx.push_back(i);
-          }
-          break;
-        }
-      }
-    }
-    if (hot_idx.empty()) {
-      ctx.tramp_code = EmitTrampolines(ctx.cache.disasm(), ctx.spans, ctx.requests,
-                                       ctx.opts.trampoline_base, ctx.pool,
-                                       &ctx.rewrite_stats);
-      return PassOutcome{.items = ctx.requests.size(), .changed = ctx.rewrite_stats.applied};
-    }
-    std::vector<SpanPlan> rest_spans;
-    std::vector<SpanPlan> hot_spans;
-    std::vector<size_t> rest_idx;
-    rest_spans.reserve(ctx.spans.size() - hot_idx.size());
-    hot_spans.reserve(hot_idx.size());
-    {
-      size_t h = 0;
-      for (size_t i = 0; i < ctx.spans.size(); ++i) {
-        if (h < hot_idx.size() && hot_idx[h] == i) {
-          hot_spans.push_back(ctx.spans[i]);
-          ++h;
-        } else {
-          rest_spans.push_back(ctx.spans[i]);
-          rest_idx.push_back(i);
-        }
-      }
-    }
-    TrampolineCode rest = EmitTrampolines(ctx.cache.disasm(), rest_spans, ctx.requests,
-                                          ctx.opts.trampoline_base, ctx.pool,
-                                          &ctx.rewrite_stats);
+    // trampoline cycles. They move, in order, behind the others: the starts
+    // stay parallel to the spans, which PatchSpans consumes positionally. A
+    // span is hot when the request that owns it (its first slot) is.
+    const auto rest_end =
+        std::stable_partition(ctx.spans.begin(), ctx.spans.end(), [&](const SpanPlan& span) {
+          return plan.trampolines[span.payloads[0]].tier != Tier::kHot;
+        });
+    const std::span<const SpanPlan> spans(ctx.spans);
+    const size_t num_rest = static_cast<size_t>(rest_end - ctx.spans.begin());
+    ctx.tramp_code = EmitTrampolines(ctx.cache.disasm(), spans.first(num_rest), payloads,
+                                     ctx.opts.trampoline_base, ctx.pool, &ctx.rewrite_stats);
     RewriteStats inline_stats;
-    ctx.inline_code = EmitTrampolines(ctx.cache.disasm(), hot_spans, ctx.requests,
-                                      ctx.opts.trampoline_base + kInlineCheckOffset,
-                                      ctx.pool, &inline_stats);
+    ctx.inline_code = EmitTrampolines(ctx.cache.disasm(), spans.subspan(num_rest), payloads,
+                                      ctx.opts.trampoline_base + kInlineCheckOffset, ctx.pool,
+                                      &inline_stats);
     ctx.rewrite_stats.applied += inline_stats.applied;
     ctx.rewrite_stats.inline_trampolines = inline_stats.trampolines;
     ctx.rewrite_stats.inline_bytes = inline_stats.trampoline_bytes;
-    // Reassemble the per-span start table in original span order (PatchSpans
-    // consumes it positionally).
-    std::vector<uint64_t> starts(ctx.spans.size(), 0);
-    for (size_t i = 0; i < rest_idx.size(); ++i) {
-      starts[rest_idx[i]] = rest.starts[i];
-    }
-    for (size_t i = 0; i < hot_idx.size(); ++i) {
-      starts[hot_idx[i]] = ctx.inline_code.starts[i];
-    }
-    ctx.tramp_code.bytes = std::move(rest.bytes);
-    ctx.tramp_code.starts = std::move(starts);
-    return PassOutcome{.items = ctx.requests.size(), .changed = ctx.rewrite_stats.applied};
+    ctx.tramp_code.starts.insert(ctx.tramp_code.starts.end(), ctx.inline_code.starts.begin(),
+                                 ctx.inline_code.starts.end());
+    return PassOutcome{.items = addrs.size(), .changed = ctx.rewrite_stats.applied};
   }
 };
 
@@ -602,7 +563,6 @@ void RestoreCheckpoint(const PipelineCheckpoint& cp, PipelineContext& ctx) {
   // Everything the back half (re)produces starts clean. The analysis cache
   // is intentionally untouched: its contents are pure functions of the
   // input image and stay valid across re-entries.
-  ctx.requests.clear();
   ctx.spans.clear();
   ctx.tramp_code = TrampolineCode{};
   ctx.inline_code = TrampolineCode{};

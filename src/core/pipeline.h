@@ -167,11 +167,10 @@ struct PipelineContext {
   bool drop_eliminable = false;       // set by the eliminate pass
   InstrumentPlan plan;
 
-  // Rewriting state. `tramp_code.starts` is parallel to `spans` and covers
-  // every span regardless of which blob its code landed in; `inline_code`
-  // holds the hot-tier blob (empty without a tiering profile). The patch
-  // pass moves both blobs' bytes into `output`.
-  std::vector<PatchRequest> requests;
+  // Rewriting state. `tramp_code.starts` is parallel to `spans` (hot-tier
+  // spans last) and covers every span regardless of which blob its code
+  // landed in; `inline_code` holds the hot-tier blob (empty without a tiering
+  // profile). The patch pass moves both blobs' bytes into `output`.
   std::vector<SpanPlan> spans;
   TrampolineCode tramp_code;
   TrampolineCode inline_code;

@@ -119,24 +119,9 @@ bool HasUnambiguousPointer(const MemOperand& mem) {
 
 namespace {
 
-struct RegSet {
-  uint32_t bits = 0;
-  void Add(Reg r) {
-    if (IsGpr(r)) {
-      bits |= 1u << RegIndex(r);
-    }
-  }
-  bool Contains(Reg r) const { return IsGpr(r) && (bits & (1u << RegIndex(r))) != 0; }
-};
-
-bool OperandRegsUnmodified(const MemOperand& mem, const RegSet& written) {
-  if (mem.has_base() && mem.base != Reg::kRip && written.Contains(mem.base)) {
-    return false;
-  }
-  if (mem.has_index() && written.Contains(mem.index)) {
-    return false;
-  }
-  return true;
+// `written` is a GPR mask (RegBit); a rip base is never written.
+bool OperandRegsUnmodified(const MemOperand& mem, uint32_t written) {
+  return ((RegBit(mem.base) | RegBit(mem.index)) & written) == 0;
 }
 
 // Merging key: operands sharing segment/base/index/scale and check kind are
@@ -356,7 +341,7 @@ std::vector<PlannedTrampoline> BatchCandidateRange(const Disassembly& dis, const
   }
   PlannedTrampoline current;
   bool open = false;
-  RegSet written;
+  uint32_t written = 0;  // GPRs written since the leader
   uint32_t current_block = 0;
   // Induction tracking for tiered (hot/cold) leaders: the constant offset
   // each register has accumulated since the leader via add/sub-immediate,
@@ -377,7 +362,7 @@ std::vector<PlannedTrampoline> BatchCandidateRange(const Disassembly& dis, const
     }
     current = PlannedTrampoline{};
     open = false;
-    written = RegSet{};
+    written = 0;
   };
 
   // Rebase `check` so that evaluating it at the leader yields the address
@@ -410,7 +395,6 @@ std::vector<PlannedTrampoline> BatchCandidateRange(const Disassembly& dis, const
 
   size_t next = c_begin;
   const size_t first_insn = singles[c_begin].insn_index;
-  std::vector<Reg> regs;
   for (size_t i = first_insn; i < dis.insns.size(); ++i) {
     if (next == c_end) {
       break;  // no candidates left; membership of the open batch is fixed
@@ -437,24 +421,22 @@ std::vector<PlannedTrampoline> BatchCandidateRange(const Disassembly& dis, const
         current.insn_index = i;
         current.tier = cand_tier;
         open = true;
-        written = RegSet{};  // relevant writes start at the leader
+        written = 0;  // relevant writes start at the leader
         reset_deltas();
       }
       current.checks.push_back(std::move(check));
     }
 
-    RegsWritten(di.insn, &regs);
-    for (Reg r : regs) {
-      written.Add(r);
-    }
+    const uint32_t regs = RegsWritten(di.insn);
+    written |= regs;
     if (open && current.tier != Tier::kWarm) {
       if ((di.insn.op == Op::kAddRI || di.insn.op == Op::kSubRI) && IsGpr(di.insn.r0)) {
         const size_t r = RegIndex(di.insn.r0);
         delta[r] += di.insn.op == Op::kAddRI ? di.insn.imm : -di.insn.imm;
       } else {
-        for (Reg r : regs) {
-          if (IsGpr(r)) {
-            delta_known[RegIndex(r)] = false;
+        for (int r = 0; r < kNumGprs; ++r) {
+          if ((regs >> r & 1u) != 0) {
+            delta_known[r] = false;
           }
         }
       }

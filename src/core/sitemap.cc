@@ -1,6 +1,9 @@
 #include "src/core/sitemap.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
+#include <string_view>
 
 #include "src/core/pipeline.h"
 #include "src/core/policy.h"
@@ -29,14 +32,23 @@ std::string SerializeSiteMap(const std::vector<SiteRecord>& sites,
   }
   out += tiered ? "# redfat site map: id addr rw kind tier\n"
                 : "# redfat site map: id addr rw kind\n";
+  // Every miss and re-tier writes a map, so each line is formatted in a
+  // stack buffer: "<id> 0x<addr> <r|w> <kind>[ <tier>]\n" takes at most 46 bytes.
+  out.reserve(out.size() + 32 * sites.size());
+  char line[64];
   for (const SiteRecord& s : sites) {
-    out += StrFormat("%u 0x%llx %c %s", s.id, static_cast<unsigned long long>(s.addr),
-                     s.is_write ? 'w' : 'r',
-                     s.kind == CheckKind::kFull ? "full" : "redzone");
+    char* p = std::to_chars(line, line + 10, s.id).ptr;
+    const auto put = [&p](std::string_view text) { p = std::copy(text.begin(), text.end(), p); };
+    put(" 0x");
+    p = std::to_chars(p, p + 16, s.addr, 16).ptr;
+    put(s.is_write ? " w " : " r ");
+    put(s.kind == CheckKind::kFull ? "full" : "redzone");
     if (tiered) {
-      out += StrFormat(" %s", TierName(s.tier));
+      put(" ");
+      put(TierName(s.tier));
     }
-    out += "\n";
+    put("\n");
+    out.append(line, p);
   }
   return out;
 }

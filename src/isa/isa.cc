@@ -267,86 +267,50 @@ bool ReadsFlags(Op op) { return op == Op::kJcc || op == Op::kPushf; }
 
 namespace {
 
-void AddMemRegs(const MemOperand& mem, std::vector<Reg>* out) {
-  if (mem.has_base() && mem.base != Reg::kRip) {
-    out->push_back(mem.base);
-  }
-  if (mem.has_index()) {
-    out->push_back(mem.index);
-  }
-}
-
-void AddAllGprs(std::vector<Reg>* out) {
-  for (int i = 0; i < kNumGprs; ++i) {
-    out->push_back(static_cast<Reg>(i));
-  }
-}
+uint32_t MemRegs(const MemOperand& mem) { return RegBit(mem.base) | RegBit(mem.index); }
 
 }  // namespace
 
-void RegsRead(const Instruction& insn, std::vector<Reg>* out) {
-  out->clear();
+uint32_t RegsRead(const Instruction& insn) {
   switch (insn.op) {
     case Op::kMovRR:
-      out->push_back(insn.r1);
-      break;
+      return RegBit(insn.r1);
     case Op::kLoad:
     case Op::kLea:
-      AddMemRegs(insn.mem, out);
-      break;
-    case Op::kStoreR:
-      out->push_back(insn.r0);
-      AddMemRegs(insn.mem, out);
-      break;
     case Op::kStoreI:
-      AddMemRegs(insn.mem, out);
-      break;
+      return MemRegs(insn.mem);
+    case Op::kStoreR:
+      return RegBit(insn.r0) | MemRegs(insn.mem);
     case Op::kAddRR: case Op::kSubRR: case Op::kImulRR: case Op::kMulhRR:
     case Op::kAndRR: case Op::kOrRR: case Op::kXorRR:
     case Op::kShlRR: case Op::kShrRR:
-      out->push_back(insn.r0);
-      out->push_back(insn.r1);
-      break;
+    case Op::kCmpRR: case Op::kTestRR:
+      return RegBit(insn.r0) | RegBit(insn.r1);
     case Op::kAddRI: case Op::kSubRI: case Op::kImulRI:
     case Op::kAndRI: case Op::kOrRI: case Op::kXorRI:
     case Op::kShlRI: case Op::kShrRI: case Op::kSarRI:
-      out->push_back(insn.r0);
-      break;
-    case Op::kCmpRR: case Op::kTestRR:
-      out->push_back(insn.r0);
-      out->push_back(insn.r1);
-      break;
     case Op::kCmpRI:
-      out->push_back(insn.r0);
-      break;
+      return RegBit(insn.r0);
     case Op::kJmpR:
     case Op::kCallR:
-      out->push_back(insn.r0);
-      out->push_back(Reg::kRsp);
-      break;
     case Op::kPush:
-      out->push_back(insn.r0);
-      out->push_back(Reg::kRsp);
-      break;
+      return RegBit(insn.r0) | RegBit(Reg::kRsp);
     case Op::kPop:
     case Op::kPushf:
     case Op::kPopf:
     case Op::kRet:
     case Op::kCall:
-      out->push_back(Reg::kRsp);
-      break;
+      return RegBit(Reg::kRsp);
     case Op::kHostCall:
     case Op::kTrap:
       // Conservative: the host may inspect any register / guest memory.
-      AddAllGprs(out);
-      break;
+      return kAllGprs;
     default:
-      break;
+      return 0;
   }
 }
 
-void RegsWritten(const Instruction& insn, std::vector<Reg>* out) {
-  out->clear();
+uint32_t RegsWritten(const Instruction& insn) {
   switch (insn.op) {
     case Op::kMovRI: case Op::kMovRR: case Op::kLoad: case Op::kLea:
     case Op::kAddRR: case Op::kAddRI: case Op::kSubRR: case Op::kSubRI:
@@ -355,12 +319,9 @@ void RegsWritten(const Instruction& insn, std::vector<Reg>* out) {
     case Op::kXorRR: case Op::kXorRI:
     case Op::kShlRI: case Op::kShrRI: case Op::kSarRI:
     case Op::kShlRR: case Op::kShrRR:
-      out->push_back(insn.r0);
-      break;
+      return RegBit(insn.r0);
     case Op::kPop:
-      out->push_back(insn.r0);
-      out->push_back(Reg::kRsp);
-      break;
+      return RegBit(insn.r0) | RegBit(Reg::kRsp);
     case Op::kPush:
     case Op::kPushf:
     case Op::kPopf:
@@ -368,13 +329,11 @@ void RegsWritten(const Instruction& insn, std::vector<Reg>* out) {
     case Op::kCall:
     case Op::kCallR:
     case Op::kJmpR:
-      out->push_back(Reg::kRsp);
-      break;
+      return RegBit(Reg::kRsp);
     case Op::kHostCall:
-      out->push_back(Reg::kRax);
-      break;
+      return RegBit(Reg::kRax);
     default:
-      break;
+      return 0;
   }
 }
 

@@ -198,12 +198,16 @@ bool WritesFlags(Op op);
 // Reads the flags register?
 bool ReadsFlags(Op op);
 
-// Registers read / written by an instruction. kHostCall and kTrap are
-// reported conservatively (they read all GPRs and write RAX) so that
-// downstream liveness analyses stay sound. Results never include kRip/kNone.
-// RSP is included for push/pop/call/ret.
-void RegsRead(const Instruction& insn, std::vector<Reg>* out);
-void RegsWritten(const Instruction& insn, std::vector<Reg>* out);
+// GPR sets as masks: bit RegIndex(r) per member (kRip and kNone have none).
+inline constexpr uint32_t kAllGprs = (1u << kNumGprs) - 1;
+inline uint32_t RegBit(Reg r) { return IsGpr(r) ? 1u << RegIndex(r) : 0u; }
+
+// Registers read / written by an instruction, as GPR masks. kHostCall and
+// kTrap are reported conservatively (they read all GPRs and write RAX) so
+// that downstream liveness analyses stay sound. RSP is included for
+// push/pop/call/ret.
+uint32_t RegsRead(const Instruction& insn);
+uint32_t RegsWritten(const Instruction& insn);
 
 // ---------------------------------------------------------------------------
 // Encoding / decoding

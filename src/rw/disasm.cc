@@ -40,7 +40,6 @@ Result<Disassembly> DecodeSerial(const Section& text, Disassembly dis) {
     di.addr = text.vaddr + off;
     di.length = d.value().length;
     di.insn = d.value().insn;
-    dis.index_by_addr.emplace(di.addr, dis.insns.size());
     dis.insns.push_back(di);
     off += di.length;
   }
@@ -48,6 +47,14 @@ Result<Disassembly> DecodeSerial(const Section& text, Disassembly dis) {
 }
 
 }  // namespace
+
+size_t Disassembly::IndexAt(uint64_t addr) const {
+  const auto it = std::lower_bound(
+      insns.begin(), insns.end(), addr,
+      [](const DisasmInsn& di, uint64_t a) { return di.addr < a; });
+  return it != insns.end() && it->addr == addr ? static_cast<size_t>(it - insns.begin())
+                                               : SIZE_MAX;
+}
 
 Result<Disassembly> DisassembleText(const BinaryImage& image, ThreadPool* pool) {
   const Section* text = image.FindSection(Section::Kind::kText);
@@ -99,7 +106,6 @@ Result<Disassembly> DisassembleText(const BinaryImage& image, ThreadPool* pool) 
     total += cd.insns.size();
   }
   dis.insns.reserve(total);
-  dis.index_by_addr.reserve(total);
   size_t off = 0;
   while (off < size) {
     ChunkDecode& cd = chunks[off / kDisasmChunkBytes];
@@ -108,10 +114,7 @@ Result<Disassembly> DisassembleText(const BinaryImage& image, ThreadPool* pool) 
         cd.insns.begin(), cd.insns.end(), addr,
         [](const DisasmInsn& di, uint64_t a) { return di.addr < a; });
     if (it != cd.insns.end() && it->addr == addr) {
-      for (; it != cd.insns.end(); ++it) {
-        dis.index_by_addr.emplace(it->addr, dis.insns.size());
-        dis.insns.push_back(*it);
-      }
+      dis.insns.insert(dis.insns.end(), it, cd.insns.end());
       off = cd.end_off;
       continue;
     }
@@ -127,7 +130,6 @@ Result<Disassembly> DisassembleText(const BinaryImage& image, ThreadPool* pool) 
     di.addr = addr;
     di.length = d.value().length;
     di.insn = d.value().insn;
-    dis.index_by_addr.emplace(di.addr, dis.insns.size());
     dis.insns.push_back(di);
     off += di.length;
   }

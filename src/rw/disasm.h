@@ -8,11 +8,11 @@
 //   * any imm64 constant (mov $imm64) that lands inside the text section
 //     (jump tables / function-pointer material);
 //   * any aligned u64 word in data sections that lands inside text.
+// A disassembly keeps no index: lookups by address binary-search `insns`.
 #ifndef REDFAT_SRC_RW_DISASM_H_
 #define REDFAT_SRC_RW_DISASM_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -35,15 +35,11 @@ struct DisasmInsn {
 struct Disassembly {
   uint64_t text_vaddr = 0;
   uint64_t text_end = 0;
-  std::vector<DisasmInsn> insns;
-  std::unordered_map<uint64_t, size_t> index_by_addr;
+  std::vector<DisasmInsn> insns;  // sorted by address
 
   bool InText(uint64_t addr) const { return addr >= text_vaddr && addr < text_end; }
-  // Index of the instruction at `addr`, or SIZE_MAX.
-  size_t IndexAt(uint64_t addr) const {
-    auto it = index_by_addr.find(addr);
-    return it == index_by_addr.end() ? SIZE_MAX : it->second;
-  }
+  // Index of the instruction starting at `addr`, or SIZE_MAX.
+  size_t IndexAt(uint64_t addr) const;
 };
 
 // Linear-sweep disassembly of the text section. With a pool, fixed-size

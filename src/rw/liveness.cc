@@ -7,47 +7,35 @@ namespace redfat {
 
 ClobberInfo ComputeClobbers(const Disassembly& dis, const CfgInfo& cfg, size_t index) {
   REDFAT_CHECK(index < dis.insns.size());
-  ClobberInfo out;
   // First event wins: a register read before any write is live; a register
   // written first is dead at the instrumentation point (its old value is
   // never observed again). Unresolved registers are conservatively live.
-  enum class State : uint8_t { kUnknown, kLive, kDead };
-  State reg_state[kNumGprs] = {};
-  State flags = State::kUnknown;
+  // Once every GPR and the flags are resolved, later instructions cannot
+  // change the answer.
+  uint32_t live = 0;
+  uint32_t dead = 0;
+  bool flags_resolved = false;
+  bool flags_dead = false;
   const uint32_t block = cfg.block_id[index];
-  std::vector<Reg> regs;
   for (size_t i = index; i < dis.insns.size() && cfg.block_id[i] == block; ++i) {
     const Instruction& in = dis.insns[i].insn;
-    RegsRead(in, &regs);
-    for (Reg r : regs) {
-      State& s = reg_state[RegIndex(r)];
-      if (s == State::kUnknown) {
-        s = State::kLive;
-      }
+    live |= RegsRead(in) & ~dead;
+    dead |= RegsWritten(in) & ~live;
+    if (!flags_resolved && (ReadsFlags(in.op) || WritesFlags(in.op))) {
+      flags_resolved = true;
+      flags_dead = !ReadsFlags(in.op);
     }
-    if (ReadsFlags(in.op) && flags == State::kUnknown) {
-      flags = State::kLive;
-    }
-    RegsWritten(in, &regs);
-    for (Reg r : regs) {
-      State& s = reg_state[RegIndex(r)];
-      if (s == State::kUnknown) {
-        s = State::kDead;
-      }
-    }
-    if (WritesFlags(in.op) && flags == State::kUnknown) {
-      flags = State::kDead;
-    }
-    if (IsControlFlow(in.op)) {
+    if (IsControlFlow(in.op) || ((live | dead) == kAllGprs && flags_resolved)) {
       break;
     }
   }
+  ClobberInfo out;
   for (int r = 0; r < kNumGprs; ++r) {
-    if (reg_state[r] == State::kDead) {
+    if ((dead >> r & 1u) != 0) {
       out.dead_regs.push_back(static_cast<Reg>(r));
     }
   }
-  out.flags_dead = flags == State::kDead;
+  out.flags_dead = flags_dead;
   return out;
 }
 

@@ -63,20 +63,43 @@ void RelocateInsn(Assembler& as, const DisasmInsn& di) {
   as.Emit(insn);
 }
 
+// Emits one span's trampoline (payloads, relocated instructions, jump back)
+// at the assembler's current position; returns the payloads applied.
+size_t EmitSpanTrampoline(const Disassembly& dis, Assembler& as, const SpanPlan& span,
+                          const ChunkEmitter& payloads) {
+  size_t applied = 0;
+  for (size_t slot = 0; slot < span.num_insns; ++slot) {
+    if (span.payloads[slot] != SIZE_MAX) {
+      payloads(as, span.payloads[slot]);
+      ++applied;
+    }
+    RelocateInsn(as, dis.insns[span.first_insn + slot]);
+  }
+  const DisasmInsn& last = dis.insns[span.last_insn()];
+  const bool falls_through =
+      !(last.insn.op == Op::kJmp || last.insn.op == Op::kJmpR || last.insn.op == Op::kRet ||
+        last.insn.op == Op::kCall || last.insn.op == Op::kCallR ||
+        last.insn.op == Op::kHlt);
+  if (falls_through) {
+    as.JmpAbs(last.end());
+  }
+  return applied;
+}
+
 }  // namespace
 
 Result<std::vector<SpanPlan>> PlanSpans(const Disassembly& dis, const CfgInfo& cfg,
-                                        const std::vector<PatchRequest>& requests,
+                                        const std::vector<uint64_t>& addrs,
                                         RewriteStats* stats) {
   REDFAT_CHECK(stats != nullptr);
   REDFAT_CHECK(cfg.is_jump_target.size() == dis.insns.size());
-  stats->requested = requests.size();
+  stats->requested = addrs.size();
 
   // Requests by instruction index: spans probe a flat array, and a scan of
   // it visits the requests in address order.
   std::vector<size_t> request_at(dis.insns.size(), SIZE_MAX);
-  for (size_t r = 0; r < requests.size(); ++r) {
-    const uint64_t addr = requests[r].addr;
+  for (size_t r = 0; r < addrs.size(); ++r) {
+    const uint64_t addr = addrs[r];
     const size_t index = dis.IndexAt(addr);
     if (index == SIZE_MAX) {
       return Error(StrFormat("rewriter: request at 0x%llx is not an instruction boundary",
@@ -99,6 +122,7 @@ Result<std::vector<SpanPlan>> PlanSpans(const Disassembly& dis, const CfgInfo& c
     // Build the overwrite span: enough whole instructions to cover the jmp.
     SpanPlan span;
     span.addr = dis.insns[start_index].addr;
+    span.first_insn = start_index;
     bool conflict_target = false;
     bool conflict_call = false;
     for (size_t i = start_index; span.span_len < kJmpLen; ++i) {
@@ -118,8 +142,7 @@ Result<std::vector<SpanPlan>> PlanSpans(const Disassembly& dis, const CfgInfo& c
           conflict_call = true;
         }
       }
-      span.insn_indices.push_back(i);
-      span.payloads.push_back(request_at[i]);
+      span.payloads[span.num_insns++] = request_at[i];
       span.span_len += di.length;
       if (conflict_call && span.span_len < kJmpLen) {
         break;  // call mid-span: remaining slots unreachable
@@ -137,36 +160,14 @@ Result<std::vector<SpanPlan>> PlanSpans(const Disassembly& dis, const CfgInfo& c
       ++stats->skipped_section_end;
       continue;
     }
-    consumed_until = span.insn_indices.back() + 1;
+    consumed_until = span.last_insn() + 1;
     spans.push_back(std::move(span));
   }
   return spans;
 }
 
-size_t EmitSpanTrampoline(const Disassembly& dis, Assembler& as, const SpanPlan& span,
-                          const std::vector<PatchRequest>& requests) {
-  size_t applied = 0;
-  for (size_t slot = 0; slot < span.insn_indices.size(); ++slot) {
-    const DisasmInsn& di = dis.insns[span.insn_indices[slot]];
-    if (span.payloads[slot] != SIZE_MAX) {
-      requests[span.payloads[slot]].emit_payload(as);
-      ++applied;
-    }
-    RelocateInsn(as, di);
-  }
-  const DisasmInsn& last = dis.insns[span.insn_indices.back()];
-  const bool falls_through =
-      !(last.insn.op == Op::kJmp || last.insn.op == Op::kJmpR || last.insn.op == Op::kRet ||
-        last.insn.op == Op::kCall || last.insn.op == Op::kCallR ||
-        last.insn.op == Op::kHlt);
-  if (falls_through) {
-    as.JmpAbs(last.end());
-  }
-  return applied;
-}
-
-TrampolineCode EmitTrampolines(const Disassembly& dis, const std::vector<SpanPlan>& spans,
-                               const std::vector<PatchRequest>& requests,
+TrampolineCode EmitTrampolines(const Disassembly& dis, std::span<const SpanPlan> spans,
+                               const ChunkEmitterFactory& payloads,
                                uint64_t trampoline_base, ThreadPool* pool,
                                RewriteStats* stats) {
   RewriteStats local;
@@ -183,10 +184,11 @@ TrampolineCode EmitTrampolines(const Disassembly& dis, const std::vector<SpanPla
   ForEach(pool, num_chunks, [&](size_t c) {
     // Built in a local: neighbouring elements of `chunks` share cache lines.
     Assembler as(trampoline_base);
+    const ChunkEmitter emit = payloads();
     size_t chunk_applied = 0;
     for (size_t i = first_span(c); i < first_span(c + 1); ++i) {
       code.starts[i] = as.Here();
-      chunk_applied += EmitSpanTrampoline(dis, as, spans[i], requests);
+      chunk_applied += EmitSpanTrampoline(dis, as, spans[i], emit);
     }
     chunks[c] = std::move(as);
     applied[c] = chunk_applied;
@@ -212,16 +214,16 @@ TrampolineCode EmitTrampolines(const Disassembly& dis, const std::vector<SpanPla
   return code;
 }
 
-TrampolineCode EmitTrampolines(const Disassembly& dis, const std::vector<SpanPlan>& spans,
-                               const std::vector<PatchRequest>& requests,
+TrampolineCode EmitTrampolines(const Disassembly& dis, std::span<const SpanPlan> spans,
+                               const ChunkEmitterFactory& payloads,
                                uint64_t trampoline_base, unsigned jobs, RewriteStats* stats) {
   jobs = ResolveJobs(jobs);
   if (jobs <= 1 || spans.size() <= 1) {
-    return EmitTrampolines(dis, spans, requests, trampoline_base,
+    return EmitTrampolines(dis, spans, payloads, trampoline_base,
                            static_cast<ThreadPool*>(nullptr), stats);
   }
   ThreadPool pool(jobs);
-  return EmitTrampolines(dis, spans, requests, trampoline_base, &pool, stats);
+  return EmitTrampolines(dis, spans, payloads, trampoline_base, &pool, stats);
 }
 
 void PatchSpans(Section* text, const std::vector<SpanPlan>& spans,
@@ -268,13 +270,21 @@ Result<BinaryImage> Rewriter::Apply(const std::vector<PatchRequest>& requests,
   RewriteStats& st = stats != nullptr ? *stats : local;
   st = RewriteStats{};
 
-  Result<std::vector<SpanPlan>> planned = PlanSpans(disasm_, cfg_, requests, &st);
+  std::vector<uint64_t> addrs;
+  addrs.reserve(requests.size());
+  for (const PatchRequest& r : requests) {
+    addrs.push_back(r.addr);
+  }
+  Result<std::vector<SpanPlan>> planned = PlanSpans(disasm_, cfg_, addrs, &st);
   if (!planned.ok()) {
     return Error(planned.error());
   }
   const std::vector<SpanPlan>& spans = planned.value();
-  const TrampolineCode code =
-      EmitTrampolines(disasm_, spans, requests, trampoline_base, jobs, &st);
+  // The requests carry their own payload emitters.
+  const auto payloads = [&requests] {
+    return [&requests](Assembler& as, size_t r) { requests[r].emit_payload(as); };
+  };
+  const TrampolineCode code = EmitTrampolines(disasm_, spans, payloads, trampoline_base, jobs, &st);
 
   BinaryImage out = image_;
   Section* text = out.FindSection(Section::Kind::kText);

@@ -27,7 +27,8 @@
 //                      jump back), in one pass: the spans are split into
 //                      one contiguous chunk per worker, each chunk is
 //                      emitted once by a relocatable Assembler at the
-//                      blob's base, the chunks are laid out by prefix sum,
+//                      blob's base (its payloads by an emitter made for
+//                      that chunk), the chunks are laid out by prefix sum,
 //                      and each is rebased to its final address and written
 //                      into the blob — byte-identical to emitting every
 //                      span in order at its final address;
@@ -36,9 +37,10 @@
 #ifndef REDFAT_SRC_RW_REWRITER_H_
 #define REDFAT_SRC_RW_REWRITER_H_
 
+#include <array>
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "src/asm/assembler.h"
@@ -63,6 +65,14 @@ struct PatchRequest {
   PayloadEmitter emit_payload;
 };
 
+// The payload emitter of one emission chunk: emits request `r`'s payload at
+// the assembler's position, under the PayloadEmitter rules.
+using ChunkEmitter = std::function<void(Assembler& as, size_t r)>;
+// Makes a chunk's emitter. EmitTrampolines calls it on the thread that
+// emits the chunk and drops the emitter with the chunk, so state kept in it
+// (codegen's stencil table) needs no lock and does not outlive the rewrite.
+using ChunkEmitterFactory = std::function<ChunkEmitter()>;
+
 struct RewriteStats {
   size_t requested = 0;
   size_t applied = 0;                 // payload emitted (own jump or merged into a span)
@@ -77,27 +87,26 @@ struct RewriteStats {
   size_t inline_trampolines = 0;
 };
 
-// One accepted overwrite span: whole instructions covering the 5-byte jmp,
-// plus which request (by index into the request vector) supplies the
-// payload at each slot (SIZE_MAX = no payload at that slot).
+// One accepted overwrite span: whole instructions covering the 5-byte jmp
+// (at most 5, since every instruction takes a byte), plus which request (by
+// index into the request vector) supplies the payload at each slot
+// (SIZE_MAX = no payload at that slot).
 struct SpanPlan {
-  uint64_t addr = 0;                  // patch address (first instruction)
-  unsigned span_len = 0;              // bytes overwritten in text
-  std::vector<size_t> insn_indices;   // instructions displaced, in order
-  std::vector<size_t> payloads;       // parallel to insn_indices
+  uint64_t addr = 0;                 // patch address (first instruction)
+  unsigned span_len = 0;             // bytes overwritten in text
+  size_t first_insn = 0;             // index of the first displaced instruction
+  size_t num_insns = 0;              // instructions displaced, from first_insn on
+  std::array<size_t, 5> payloads{};  // per displaced instruction
+
+  size_t last_insn() const { return first_insn + num_insns - 1; }
 };
 
-// Stage 1: builds overwrite spans for all requests (validating addresses,
-// counting skips into `stats`). Requests must be at unique
+// Stage 1: builds overwrite spans for the requests at `addrs` (validating
+// addresses, counting skips into `stats`). Requests must be at unique
 // instruction-boundary addresses inside the text section.
 Result<std::vector<SpanPlan>> PlanSpans(const Disassembly& dis, const CfgInfo& cfg,
-                                        const std::vector<PatchRequest>& requests,
+                                        const std::vector<uint64_t>& addrs,
                                         RewriteStats* stats);
-
-// Emits one span's trampoline (payloads, relocated instructions, jump back)
-// at the assembler's current position; returns the payloads applied.
-size_t EmitSpanTrampoline(const Disassembly& dis, Assembler& as, const SpanPlan& span,
-                          const std::vector<PatchRequest>& requests);
 
 // Stage 2: emits all span trampolines as one code blob based at
 // `trampoline_base`, recording each span's start address. Every span is
@@ -108,14 +117,14 @@ struct TrampolineCode {
   std::vector<uint8_t> bytes;
   std::vector<uint64_t> starts;  // parallel to the span vector
 };
-TrampolineCode EmitTrampolines(const Disassembly& dis, const std::vector<SpanPlan>& spans,
-                               const std::vector<PatchRequest>& requests,
+TrampolineCode EmitTrampolines(const Disassembly& dis, std::span<const SpanPlan> spans,
+                               const ChunkEmitterFactory& payloads,
                                uint64_t trampoline_base, unsigned jobs, RewriteStats* stats);
 
 // Pool form: same chunked emission, but on the pipeline's persistent
 // workers instead of a per-call pool (nullptr = one chunk, serial).
-TrampolineCode EmitTrampolines(const Disassembly& dis, const std::vector<SpanPlan>& spans,
-                               const std::vector<PatchRequest>& requests,
+TrampolineCode EmitTrampolines(const Disassembly& dis, std::span<const SpanPlan> spans,
+                               const ChunkEmitterFactory& payloads,
                                uint64_t trampoline_base, ThreadPool* pool,
                                RewriteStats* stats);
 

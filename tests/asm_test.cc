@@ -158,6 +158,60 @@ TEST(AssemblerRebase, ExternalFieldsResolveAtTheFinalBase) {
   EXPECT_EQ(fwd, kFinal + bytes.size() - 6);  // call(5) ret(1) follow the label
 }
 
+// A stencil: a Count whose id is a hole, a rip-relative lea whose target
+// is recorded per copy, and a label branch resolved inside the code.
+void EmitStencilSample(Assembler& as, uint32_t id, uint64_t lea_target) {
+  as.Count(id);
+  as.EmitRipRelative({.op = Op::kLea, .r0 = Reg::kRax, .mem = MemAt(Reg::kRip, 0)},
+                     lea_target);
+  const auto skip = as.NewLabel();
+  as.Jcc(Cond::kEq, skip);
+  as.Nop();
+  as.Bind(skip);
+}
+
+TEST(AssemblerRebase, AppendedStencilFieldsResolveAtTheFinalBase) {
+  Assembler stencil(0x10400000);
+  EmitStencilSample(stencil, 0, kLeaTarget);
+  const size_t id_field = 1;                             // [op][imm32]
+  const size_t lea_field = 5 + MemDispOffset(Op::kLea);  // the lea's disp32, its last field
+  const size_t lea_end = lea_field + 4;
+  const std::vector<uint8_t> code = stencil.Finish();
+
+  constexpr uint64_t kFinal = 0x14400000;
+  const uint64_t targets[] = {kLeaTarget, kLoadTarget, kStoreTarget};
+  Assembler as(0x10400000);
+  Assembler direct(kFinal);
+  as.Nop();
+  direct.Nop();
+  for (const uint64_t target : targets) {
+    const size_t at = as.Append(code.data(), code.size());
+    as.Patch32(at + id_field, static_cast<uint32_t>(target));
+    as.ExternalRel32(at + lea_field, at + lea_end, target);
+    EmitStencilSample(direct, static_cast<uint32_t>(target), target);
+  }
+  as.Rebase(kFinal);
+  const std::vector<uint8_t> bytes = as.Finish();
+  EXPECT_EQ(bytes, direct.Finish());
+  // Each copy's lea addresses its own target from the final base.
+  std::vector<uint64_t> lea_targets;
+  std::vector<uint64_t> ids;
+  for (size_t off = 0; off < bytes.size();) {
+    Result<Decoded> d = Decode(bytes.data() + off, bytes.size() - off);
+    ASSERT_TRUE(d.ok()) << d.error();
+    const Instruction& insn = d.value().insn;
+    if (insn.op == Op::kLea) {
+      lea_targets.push_back(kFinal + off + d.value().length +
+                            static_cast<uint64_t>(int64_t{insn.mem.disp}));
+    } else if (insn.op == Op::kCount) {
+      ids.push_back(static_cast<uint64_t>(insn.imm));
+    }
+    off += d.value().length;
+  }
+  EXPECT_EQ(lea_targets, std::vector<uint64_t>(std::begin(targets), std::end(targets)));
+  EXPECT_EQ(ids, lea_targets);
+}
+
 TEST(AssemblerRebase, RangeChecksApplyToTheFinalBase) {
   // 4 GiB away from the target, the jmp cannot be encoded; moved back in
   // range before Finish, it can.

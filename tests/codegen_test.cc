@@ -3,10 +3,14 @@
 // configuration effects) instruction by instruction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+
 #include "src/asm/assembler.h"
 #include "src/core/codegen.h"
 #include "src/core/plan.h"
 #include "src/rw/liveness.h"
+#include "src/support/rng.h"
 
 namespace redfat {
 namespace {
@@ -110,17 +114,12 @@ TEST(Codegen, ScratchNeverAliasesOperandRegisters) {
   const auto insns = Emit(OneCheck(CheckKind::kFull, mem), clobbers, RedFatOptions{});
   // Every register *written* by the payload (mov/load/lea/shr dst) must be
   // neither rax nor rcx (nor rsp).
-  std::vector<Reg> written;
   for (const Instruction& in : insns) {
-    RegsWritten(in, &written);
-    for (Reg r : written) {
-      if (in.op == Op::kPush || in.op == Op::kPop || in.op == Op::kPushf ||
-          in.op == Op::kPopf) {
-        continue;  // rsp bookkeeping
-      }
-      EXPECT_NE(r, Reg::kRax) << ToString(in);
-      EXPECT_NE(r, Reg::kRcx) << ToString(in);
+    if (in.op == Op::kPush || in.op == Op::kPop || in.op == Op::kPushf ||
+        in.op == Op::kPopf) {
+      continue;  // rsp bookkeeping
     }
+    EXPECT_EQ(RegsWritten(in) & (RegBit(Reg::kRax) | RegBit(Reg::kRcx)), 0u) << ToString(in);
   }
 }
 
@@ -213,6 +212,129 @@ TEST(Codegen, ShadowImplLooksUpGuestShadow) {
     }
   }
   EXPECT_TRUE(shadow_base_loaded);
+}
+
+// --- stencils ----------------------------------------------------------------
+
+struct Payload {
+  PlannedTrampoline tramp;
+  ClobberInfo clobbers;
+};
+
+// A random payload over every input of the shape key: kind, base (GPR, rsp,
+// rip or none), index, scale, member count, 1-4 checks, the tier, flags
+// liveness and dead registers in any order.
+Payload RandomShape(Rng& rng) {
+  const Reg bases[] = {Reg::kRbx, Reg::kRax, Reg::kR12, Reg::kRsp, Reg::kRip, Reg::kNone};
+  const Reg indices[] = {Reg::kNone, Reg::kRcx, Reg::kRdi};
+  Payload p;
+  p.tramp.tier = static_cast<Tier>(rng.Below(3));
+  const size_t num_checks = rng.Range(1, 4);
+  for (size_t c = 0; c < num_checks; ++c) {
+    PlannedCheck check;
+    check.mem.base = bases[rng.Below(6)];
+    check.mem.index = indices[rng.Below(3)];
+    check.mem.scale_log2 = static_cast<uint8_t>(rng.Below(4));
+    check.mem.size_log2 = static_cast<uint8_t>(rng.Below(4));
+    // Like the planner: a full check needs a pointer base.
+    const bool pointer = check.mem.base != Reg::kRsp && check.mem.base != Reg::kRip &&
+                         check.mem.base != Reg::kNone;
+    check.kind = pointer && rng.Chance(1, 2) ? CheckKind::kFull : CheckKind::kRedzoneOnly;
+    check.member_sites.resize(rng.Range(1, 3));
+    p.tramp.checks.push_back(check);
+  }
+  for (int r = 0; r < kNumGprs; ++r) {
+    if (rng.Chance(1, 3)) {
+      p.clobbers.dead_regs.push_back(static_cast<Reg>(r));
+    }
+  }
+  for (size_t i = p.clobbers.dead_regs.size(); i > 1; --i) {
+    std::swap(p.clobbers.dead_regs[i - 1], p.clobbers.dead_regs[rng.Below(i)]);
+  }
+  p.clobbers.flags_dead = rng.Chance(1, 2);
+  return p;
+}
+
+// New values for every hole: site ids, displacements, lengths, anchors.
+void FillHoles(Rng& rng, Payload* p) {
+  for (PlannedCheck& check : p->tramp.checks) {
+    for (uint32_t& site : check.member_sites) {
+      site = static_cast<uint32_t>(rng.Next());
+    }
+    check.mem.disp = static_cast<int32_t>(rng.Range(0, 1u << 21)) - (1 << 20);
+    check.access_len = static_cast<uint32_t>(rng.Range(1, 4096));
+    check.anchor_next = kCodeBase + rng.Below(1u << 20);
+  }
+}
+
+// The shape with one key input changed: each must get a stencil of its own.
+std::vector<Payload> KeyVariants(const Payload& p) {
+  std::vector<Payload> out(6, p);
+  out[0].tramp.checks[0].member_sites.push_back(0);
+  out[1].clobbers.flags_dead = !p.clobbers.flags_dead;
+  out[2].tramp.tier = p.tramp.tier == Tier::kCold ? Tier::kWarm : Tier::kCold;
+  std::reverse(out[3].clobbers.dead_regs.begin(), out[3].clobbers.dead_regs.end());
+  MemOperand& mem = out[4].tramp.checks.back().mem;
+  mem.scale_log2 = static_cast<uint8_t>((mem.scale_log2 + 1) % 4);
+  PlannedCheck& check = out[5].tramp.checks.front();
+  if (check.kind == CheckKind::kFull) {
+    check.kind = CheckKind::kRedzoneOnly;
+  } else {
+    check.mem.index = check.mem.index == Reg::kNone ? Reg::kRsi : Reg::kNone;
+  }
+  return out;
+}
+
+// Seeded property: payloads instantiated from a chunk's stencil table, in a
+// chunk that is then rebased, equal direct emission at the final base.
+TEST(CodegenStencils, InstancesEqualDirectEmission) {
+  RedFatOptions no_merged_ub;
+  no_merged_ub.merged_ub = false;
+  RedFatOptions no_size;
+  no_size.size_hardening = false;
+  RedFatOptions shadow;
+  shadow.redzone_impl = RedzoneImpl::kShadow;
+  RedFatOptions no_clobbers;
+  no_clobbers.clobber_analysis = false;
+  const RedFatOptions configs[] = {RedFatOptions{}, no_merged_ub, no_size,
+                                   RedFatOptions::Profile(), shadow, no_clobbers};
+  constexpr uint64_t kFinalBase = kTrampolineBase + 0x123457;
+  Rng rng(0x57e7c11);
+  for (const RedFatOptions& opts : configs) {
+    PayloadStencils stencils(opts);
+    Assembler chunk(kTrampolineBase);
+    std::vector<Payload> emitted;
+    std::vector<size_t> starts;
+    for (int iter = 0; iter < 60; ++iter) {
+      const Payload shape = RandomShape(rng);
+      std::vector<Payload> shapes = KeyVariants(shape);
+      shapes.insert(shapes.begin(), shape);
+      for (Payload& p : shapes) {
+        for (int twice = 0; twice < 2; ++twice) {
+          FillHoles(rng, &p);
+          starts.push_back(chunk.SizeBytes());
+          stencils.Emit(chunk, p.tramp, p.clobbers);
+          emitted.push_back(p);
+        }
+      }
+    }
+    EXPECT_LT(stencils.size(), emitted.size() / 2 + 1);
+    chunk.Rebase(kFinalBase);
+    const std::vector<uint8_t> got = chunk.Finish();
+    Assembler direct(kFinalBase);
+    for (size_t i = 0; i < emitted.size(); ++i) {
+      ASSERT_EQ(direct.SizeBytes(), starts[i]) << "payload " << i << " has the wrong length";
+      EmitTrampolinePayload(direct, emitted[i].tramp, emitted[i].clobbers, opts);
+    }
+    const std::vector<uint8_t> want = direct.Finish();
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < emitted.size(); ++i) {
+      const size_t end = i + 1 < starts.size() ? starts[i + 1] : got.size();
+      ASSERT_TRUE(std::equal(got.begin() + starts[i], got.begin() + end,
+                             want.begin() + starts[i]))
+          << "payload " << i << " differs from direct emission";
+    }
+  }
 }
 
 }  // namespace

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "src/rw/disasm.h"
 #include "src/rw/liveness.h"
+#include "src/support/parallel.h"
 #include "src/workloads/builder.h"
+#include "src/workloads/synth.h"
 
 namespace redfat {
 namespace {
@@ -25,6 +29,35 @@ TEST(Disasm, LinearSweepCoversWholeText) {
   }
   EXPECT_EQ(dis.value().IndexAt(kCodeBase), 0u);
   EXPECT_EQ(dis.value().IndexAt(kCodeBase + 1), SIZE_MAX);
+}
+
+TEST(Disasm, IndexAtFindsExactlyTheInstructionStarts) {
+  // The DeterminismStressTest.LargeTextCrossesDisasmChunks image: > 64 KiB
+  // of text, decoded in several chunks by a pool and stitched.
+  SynthParams p;
+  p.seed = 0xb16;
+  p.mem_pct = 40;
+  p.block_len = 60;
+  p.filler_funcs = 600;
+  p.filler_units_per_func = 8;
+  const BinaryImage img = GenerateSynthProgram(p);
+  ThreadPool pool(2);
+  Result<Disassembly> r = DisassembleText(img, &pool);
+  ASSERT_TRUE(r.ok()) << r.error();
+  const Disassembly& dis = r.value();
+  ASSERT_GT(dis.text_end - dis.text_vaddr, 64u * 1024u);
+  for (size_t i = 0; i < dis.insns.size(); ++i) {
+    const DisasmInsn& di = dis.insns[i];
+    ASSERT_EQ(dis.IndexAt(di.addr), i);
+    for (uint64_t mid = di.addr + 1; mid < di.end(); ++mid) {
+      ASSERT_EQ(dis.IndexAt(mid), SIZE_MAX) << std::hex << mid;
+    }
+  }
+  EXPECT_EQ(dis.IndexAt(0), SIZE_MAX);
+  EXPECT_EQ(dis.IndexAt(dis.text_vaddr - 1), SIZE_MAX);
+  EXPECT_EQ(dis.IndexAt(dis.text_end), SIZE_MAX);
+  EXPECT_EQ(dis.IndexAt(dis.text_end + 1), SIZE_MAX);
+  EXPECT_EQ(dis.IndexAt(UINT64_MAX), SIZE_MAX);
 }
 
 TEST(Disasm, RejectsGarbage) {

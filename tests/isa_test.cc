@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <vector>
 
 #include "src/isa/isa.h"
@@ -125,30 +126,28 @@ TEST(IsaProps, Classification) {
 }
 
 TEST(IsaProps, RegsReadWritten) {
-  std::vector<Reg> regs;
   MemOperand mem;
   mem.base = Reg::kRbx;
   mem.index = Reg::kRcx;
   Instruction load{.op = Op::kLoad, .r0 = Reg::kRax, .mem = mem};
-  RegsRead(load, &regs);
-  EXPECT_EQ(regs, (std::vector<Reg>{Reg::kRbx, Reg::kRcx}));
-  RegsWritten(load, &regs);
-  EXPECT_EQ(regs, (std::vector<Reg>{Reg::kRax}));
+  EXPECT_EQ(RegsRead(load), RegBit(Reg::kRbx) | RegBit(Reg::kRcx));
+  EXPECT_EQ(RegsWritten(load), RegBit(Reg::kRax));
 
   Instruction store{.op = Op::kStoreR, .r0 = Reg::kRdx, .mem = mem};
-  RegsRead(store, &regs);
-  EXPECT_EQ(regs, (std::vector<Reg>{Reg::kRdx, Reg::kRbx, Reg::kRcx}));
-  RegsWritten(store, &regs);
-  EXPECT_TRUE(regs.empty());
+  EXPECT_EQ(RegsRead(store), RegBit(Reg::kRdx) | RegBit(Reg::kRbx) | RegBit(Reg::kRcx));
+  EXPECT_EQ(RegsWritten(store), 0u);
 
   Instruction pop{.op = Op::kPop, .r0 = Reg::kR9};
-  RegsWritten(pop, &regs);
-  EXPECT_EQ(regs, (std::vector<Reg>{Reg::kR9, Reg::kRsp}));
+  EXPECT_EQ(RegsWritten(pop), RegBit(Reg::kR9) | RegBit(Reg::kRsp));
+
+  // A rip base is not a register read.
+  Instruction lea{.op = Op::kLea, .r0 = Reg::kRax, .mem = MemOperand{.base = Reg::kRip}};
+  EXPECT_EQ(RegsRead(lea), 0u);
 
   // Host calls are conservative: they read everything.
   Instruction hc{.op = Op::kHostCall, .imm = 1};
-  RegsRead(hc, &regs);
-  EXPECT_EQ(regs.size(), static_cast<size_t>(kNumGprs));
+  EXPECT_EQ(RegsRead(hc), kAllGprs);
+  EXPECT_EQ(std::popcount(RegsRead(hc)), kNumGprs);
 }
 
 // Property: random well-formed instructions survive an encode/decode trip.

@@ -2,24 +2,22 @@
 // I/O, and the quarantine window's effect on use-after-free detection.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 
 #include "src/core/harness.h"
+#include "src/core/policy.h"
 #include "src/core/redfat.h"
 #include "src/core/sitemap.h"
+#include "src/heap/rheap.h"
+#include "src/support/str.h"
 #include "src/tools/tool_io.h"
 #include "src/workloads/builder.h"
 
 namespace redfat {
 namespace {
 
-TEST(SiteMap, RoundTrip) {
-  std::vector<SiteRecord> sites = {
-      {0, 0x400010, true, CheckKind::kFull},
-      {1, 0x400020, false, CheckKind::kRedzoneOnly},
-      {2, 0x400123, true, CheckKind::kRedzoneOnly},
-  };
-  const std::string text = SerializeSiteMap(sites);
+std::vector<std::string> Lines(const std::string& text) {
   std::vector<std::string> lines;
   std::string cur;
   for (char c : text) {
@@ -30,7 +28,17 @@ TEST(SiteMap, RoundTrip) {
       cur.push_back(c);
     }
   }
-  Result<std::vector<SiteRecord>> back = ParseSiteMap(lines);
+  return lines;
+}
+
+TEST(SiteMap, RoundTrip) {
+  std::vector<SiteRecord> sites = {
+      {0, 0x400010, true, CheckKind::kFull},
+      {1, 0x400020, false, CheckKind::kRedzoneOnly},
+      {2, 0x400123, true, CheckKind::kRedzoneOnly},
+  };
+  const std::string text = SerializeSiteMap(sites);
+  Result<std::vector<SiteRecord>> back = ParseSiteMap(Lines(text));
   ASSERT_TRUE(back.ok()) << back.error();
   ASSERT_EQ(back.value().size(), 3u);
   for (size_t i = 0; i < sites.size(); ++i) {
@@ -38,6 +46,75 @@ TEST(SiteMap, RoundTrip) {
     EXPECT_EQ(back.value()[i].addr, sites[i].addr);
     EXPECT_EQ(back.value()[i].is_write, sites[i].is_write);
     EXPECT_EQ(back.value()[i].kind, sites[i].kind);
+  }
+}
+
+// The map format spelled with StrFormat, as the writer produced it before
+// it formatted lines in place.
+std::string ReferenceSiteMap(const std::vector<SiteRecord>& sites, const HardenTier* harden,
+                             const RheapOptions* rheap) {
+  bool tiered = false;
+  for (const SiteRecord& s : sites) {
+    tiered = tiered || s.tier != Tier::kWarm;
+  }
+  std::string out;
+  if (harden != nullptr) {
+    out += StrFormat("# harden: %s\n", HardenTierName(*harden));
+  }
+  if (rheap != nullptr) {
+    out += StrFormat("# rheap: %s\n", RheapListName(*rheap).c_str());
+  }
+  out += tiered ? "# redfat site map: id addr rw kind tier\n"
+                : "# redfat site map: id addr rw kind\n";
+  for (const SiteRecord& s : sites) {
+    out += StrFormat("%u 0x%llx %c %s", s.id, static_cast<unsigned long long>(s.addr),
+                     s.is_write ? 'w' : 'r', s.kind == CheckKind::kFull ? "full" : "redzone");
+    if (tiered) {
+      out += StrFormat(" %s", TierName(s.tier));
+    }
+    out += "\n";
+  }
+  return out;
+}
+
+TEST(SiteMap, WriterMatchesFormattedReference) {
+  std::vector<SiteRecord> untiered = {
+      {0, 0, false, CheckKind::kFull},
+      {1, 0x400123, true, CheckKind::kRedzoneOnly},
+      {UINT32_MAX, UINT64_MAX, true, CheckKind::kFull},
+      {77, 0xabcdef0123456789ull, false, CheckKind::kRedzoneOnly},
+  };
+  std::vector<SiteRecord> tiered = untiered;
+  tiered[0].tier = Tier::kHot;
+  tiered[2].tier = Tier::kCold;
+  const HardenTier debug = HardenTier::kDebug;
+  Result<RheapOptions> parsed = ParseRheapList("prot-freelist,quarantine=8");
+  ASSERT_TRUE(parsed.ok()) << parsed.error();
+  const RheapOptions* const rheap = &parsed.value();
+  for (const std::vector<SiteRecord>* sites : {&untiered, &tiered}) {
+    for (const HardenTier* h : {static_cast<const HardenTier*>(nullptr), &debug}) {
+      for (const RheapOptions* r : {static_cast<const RheapOptions*>(nullptr), rheap}) {
+        const std::string text = SerializeSiteMap(*sites, h, r);
+        EXPECT_EQ(text, ReferenceSiteMap(*sites, h, r));
+        std::optional<HardenTier> h_back;
+        std::optional<RheapOptions> r_back;
+        Result<std::vector<SiteRecord>> back = ParseSiteMap(Lines(text), &h_back, &r_back);
+        ASSERT_TRUE(back.ok()) << back.error();
+        ASSERT_EQ(back.value().size(), sites->size());
+        for (size_t i = 0; i < sites->size(); ++i) {
+          EXPECT_EQ(back.value()[i].id, (*sites)[i].id);
+          EXPECT_EQ(back.value()[i].addr, (*sites)[i].addr);
+          EXPECT_EQ(back.value()[i].is_write, (*sites)[i].is_write);
+          EXPECT_EQ(back.value()[i].kind, (*sites)[i].kind);
+          EXPECT_EQ(back.value()[i].tier, (*sites)[i].tier);
+        }
+        EXPECT_EQ(h_back.has_value(), h != nullptr);
+        EXPECT_EQ(r_back.has_value(), r != nullptr);
+        if (r != nullptr && r_back.has_value()) {
+          EXPECT_EQ(*r_back, *r);
+        }
+      }
+    }
   }
 }
 
