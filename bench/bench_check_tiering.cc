@@ -5,7 +5,7 @@
 // induction pointer (load; add ptr, 8; load; ...) — the shape plain
 // batching cannot batch, because every pointer bump modifies the operand
 // register and closes the batch. The workload also executes a handful of
-// one-shot (cold) accesses plus one deliberate out-of-bounds read under
+// one-shot accesses plus one deliberate out-of-bounds read under
 // Policy::kLog.
 //
 // Protocol (the README's profile → re-rewrite → compare recipe, in-process):
@@ -40,7 +40,7 @@ constexpr uint64_t kBufBytes = 256;
 // The hot loop re-walks the first 4 qwords of the buffer each iteration,
 // bumping the pointer between loads so consecutive checks see a modified
 // base register. A few one-shot stores before the loop and one out-of-bounds
-// read after it populate the cold tier and the detection check.
+// read after it stay warm and feed the detection check.
 BinaryImage BuildHotLoopProgram() {
   ProgramBuilder pb;
   Assembler& as = pb.text();
@@ -53,7 +53,7 @@ BinaryImage BuildHotLoopProgram() {
   as.MovRI(Reg::kRdx, kBufBytes);
   as.HostCall(HostFn::kMemset);
 
-  // Cold, one-shot sites: executed exactly once.
+  // One-shot sites: executed exactly once, so never hot.
   as.MovRI(Reg::kR14, 11);
   as.Store(Reg::kR14, MemAt(Reg::kR12, 0));
   as.MovRI(Reg::kR14, 13);
@@ -76,7 +76,7 @@ BinaryImage BuildHotLoopProgram() {
   as.Cmp(Reg::kRcx, Reg::kR13);
   as.Jcc(Cond::kUlt, loop);
 
-  // Cold, deliberate OOB: 8-byte read one element past the allocation,
+  // One-shot, deliberate OOB: 8-byte read one element past the allocation,
   // caught by the redzone check. Policy::kLog records it and continues.
   as.Load(Reg::kR14, MemAt(Reg::kR12, static_cast<int32_t>(kBufBytes)));
   as.Add(Reg::kRsi, Reg::kR14);
@@ -145,10 +145,8 @@ int Main(int argc, char** argv) {
   const InstrumentResult tiered = MustInstrument(img, tiered_opts);
 
   size_t hot_sites = 0;
-  size_t cold_sites = 0;
   for (const SiteRecord& s : tiered.sites) {
     hot_sites += s.tier == Tier::kHot ? 1 : 0;
-    cold_sites += s.tier == Tier::kCold ? 1 : 0;
   }
 
   // Step 3: same input, tiered binary.
@@ -181,16 +179,15 @@ int Main(int argc, char** argv) {
               static_cast<unsigned long long>(b.tramp_cycles),
               static_cast<unsigned long long>(b.inline_cycles),
               static_cast<unsigned long long>(b.check_cycles()), b.out.errors.size());
-  std::printf("\n%zu hot + %zu cold of %zu sites; check-cycle reduction %.1f%%\n",
-              hot_sites, cold_sites, tiered.sites.size(), reduction_pct);
+  std::printf("\n%zu hot of %zu sites; check-cycle reduction %.1f%%\n", hot_sites,
+              tiered.sites.size(), reduction_pct);
   REDFAT_CHECK(b.check_cycles() * 4 <= a.check_cycles() * 3);  // >= 25% drop
 
   std::string json = "{\"bench\":\"check_tiering\",";
   json += StrFormat("\"iterations\":%llu,\"quick\":%s,",
                     static_cast<unsigned long long>(iterations),
                     quick ? "true" : "false");
-  json += StrFormat("\"sites\":%zu,\"hot_sites\":%zu,\"cold_sites\":%zu,",
-                    tiered.sites.size(), hot_sites, cold_sites);
+  json += StrFormat("\"sites\":%zu,\"hot_sites\":%zu,", tiered.sites.size(), hot_sites);
   json += StrFormat(
       "\"untiered\":{\"tramp_cycles\":%llu,\"inline_cycles\":%llu,"
       "\"check_cycles\":%llu,\"guest_cycles\":%llu,\"detected_errors\":%zu},",

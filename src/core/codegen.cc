@@ -293,12 +293,8 @@ void EmitPayload(Assembler& as, const PlannedTrampoline& tramp, const ClobberInf
   }
 
   // Scratch preference order: dead registers first (free), then the rest.
-  // Cold-tier trampolines are demoted to the save-all discipline: their
-  // runtime cost is negligible by definition, and skipping the liveness
-  // data keeps the wide demoted batches uniform.
-  const bool use_clobbers = opts.clobber_analysis && tramp.tier != Tier::kCold;
   RegList dead;
-  if (use_clobbers) {
+  if (opts.clobber_analysis) {
     for (Reg r : clobbers.dead_regs) {
       dead.Add(r);
     }
@@ -319,7 +315,7 @@ void EmitPayload(Assembler& as, const PlannedTrampoline& tramp, const ClobberInf
       }
     }
   }
-  const bool save_flags = !(use_clobbers && clobbers.flags_dead);
+  const bool save_flags = !(opts.clobber_analysis && clobbers.flags_dead);
 
   // The guest may keep live data in the 128-byte red zone below rsp (leaf
   // spill slots); pushes would clobber it. Hop over it first — lea leaves
@@ -363,8 +359,7 @@ void EmitTrampolinePayload(Assembler& as, const PlannedTrampoline& tramp,
 
 void PayloadStencils::Emit(Assembler& as, const PlannedTrampoline& tramp,
                            const ClobberInfo& clobbers) {
-  key_.assign({tramp.tier == Tier::kCold, clobbers.flags_dead,
-               static_cast<uint32_t>(clobbers.dead_regs.size())});
+  key_.assign({clobbers.flags_dead, static_cast<uint32_t>(clobbers.dead_regs.size())});
   for (Reg r : clobbers.dead_regs) {
     key_.push_back(static_cast<uint32_t>(r));
   }

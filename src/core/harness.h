@@ -27,9 +27,11 @@ class SampleProfiler;
 // binaries instrumented with RedzoneImpl::kShadow (and vice versa).
 // kRedFatDebug is the debug hardening tier's binding (core/policy.h): the
 // libredfat allocator semantics (in-redzone metadata, so lowfat-metadata
-// binaries run unchanged) PLUS guest shadow-map maintenance, so a DBI
-// shadow-check observer (src/dbi/shadow_check.h) can classify every
-// uninstrumented access.
+// binaries run unchanged) PLUS marking of the guest shadow map
+// (src/shadow/shadow.h), so a DBI shadow-check observer
+// (src/dbi/shadow_check.h) can classify every uninstrumented access. The
+// Memcheck baseline marks the same map and runs the same observer, but
+// with its own allocator, through RunMemcheck (src/dbi/memcheck.h).
 enum class RuntimeKind { kBaseline, kRedFat, kRedFatShadow, kRedFatDebug };
 
 struct RunConfig {

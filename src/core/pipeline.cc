@@ -325,7 +325,7 @@ class TierPass : public Pass {
     // Every hot site drops (at least) its trampoline round-trip per visit;
     // the static estimate mirrors the other optimization passes.
     return PassOutcome{.items = ctx.opts.tier_profile->cycles_by_site.size(),
-                       .changed = ts.hot + ts.cold,
+                       .changed = ts.hot,
                        .cycles_saved = ts.hot * kEstTrampOverheadCycles};
   }
 };

@@ -1,7 +1,6 @@
 #include "src/core/plan.h"
 
 #include <algorithm>
-#include <map>
 #include <tuple>
 
 #include "src/support/check.h"
@@ -15,8 +14,6 @@ const char* TierName(Tier tier) {
       return "warm";
     case Tier::kHot:
       return "hot";
-    case Tier::kCold:
-      return "cold";
   }
   return "?";
 }
@@ -80,10 +77,8 @@ TierStats AssignSiteTiers(const TierProfile& profile, double hot_threshold,
             });
   uint64_t total = 0;
   for (const auto& [idx, cycles] : resolved) {
-    (*sites)[idx].tier = Tier::kCold;
     total += cycles;
   }
-  ts.cold = resolved.size();
   if (total > 0) {
     uint64_t cum = 0;
     for (const auto& [idx, cycles] : resolved) {
@@ -92,7 +87,6 @@ TierStats AssignSiteTiers(const TierProfile& profile, double hot_threshold,
       }
       (*sites)[idx].tier = Tier::kHot;
       ++ts.hot;
-      --ts.cold;
       cum += cycles;
       if (static_cast<double>(cum) >= hot_threshold * static_cast<double>(total)) {
         break;
@@ -343,11 +337,11 @@ std::vector<PlannedTrampoline> BatchCandidateRange(const Disassembly& dis, const
   bool open = false;
   uint32_t written = 0;  // GPRs written since the leader
   uint32_t current_block = 0;
-  // Induction tracking for tiered (hot/cold) leaders: the constant offset
-  // each register has accumulated since the leader via add/sub-immediate,
-  // and whether the register's value is still leader-value + delta. Only
-  // maintained while a tiered batch is open; with every tier kWarm the scan
-  // below is exactly the pre-tiering algorithm.
+  // Induction tracking for hot leaders: the constant offset each register
+  // has accumulated since the leader via add/sub-immediate, and whether the
+  // register's value is still leader-value + delta. Only maintained while a
+  // hot batch is open; with every tier kWarm the scan below is exactly the
+  // pre-tiering algorithm.
   int64_t delta[kNumGprs] = {};
   bool delta_known[kNumGprs] = {};
 
@@ -410,7 +404,7 @@ std::vector<PlannedTrampoline> BatchCandidateRange(const Disassembly& dis, const
       PlannedCheck check = std::move(singles[next].checks.front());
       ++next;
       if (open && !OperandRegsUnmodified(check.mem, written)) {
-        const bool folded = current.tier != Tier::kWarm && !check.mem.rip_relative() &&
+        const bool folded = current.tier == Tier::kHot && !check.mem.rip_relative() &&
                             try_fold(&check);
         if (!folded) {
           close();
@@ -429,7 +423,7 @@ std::vector<PlannedTrampoline> BatchCandidateRange(const Disassembly& dis, const
 
     const uint32_t regs = RegsWritten(di.insn);
     written |= regs;
-    if (open && current.tier != Tier::kWarm) {
+    if (open && current.tier == Tier::kHot) {
       if ((di.insn.op == Op::kAddRI || di.insn.op == Op::kSubRI) && IsGpr(di.insn.r0)) {
         const size_t r = RegIndex(di.insn.r0);
         delta[r] += di.insn.op == Op::kAddRI ? di.insn.imm : -di.insn.imm;
@@ -497,83 +491,74 @@ std::vector<PlannedTrampoline> BatchTrampolines(const Disassembly& dis, const Cf
 }
 
 void MergeTrampolineChecks(PlannedTrampoline* tramp) {
-  std::map<MergeKey, std::vector<PlannedCheck>> groups;
-  std::vector<PlannedCheck> keep;
-  for (PlannedCheck& c : tramp->checks) {
-    if (c.mem.rip_relative()) {
-      keep.push_back(std::move(c));
-    } else {
-      groups[KeyOf(c)].push_back(std::move(c));
-    }
+  if (tramp->checks.size() < 2) {
+    return;  // a lone check merges into itself (and std::stable_sort allocates)
   }
-  std::vector<PlannedCheck> merged;
-  for (auto& [key, list] : groups) {
-    (void)key;
+  // Groups in place: rip-relative checks go last in their order, the rest
+  // are stably sorted by key, so each group keeps its members' order and
+  // groups come out in key order. Each group folds into the check at `out`,
+  // which never passes the group being read.
+  std::vector<PlannedCheck>& checks = tramp->checks;
+  const auto rip = std::stable_partition(checks.begin(), checks.end(), [](const PlannedCheck& c) {
+    return !c.mem.rip_relative();
+  });
+  std::stable_sort(checks.begin(), rip, [](const PlannedCheck& a, const PlannedCheck& b) {
+    return KeyOf(a) < KeyOf(b);
+  });
+  auto out = checks.begin();
+  const auto fold = [&out](auto first, auto last, int64_t lo, int64_t hi) {
+    PlannedCheck m = std::move(*first);
+    for (auto c = first + 1; c != last; ++c) {
+      m.is_write = m.is_write || c->is_write;
+      m.member_sites.insert(m.member_sites.end(), c->member_sites.begin(),
+                            c->member_sites.end());
+    }
+    m.mem.disp = static_cast<int32_t>(lo);
+    m.access_len = static_cast<uint32_t>(hi - lo);
+    *out++ = std::move(m);
+  };
+  for (auto group = checks.begin(); group != rip;) {
+    const auto end = std::find_if(group, rip, [&](const PlannedCheck& c) {
+      return KeyOf(c) != KeyOf(*group);
+    });
     // The merged range must be computed in 64 bits: disp is int32 and
     // access_len is uint32, so `disp + access_len` wraps through unsigned
     // arithmetic for negative displacements (e.g. rsp-relative checks that
     // survive --no-elim).
-    int64_t lo = list.front().mem.disp;
-    int64_t hi = lo + static_cast<int64_t>(list.front().access_len);
-    for (size_t i = 1; i < list.size(); ++i) {
-      const int64_t cl = list[i].mem.disp;
-      const int64_t ch = cl + static_cast<int64_t>(list[i].access_len);
-      lo = std::min(lo, cl);
-      hi = std::max(hi, ch);
+    int64_t lo = INT64_MAX;
+    int64_t hi = INT64_MIN;
+    for (auto c = group; c != end; ++c) {
+      lo = std::min<int64_t>(lo, c->mem.disp);
+      hi = std::max(hi, c->mem.disp + static_cast<int64_t>(c->access_len));
     }
     // Codegen narrows the merged access_len through int32, so INT32_MAX is
     // the widest span a single merged check can encode. Groups within the
-    // bound merge exactly as before (member order preserved — output bytes
-    // are unchanged for every previously-working plan); wider groups are
-    // split by displacement into the fewest in-bound merged checks.
+    // bound merge whole; wider groups are split by displacement into the
+    // fewest in-bound merged checks.
     if (hi - lo <= INT32_MAX) {
-      PlannedCheck m = list.front();
-      for (size_t i = 1; i < list.size(); ++i) {
-        const PlannedCheck& c = list[i];
-        m.is_write = m.is_write || c.is_write;
-        m.member_sites.insert(m.member_sites.end(), c.member_sites.begin(),
-                              c.member_sites.end());
-      }
-      m.mem.disp = static_cast<int32_t>(lo);
-      m.access_len = static_cast<uint32_t>(hi - lo);
-      merged.push_back(std::move(m));
+      fold(group, end, lo, hi);
+      group = end;
       continue;
     }
-    std::stable_sort(list.begin(), list.end(),
-                     [](const PlannedCheck& a, const PlannedCheck& b) {
-                       return a.mem.disp < b.mem.disp;
-                     });
-    size_t i = 0;
-    while (i < list.size()) {
-      PlannedCheck m = std::move(list[i]);
-      int64_t slo = m.mem.disp;
-      int64_t shi = slo + static_cast<int64_t>(m.access_len);
-      size_t j = i + 1;
-      for (; j < list.size(); ++j) {
-        const PlannedCheck& c = list[j];
-        const int64_t ch =
-            static_cast<int64_t>(c.mem.disp) + static_cast<int64_t>(c.access_len);
+    std::stable_sort(group, end, [](const PlannedCheck& a, const PlannedCheck& b) {
+      return a.mem.disp < b.mem.disp;
+    });
+    while (group != end) {
+      const int64_t slo = group->mem.disp;
+      int64_t shi = slo + static_cast<int64_t>(group->access_len);
+      auto next = group + 1;
+      for (; next != end; ++next) {
+        const int64_t ch = next->mem.disp + static_cast<int64_t>(next->access_len);
         if (ch - slo > INT32_MAX) {
           break;
         }
         shi = std::max(shi, ch);
-        m.is_write = m.is_write || c.is_write;
-        m.member_sites.insert(m.member_sites.end(), c.member_sites.begin(),
-                              c.member_sites.end());
       }
-      m.mem.disp = static_cast<int32_t>(slo);
-      m.access_len = static_cast<uint32_t>(shi - slo);
-      merged.push_back(std::move(m));
-      i = j;
+      fold(group, next, slo, shi);
+      group = next;
     }
   }
-  tramp->checks.clear();
-  for (auto& c : merged) {
-    tramp->checks.push_back(std::move(c));
-  }
-  for (auto& c : keep) {
-    tramp->checks.push_back(std::move(c));
-  }
+  checks.erase(out, rip);  // moves the rip-relative tail down
 }
 
 InstrumentPlan BuildPlan(const Disassembly& dis, const CfgInfo& cfg, const RedFatOptions& opts,

@@ -41,12 +41,10 @@ enum class CheckKind : uint8_t {
 // profile every site is kWarm and planning/codegen behave exactly as before;
 // a profile promotes the sites that dominate runtime trampoline cycles to
 // kHot (aggressive batching + placement in the inline-check region) and
-// demotes the provably-negligible rest to kCold (compact save-all bodies in
-// wider batches).
+// leaves every other site kWarm.
 enum class Tier : uint8_t {
-  kWarm = 0,  // unprofiled: today's behavior
+  kWarm = 0,  // unprofiled, or profiled outside the hot set
   kHot,       // top --hot-threshold fraction of profiled tramp cycles
-  kCold,      // profiled, but outside the hot set
 };
 const char* TierName(Tier tier);
 
@@ -72,9 +70,9 @@ struct PlannedCheck {
 };
 
 // A trampoline to install at `addr` running `checks` then the displaced
-// instruction. The tier is the leader site's tier: it selects the payload's
-// register discipline (kCold saves everything) and which code region the
-// trampoline is emitted into (kHot goes to the inline-check region).
+// instruction. The tier is the leader site's tier: it selects induction-aware
+// batching and which code region the trampoline is emitted into (kHot goes
+// to the inline-check region).
 struct PlannedTrampoline {
   uint64_t addr = 0;
   size_t insn_index = 0;
@@ -105,16 +103,14 @@ struct TierProfile {
 
 struct TierStats {
   size_t hot = 0;         // sites promoted to Tier::kHot
-  size_t cold = 0;        // sites demoted to Tier::kCold
   size_t unknown = 0;     // profile ids with no such site (ignored)
   size_t mismatched = 0;  // sitemap join failed addr/kind/rw (ignored)
 };
 
 // Assigns a tier to every site: profiled sites are ranked by cycles
 // (descending, site id breaking ties) and the minimal prefix reaching
-// `hot_threshold` of the total becomes kHot; the remaining profiled sites
-// become kCold; unprofiled sites stay kWarm. Zero-cycle profiles promote
-// nothing. Deterministic for any job count (pure function of the inputs).
+// `hot_threshold` of the total becomes kHot; every other site stays kWarm.
+// Zero-cycle profiles promote nothing. Deterministic for any job count (pure function of the inputs).
 TierStats AssignSiteTiers(const TierProfile& profile, double hot_threshold,
                           std::vector<SiteRecord>* sites);
 
@@ -195,13 +191,12 @@ std::vector<PlannedTrampoline> SingletonTrampolines(const Disassembly& dis,
 // unmodified since the leader (so all effective addresses can be evaluated
 // at the leader), with barriers at recovered jump targets and after
 // calls/hostcalls/traps.
-// Tiered leaders (kHot/kCold, i.e. profile present) additionally fold
-// induction-stepped operands: when every register of a later operand has
+// Hot leaders additionally fold induction-stepped operands: when every register of a later operand has
 // only been changed by constant add/sub immediates since the leader, the
 // check joins the batch with its displacement rebased by the accumulated
 // delta — the folded check evaluates the same effective address at the
-// leader. With every tier kWarm (no profile) the scan is bit-for-bit
-// today's algorithm.
+// leader. With every tier kWarm the scan is bit-for-bit the untiered
+// algorithm.
 // Batches never cross basic-block boundaries, so with a pool the candidate
 // list is partitioned at block changes, each partition batched
 // independently, and the results concatenated — byte-identical to the

@@ -104,8 +104,6 @@ Result<std::vector<SiteRecord>> ParseSiteMap(const std::vector<std::string>& lin
       const std::string t(tier);
       if (t == "hot") {
         s.tier = Tier::kHot;
-      } else if (t == "cold") {
-        s.tier = Tier::kCold;
       } else if (t != "warm") {
         return Error(StrFormat("sitemap: unknown tier '%s' in line: %s", tier,
                                line.c_str()));

@@ -4,8 +4,9 @@
 // metadata, so the tool writes it out-of-band).
 //
 // Text format, one line per site:  <id> <hex addr> <r|w> <full|redzone>
-// plus an optional trailing <warm|hot|cold> tier column, emitted only when
-// the rewrite was profile-tiered (so untiered maps match older builds).
+// plus an optional trailing <warm|hot> tier column, emitted only when the
+// rewrite was profile-tiered, i.e. some site is hot (so untiered maps match
+// older builds).
 // A map written under an explicit hardening policy (--harden=TIER) starts
 // with a policy header line, "# harden: <tier>", which round-trips through
 // ParseSiteMap; maps from legacy invocations carry no header and stay

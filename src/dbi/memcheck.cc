@@ -1,5 +1,8 @@
 #include "src/dbi/memcheck.h"
 
+#include "src/dbi/shadow_check.h"
+#include "src/shadow/shadow.h"
+
 namespace redfat {
 
 AllocOutcome Memcheck::Malloc(Memory& mem, uint64_t size) {
@@ -7,15 +10,12 @@ AllocOutcome Memcheck::Malloc(Memory& mem, uint64_t size) {
   if (ptr == 0) {
     return AllocOutcome{0, heapcost::kLegacyMalloc};
   }
-  shadow_.Mark(ptr - kRedzoneSize, kRedzoneSize, ShadowState::kRedzone);
-  shadow_.Mark(ptr, size, ShadowState::kAllocated);
-  shadow_.Mark(ptr + size, kRedzoneSize, ShadowState::kRedzone);
+  ShadowMarkMalloc(mem, ptr, size);
   sizes_[ptr] = size;
   return AllocOutcome{ptr, heapcost::kLegacyMalloc + costs_.alloc_extra};
 }
 
 FreeOutcome Memcheck::Free(Memory& mem, uint64_t ptr) {
-  (void)mem;
   if (ptr == 0) {
     return FreeOutcome{heapcost::kLegacyFree};
   }
@@ -25,13 +25,13 @@ FreeOutcome Memcheck::Free(Memory& mem, uint64_t ptr) {
     // freed) or an invalid one. Report it and leave the heap untouched.
     FreeOutcome bad{heapcost::kLegacyFree + costs_.alloc_extra};
     bad.corrupted = true;
-    bad.corrupt_kind = shadow_.Query(ptr) == ShadowState::kFree
+    bad.corrupt_kind = ShadowAt(mem, ptr, 1) == GuestShadow::kFreed
                            ? ErrorKind::kDoubleFree
                            : ErrorKind::kFreelistCorruption;
     bad.corrupt_addr = ptr;
     return bad;
   }
-  shadow_.Mark(ptr, it->second, ShadowState::kFree);
+  ShadowMarkFree(mem, ptr, it->second);
   sizes_.erase(it);
   quarantine_.push_back(ptr);
   if (quarantine_.size() > quarantine_blocks_) {
@@ -41,29 +41,13 @@ FreeOutcome Memcheck::Free(Memory& mem, uint64_t ptr) {
   return FreeOutcome{heapcost::kLegacyFree + costs_.alloc_extra};
 }
 
-bool Memcheck::Plan(const Vm& /*vm*/, uint64_t /*addr*/, const Instruction& insn,
-                    ObserverPlan* plan) const {
-  *plan = costs_.PlanFor(insn.op);
-  return true;
-}
-
-void Memcheck::Check(Vm& vm, uint64_t addr, const Instruction& insn) {
-  const uint64_t ea =
-      ComputeEffectiveAddress(vm.cpu(), insn.mem, addr + EncodedLength(insn.op));
-  const ShadowState state = shadow_.QueryRange(ea, insn.mem.access_size());
-  if (state == ShadowState::kRedzone) {
-    vm.ReportMemError(0, ErrorKind::kBounds, ea);
-  } else if (state == ShadowState::kFree) {
-    vm.ReportMemError(0, ErrorKind::kUaf, ea);
-  }
-}
-
 RunOutcome RunMemcheck(const BinaryImage& image, const RunConfig& config,
                        MemcheckCostModel costs) {
   Vm vm(config.model);
   Memcheck memcheck(costs);
+  ShadowCheckObserver observer(costs);
   vm.set_allocator(&memcheck);
-  vm.set_observer(&memcheck);
+  vm.set_observer(&observer);
   vm.set_policy(config.policy);
   vm.set_inputs(config.inputs);
   vm.set_rng_seed(config.rng_seed);

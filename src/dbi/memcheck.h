@@ -2,14 +2,14 @@
 //
 // Heavyweight dynamic binary instrumentation over the *original* binary:
 // every guest instruction pays a JIT/dispatch cost, and every explicit
-// memory access is checked against redzone-only shadow memory. Like
-// Valgrind, which instruments each superblock once when it translates it,
-// the observer plans each instruction when the VM decodes it (a fixed
-// charge, and whether to check) and checks only the flagged accesses at
-// run time. The
-// allocator wraps each heap object with 16-byte redzones on both sides and
-// tracks Allocated/Redzone/Free states in the shadow map, with freed blocks
-// quarantined to catch use-after-free.
+// memory access is checked against redzone-only shadow memory. Memcheck is
+// the allocator half: it wraps each heap object with 16-byte redzones on
+// both sides, marks the Redzone/payload/Freed states in the guest shadow
+// map (src/shadow/shadow.h) and quarantines freed blocks to catch
+// use-after-free. RunMemcheck pairs it with the ShadowCheckObserver
+// (dbi/shadow_check.h), which, like Valgrind translating each superblock
+// once, plans each instruction when the VM decodes it (a fixed charge, and
+// whether to check) and checks only the flagged accesses at run time.
 //
 // Detection power matches Memcheck's: incremental overflows (into redzones)
 // and use-after-free are caught; non-incremental overflows that skip over
@@ -27,7 +27,6 @@
 
 #include "src/core/harness.h"
 #include "src/heap/legacy_heap.h"
-#include "src/shadow/shadow_map.h"
 #include "src/vm/allocator.h"
 #include "src/vm/vm.h"
 
@@ -59,35 +58,26 @@ struct MemcheckCostModel {
   }
 };
 
-class Memcheck : public GuestAllocator, public ExecObserver {
+class Memcheck : public GuestAllocator {
  public:
   explicit Memcheck(MemcheckCostModel costs = MemcheckCostModel{},
                     unsigned quarantine_blocks = 256)
       : costs_(costs), quarantine_blocks_(quarantine_blocks), heap_(kRedzoneSize) {}
 
-  // GuestAllocator
   AllocOutcome Malloc(Memory& mem, uint64_t size) override;
   FreeOutcome Free(Memory& mem, uint64_t ptr) override;
   const char* name() const override { return "memcheck"; }
-
-  // ExecObserver: every instruction is planned; OnInstruction is the
-  // default Plan-then-Check.
-  bool Plan(const Vm& vm, uint64_t addr, const Instruction& insn,
-            ObserverPlan* plan) const override;
-  void Check(Vm& vm, uint64_t addr, const Instruction& insn) override;
-
-  const ShadowMap& shadow() const { return shadow_; }
 
  private:
   MemcheckCostModel costs_;
   unsigned quarantine_blocks_;
   LegacyHeap heap_;
-  ShadowMap shadow_;
   std::unordered_map<uint64_t, uint64_t> sizes_;  // payload ptr -> user size
   std::deque<uint64_t> quarantine_;
 };
 
-// Runs the (uninstrumented) image under the Memcheck baseline.
+// Runs the (uninstrumented) image under the Memcheck baseline: the
+// Memcheck allocator and a ShadowCheckObserver with the same costs.
 RunOutcome RunMemcheck(const BinaryImage& image, const RunConfig& config,
                        MemcheckCostModel costs = MemcheckCostModel{});
 

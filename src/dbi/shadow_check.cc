@@ -1,6 +1,6 @@
 #include "src/dbi/shadow_check.h"
 
-#include "src/isa/abi.h"
+#include "src/shadow/shadow.h"
 
 namespace redfat {
 
@@ -16,18 +16,7 @@ bool ShadowCheckObserver::Plan(const Vm& vm, uint64_t addr, const Instruction& i
 void ShadowCheckObserver::Check(Vm& vm, uint64_t addr, const Instruction& insn) {
   const uint64_t ea =
       ComputeEffectiveAddress(vm.cpu(), insn.mem, addr + EncodedLength(insn.op));
-  const unsigned len = insn.mem.access_size();
-  // One shadow byte per 8-byte granule; untouched shadow reads kOk.
-  const uint64_t first = ea >> 3;
-  const uint64_t last = (ea + (len == 0 ? 0 : len - 1)) >> 3;
-  GuestShadow state = GuestShadow::kOk;
-  for (uint64_t g = first; g <= last; ++g) {
-    const auto s = static_cast<GuestShadow>(vm.memory().Read(kGuestShadowBase + g, 1));
-    if (s != GuestShadow::kOk) {
-      state = s;
-      break;
-    }
-  }
+  const GuestShadow state = ShadowAt(vm.memory(), ea, insn.mem.access_size());
   if (state == GuestShadow::kRedzone) {
     ++errors_;
     vm.ReportMemError(0, ErrorKind::kBounds, ea);

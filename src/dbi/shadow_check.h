@@ -1,23 +1,24 @@
-// The debug hardening tier's DBI layer (core/policy.h, --harden=debug):
-// memcheck-grade shadow-state classification of every explicit memory
-// access the static rewriter did NOT harden.
+// The DBI shadow-check observer: memcheck-grade shadow-state
+// classification of every explicit memory access, against the guest shadow
+// map (src/shadow/shadow.h). One observer serves two runtimes:
 //
-// The inline checks of a hardened binary only cover instrumentable sites;
-// eliminated operands, rewrite-skipped sites, and (under the fast tier's
-// planning) bare ambiguous sites execute unchecked. Under the debug tier
-// the binary runs with RuntimeKind::kRedFatDebug — whose allocator mirrors
-// every object's redzone/payload/freed state into the guest shadow map —
-// and this observer classifies each access against that map, exactly like
-// the Memcheck baseline but layered OVER the statically hardened binary:
-// accesses inside trampoline/inline-check sections are skipped (their
-// metadata loads legitimately touch redzone-state memory).
+//   * the debug hardening tier (core/policy.h, --harden=debug), over a
+//     statically hardened binary running with RuntimeKind::kRedFatDebug,
+//     whose allocator marks every object in the shadow map. The inline
+//     checks cover only instrumentable sites; eliminated operands,
+//     rewrite-skipped sites and (under the fast tier's planning) bare
+//     ambiguous sites execute unchecked, and this observer catches them.
+//     Accesses inside trampoline/inline-check sections are skipped: their
+//     metadata loads legitimately touch redzone-state memory.
+//   * the Memcheck baseline (dbi/memcheck.h), over the original binary,
+//     which has no trampoline ranges, so every instruction is planned.
 //
-// Costs reuse the Memcheck model (dispatch + shadow-check per access,
-// superblock chaining on control transfers): the debug tier is explicitly
-// a DBI-priced configuration, not a production one. Like Memcheck, the
-// observer plans each instruction when the VM decodes it (no charge and no
-// check inside trampoline code), so the fast engine keeps chaining and
-// traces on and calls Check only before the flagged accesses.
+// Costs are the Memcheck model (dispatch + shadow-check per access,
+// superblock chaining on control transfers): both are DBI-priced
+// configurations, not production ones. The observer plans each
+// instruction when the VM decodes it (no charge and no check inside
+// trampoline code), so the fast engine keeps chaining and traces on and
+// calls Check only before the flagged accesses.
 #ifndef REDFAT_SRC_DBI_SHADOW_CHECK_H_
 #define REDFAT_SRC_DBI_SHADOW_CHECK_H_
 

@@ -1,28 +1,15 @@
 #include "src/heap/debug_allocator.h"
 
-#include "src/support/check.h"
+#include "src/shadow/shadow.h"
 
 namespace redfat {
-
-void DebugRedFatAllocator::MarkShadow(Memory& mem, uint64_t addr, uint64_t size,
-                                      GuestShadow state) {
-  if (size == 0) {
-    return;
-  }
-  const uint64_t first = addr >> 3;
-  const uint64_t last = (addr + size - 1) >> 3;
-  mem.Fill(kGuestShadowBase + first, static_cast<uint8_t>(state), last - first + 1);
-}
 
 AllocOutcome DebugRedFatAllocator::Malloc(Memory& mem, uint64_t size) {
   AllocOutcome out = RedFatAllocator::Malloc(mem, size);
   if (out.ptr == 0) {
     return out;
   }
-  const uint64_t slot = out.ptr - kRedzoneSize;
-  MarkShadow(mem, slot, kRedzoneSize, GuestShadow::kRedzone);            // leading redzone
-  MarkShadow(mem, out.ptr, size, GuestShadow::kOk);                      // payload (clear stale)
-  MarkShadow(mem, out.ptr + size, kRedzoneSize, GuestShadow::kRedzone);  // trailing guard
+  ShadowMarkMalloc(mem, out.ptr, size);
   sizes_[out.ptr] = size;
   // O(size) shadow marking
   out.cycles += heapcost::ShadowMarkCycles(size + 2 * kRedzoneSize);
@@ -41,7 +28,7 @@ FreeOutcome DebugRedFatAllocator::Free(Memory& mem, uint64_t ptr) {
   }
   const uint64_t size = it->second;
   sizes_.erase(it);
-  MarkShadow(mem, ptr, size, GuestShadow::kFreed);
+  ShadowMarkFree(mem, ptr, size);
   FreeOutcome out = RedFatAllocator::Free(mem, ptr);
   out.cycles += heapcost::ShadowMarkCycles(size);
   return out;

@@ -4,12 +4,13 @@
 // Lowfat-metadata-instrumented binaries need the in-redzone state/size
 // metadata that RedFatAllocator writes; memcheck-grade shadow-state
 // classification of *uninstrumented* accesses (src/dbi/shadow_check.h)
-// needs the kGuestShadowBase map that ShadowRedFatAllocator maintains.
-// Neither alone supports both, so the debug tier's allocator does both:
-// every object carries the metadata redzone (checks work unchanged) and
-// its redzone/payload/freed states are mirrored into the shadow map for
-// the observer. The extra O(size) marking cost per malloc/free is charged
-// like the shadow ablation's — debug is not a production configuration.
+// needs the guest shadow map (src/shadow/shadow.h) that
+// ShadowRedFatAllocator maintains. Neither alone supports both, so the
+// debug tier's allocator does both: every object carries the metadata
+// redzone (checks work unchanged) and its redzone/payload/freed states are
+// marked in the shadow map for the observer. The extra O(size) marking
+// cost per malloc/free is charged like the shadow ablation's — debug is
+// not a production configuration.
 #ifndef REDFAT_SRC_HEAP_DEBUG_ALLOCATOR_H_
 #define REDFAT_SRC_HEAP_DEBUG_ALLOCATOR_H_
 
@@ -31,8 +32,6 @@ class DebugRedFatAllocator : public RedFatAllocator {
   const char* name() const override { return "libredfat-debug"; }
 
  private:
-  static void MarkShadow(Memory& mem, uint64_t addr, uint64_t size, GuestShadow state);
-
   std::unordered_map<uint64_t, uint64_t> sizes_;  // user ptr -> user size
 };
 

@@ -1,16 +1,8 @@
 #include "src/heap/shadow_allocator.h"
 
-namespace redfat {
+#include "src/shadow/shadow.h"
 
-void ShadowRedFatAllocator::MarkShadow(Memory& mem, uint64_t addr, uint64_t size,
-                                       GuestShadow state) {
-  if (size == 0) {
-    return;
-  }
-  const uint64_t first = addr >> 3;
-  const uint64_t last = (addr + size - 1) >> 3;
-  mem.Fill(kGuestShadowBase + first, static_cast<uint8_t>(state), last - first + 1);
-}
+namespace redfat {
 
 AllocOutcome ShadowRedFatAllocator::Malloc(Memory& mem, uint64_t size) {
   const uint64_t total = size + kRedzoneSize;
@@ -30,9 +22,7 @@ AllocOutcome ShadowRedFatAllocator::Malloc(Memory& mem, uint64_t size) {
     }
   }
   const uint64_t ptr = slot + kRedzoneSize;
-  MarkShadow(mem, slot, kRedzoneSize, GuestShadow::kRedzone);        // leading redzone
-  MarkShadow(mem, ptr, size, GuestShadow::kOk);                      // payload (clear stale)
-  MarkShadow(mem, ptr + size, kRedzoneSize, GuestShadow::kRedzone);  // trailing redzone
+  ShadowMarkMalloc(mem, ptr, size);
   objects_[ptr] = Object{size, true};
   // O(size) shadow marking is the scheme's intrinsic cost.
   out.ptr = ptr;
@@ -57,7 +47,7 @@ FreeOutcome ShadowRedFatAllocator::Free(Memory& mem, uint64_t ptr) {
   }
   const uint64_t size = it->second.size;
   it->second.live = false;
-  MarkShadow(mem, ptr, size, GuestShadow::kFreed);
+  ShadowMarkFree(mem, ptr, size);
   const uint64_t slot = ptr - kRedzoneSize;
   uint64_t cycles = 0;
   if (LowFatSize(slot) != 0) {

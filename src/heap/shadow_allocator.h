@@ -3,9 +3,9 @@
 //
 // Objects still come from the low-fat heap (so the LowFat component can
 // recover class bounds from pointers), and still carry a 16-byte leading
-// redzone — but the Allocated/Redzone/Free state lives in a *separate
-// guest shadow map* (one byte per 8-byte granule at kGuestShadowBase)
-// instead of inside the redzone. Consequences the ablation measures:
+// redzone — but the Allocated/Redzone/Free state lives in the *separate
+// guest shadow map* (src/shadow/shadow.h) instead of inside the redzone.
+// Consequences the ablation measures:
 //
 //   * no malloc-SIZE metadata => overflows into allocation padding are
 //     undetectable (the paper's Fig. 3/§4.2 argument for metadata-in-redzone);
@@ -34,8 +34,6 @@ class ShadowRedFatAllocator : public GuestAllocator {
   const char* name() const override { return "libredfat-shadow"; }
 
  private:
-  static void MarkShadow(Memory& mem, uint64_t addr, uint64_t size, GuestShadow state);
-
   LowFatHeap lowfat_;
   LegacyHeap legacy_;
   struct Object {

@@ -133,9 +133,11 @@ inline constexpr uint64_t kMagicsTableAddr = kRuntimeTableBase + 8 * kNumRegions
 inline constexpr uint64_t kShiftsTableAddr = kRuntimeTableBase + 16 * kNumRegions;
 
 // --- ASAN-style shadow memory (the §4.1 alternative redzone scheme) -------
-// Used only by the RedzoneImpl::kShadow ablation: one shadow byte per
-// 8-byte granule, at kGuestShadowBase + (addr >> 3). The shadow area spans
-// regions 55..62 (non-fat, far from every subheap).
+// One shadow byte per 8-byte granule, at kGuestShadowBase + (addr >> 3),
+// kept by src/shadow/shadow.h. Its users: the RedzoneImpl::kShadow
+// ablation (whose check bodies read it in guest code), the debug tier and
+// the Memcheck baseline (whose DBI observer reads it). The shadow area
+// spans regions 55..62 (non-fat, far from every subheap).
 inline constexpr uint64_t kGuestShadowBase = uint64_t{55} << kRegionShift;
 enum class GuestShadow : uint8_t {
   kOk = 0,       // addressable (untouched shadow reads 0)

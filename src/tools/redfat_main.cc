@@ -37,8 +37,9 @@
 //                          defaults apply and no header is emitted.
 //   --profile              emit profiling instrumentation (Fig. 5, step 1)
 //   --profile=FILE         tier checks using a prior run's --metrics
-//                          snapshot: hot sites get inline checks, cold
-//                          sites get demoted batches (see --hot-threshold)
+//                          snapshot: hot sites get inline checks, every
+//                          other site stays as untiered (see
+//                          --hot-threshold)
 //   --profile-sitemap FILE site map saved with the profiled build; joins
 //                          profile site ids by address so a profile from a
 //                          differently-planned build is ignored rather

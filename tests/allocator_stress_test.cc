@@ -19,6 +19,7 @@
 #include "src/heap/lowfat.h"
 #include "src/heap/redfat_allocator.h"
 #include "src/heap/shadow_allocator.h"
+#include "src/shadow/shadow.h"
 #include "src/support/rng.h"
 #include "src/workloads/synth.h"
 
@@ -457,22 +458,22 @@ TEST(ShadowAllocatorStress, ShadowConsistentWithLiveSet) {
   ShadowRedFatAllocator alloc;
   Rng rng(0x5ade);
   std::map<uint64_t, uint64_t> live;
-  auto shadow_at = [&](uint64_t a) { return mem.Read(kGuestShadowBase + (a >> 3), 1); };
+  auto shadow_at = [&](uint64_t a) { return ShadowAt(mem, a, 1); };
   for (int i = 0; i < 4000; ++i) {
     if (live.empty() || rng.Chance(3, 5)) {
       const uint64_t size = rng.Range(8, 512) & ~7ull;  // granule-aligned
       const uint64_t p = alloc.Malloc(mem, size).ptr;
       ASSERT_NE(p, 0u);
       live[p] = size;
-      ASSERT_EQ(shadow_at(p), 0u);
-      ASSERT_EQ(shadow_at(p + size - 1), 0u);
-      ASSERT_EQ(shadow_at(p - 8), static_cast<uint64_t>(GuestShadow::kRedzone));
-      ASSERT_EQ(shadow_at(p + size), static_cast<uint64_t>(GuestShadow::kRedzone));
+      ASSERT_EQ(shadow_at(p), GuestShadow::kOk);
+      ASSERT_EQ(shadow_at(p + size - 1), GuestShadow::kOk);
+      ASSERT_EQ(shadow_at(p - 8), GuestShadow::kRedzone);
+      ASSERT_EQ(shadow_at(p + size), GuestShadow::kRedzone);
     } else {
       auto it = live.begin();
       std::advance(it, static_cast<long>(rng.Below(live.size())));
       alloc.Free(mem, it->first);
-      ASSERT_EQ(shadow_at(it->first), static_cast<uint64_t>(GuestShadow::kFreed));
+      ASSERT_EQ(shadow_at(it->first), GuestShadow::kFreed);
       live.erase(it);
     }
   }

@@ -222,13 +222,12 @@ struct Payload {
 };
 
 // A random payload over every input of the shape key: kind, base (GPR, rsp,
-// rip or none), index, scale, member count, 1-4 checks, the tier, flags
-// liveness and dead registers in any order.
+// rip or none), index, scale, member count, 1-4 checks, flags liveness and
+// dead registers in any order.
 Payload RandomShape(Rng& rng) {
   const Reg bases[] = {Reg::kRbx, Reg::kRax, Reg::kR12, Reg::kRsp, Reg::kRip, Reg::kNone};
   const Reg indices[] = {Reg::kNone, Reg::kRcx, Reg::kRdi};
   Payload p;
-  p.tramp.tier = static_cast<Tier>(rng.Below(3));
   const size_t num_checks = rng.Range(1, 4);
   for (size_t c = 0; c < num_checks; ++c) {
     PlannedCheck check;
@@ -269,14 +268,13 @@ void FillHoles(Rng& rng, Payload* p) {
 
 // The shape with one key input changed: each must get a stencil of its own.
 std::vector<Payload> KeyVariants(const Payload& p) {
-  std::vector<Payload> out(6, p);
+  std::vector<Payload> out(5, p);
   out[0].tramp.checks[0].member_sites.push_back(0);
   out[1].clobbers.flags_dead = !p.clobbers.flags_dead;
-  out[2].tramp.tier = p.tramp.tier == Tier::kCold ? Tier::kWarm : Tier::kCold;
-  std::reverse(out[3].clobbers.dead_regs.begin(), out[3].clobbers.dead_regs.end());
-  MemOperand& mem = out[4].tramp.checks.back().mem;
+  std::reverse(out[2].clobbers.dead_regs.begin(), out[2].clobbers.dead_regs.end());
+  MemOperand& mem = out[3].tramp.checks.back().mem;
   mem.scale_log2 = static_cast<uint8_t>((mem.scale_log2 + 1) % 4);
-  PlannedCheck& check = out[5].tramp.checks.front();
+  PlannedCheck& check = out[4].tramp.checks.front();
   if (check.kind == CheckKind::kFull) {
     check.kind = CheckKind::kRedzoneOnly;
   } else {

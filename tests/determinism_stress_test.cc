@@ -101,8 +101,8 @@ void ExpectJobsInvariant(const BinaryImage& img, const char* image_name) {
 }
 
 // A deterministic stand-in for a measured profile: every other site gets a
-// pseudo-random cycle count, so the tier pass makes hot, cold and
-// unprofiled (warm) sites alike.
+// pseudo-random cycle count, so the tier pass makes hot sites, profiled
+// warm sites and unprofiled ones alike.
 TierProfile SyntheticProfile(const std::vector<SiteRecord>& sites) {
   TierProfile profile;
   for (const SiteRecord& s : sites) {

@@ -10,6 +10,7 @@
 #include "src/heap/lowfat.h"
 #include "src/heap/redfat_allocator.h"
 #include "src/heap/shadow_allocator.h"
+#include "src/shadow/shadow.h"
 #include "src/workloads/builder.h"
 #include "src/workloads/synth.h"
 
@@ -135,15 +136,12 @@ TEST(ShadowImpl, AllocatorShadowLifecycle) {
   ShadowRedFatAllocator alloc;
   const uint64_t p = alloc.Malloc(mem, 40).ptr;
   ASSERT_NE(p, 0u);
-  auto shadow_at = [&](uint64_t a) {
-    return mem.Read(kGuestShadowBase + (a >> 3), 1);
-  };
-  EXPECT_EQ(shadow_at(p), 0u);
-  EXPECT_EQ(shadow_at(p + 39), 0u);
-  EXPECT_EQ(shadow_at(p - 8), static_cast<uint64_t>(GuestShadow::kRedzone));
-  EXPECT_EQ(shadow_at(p + 40), static_cast<uint64_t>(GuestShadow::kRedzone));
+  EXPECT_EQ(ShadowAt(mem, p, 1), GuestShadow::kOk);
+  EXPECT_EQ(ShadowAt(mem, p + 39, 1), GuestShadow::kOk);
+  EXPECT_EQ(ShadowAt(mem, p - 8, 1), GuestShadow::kRedzone);
+  EXPECT_EQ(ShadowAt(mem, p + 40, 1), GuestShadow::kRedzone);
   alloc.Free(mem, p);
-  EXPECT_EQ(shadow_at(p), static_cast<uint64_t>(GuestShadow::kFreed));
+  EXPECT_EQ(ShadowAt(mem, p, 1), GuestShadow::kFreed);
 }
 
 TEST(HeapRandomization, ChangesPlacementDeterministicallyPerSeed) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "src/dbi/memcheck.h"
+#include "src/dbi/shadow_check.h"
+#include "src/shadow/shadow.h"
 #include "src/workloads/builder.h"
 #include "src/workloads/synth.h"
 
@@ -151,32 +153,92 @@ TEST(Memcheck, InvalidFreeIsReported) {
   EXPECT_EQ(out.errors[0].kind, ErrorKind::kFreelistCorruption);
 }
 
+// The Memcheck allocator marks the guest shadow map and the
+// ShadowCheckObserver classifies accesses against it: p = malloc(40), then
+// loads of p[32] (payload), p[-8] and p[40] (the two redzones), free(p), a
+// load of p[0] (freed), and q = malloc(40), which the quarantine keeps off p.
 TEST(Memcheck, ShadowStateLifecycle) {
-  Memory mem;
+  ProgramBuilder pb;
+  Assembler& as = pb.text();
+  as.MovRI(Reg::kRdi, 40);
+  as.HostCall(HostFn::kMalloc);
+  as.MovRR(Reg::kR12, Reg::kRax);
+  as.Load(Reg::kRax, MemAt(Reg::kR12, 32));
+  as.Load(Reg::kRax, MemAt(Reg::kR12, -8));
+  as.Load(Reg::kRax, MemAt(Reg::kR12, 40));
+  as.MovRR(Reg::kRdi, Reg::kR12);
+  as.HostCall(HostFn::kFree);
+  as.Load(Reg::kRax, MemAt(Reg::kR12, 0));
+  as.MovRI(Reg::kRdi, 40);
+  as.HostCall(HostFn::kMalloc);
+  as.MovRR(Reg::kRdi, Reg::kRax);
+  as.HostCall(HostFn::kOutputU64);
+  as.MovRR(Reg::kRdi, Reg::kR12);
+  as.HostCall(HostFn::kOutputU64);
+  pb.EmitExit(0);
+
+  Vm vm;
   Memcheck mc;
-  const uint64_t p = mc.Malloc(mem, 40).ptr;
-  ASSERT_NE(p, 0u);
-  EXPECT_EQ(mc.shadow().Query(p), ShadowState::kAllocated);
-  EXPECT_EQ(mc.shadow().Query(p + 39), ShadowState::kAllocated);
-  EXPECT_EQ(mc.shadow().Query(p - 8), ShadowState::kRedzone);
-  EXPECT_EQ(mc.shadow().Query(p + 40), ShadowState::kRedzone);
-  mc.Free(mem, p);
-  EXPECT_EQ(mc.shadow().Query(p), ShadowState::kFree);
-  // Quarantined: immediate re-malloc must not hand back p.
-  EXPECT_NE(mc.Malloc(mem, 40).ptr, p);
+  ShadowCheckObserver observer;
+  vm.set_allocator(&mc);
+  vm.set_observer(&observer);
+  vm.set_policy(Policy::kLog);
+  vm.LoadImage(pb.Finish());
+  ASSERT_EQ(vm.Run().reason, HaltReason::kExit);
+  ASSERT_EQ(vm.outputs().size(), 2u);
+  const uint64_t q = vm.outputs()[0];
+  const uint64_t p = vm.outputs()[1];
+  EXPECT_NE(q, p) << "quarantined: an immediate re-malloc must not hand back p";
+
+  ASSERT_EQ(vm.mem_errors().size(), 3u);
+  EXPECT_EQ(vm.mem_errors()[0].kind, ErrorKind::kBounds);
+  EXPECT_EQ(vm.mem_errors()[0].addr, p - 8);
+  EXPECT_EQ(vm.mem_errors()[1].kind, ErrorKind::kBounds);
+  EXPECT_EQ(vm.mem_errors()[1].addr, p + 40);
+  EXPECT_EQ(vm.mem_errors()[2].kind, ErrorKind::kUaf);
+  EXPECT_EQ(vm.mem_errors()[2].addr, p);
+  EXPECT_EQ(observer.checks(), 4u);
+  EXPECT_EQ(observer.errors(), 3u);
+
+  const Memory& mem = vm.memory();
+  EXPECT_EQ(ShadowAt(mem, p, 40), GuestShadow::kFreed);
+  EXPECT_EQ(ShadowAt(mem, q, 40), GuestShadow::kOk);
+  EXPECT_EQ(ShadowAt(mem, q - 8, 8), GuestShadow::kRedzone);
+  EXPECT_EQ(ShadowAt(mem, q + 40, 8), GuestShadow::kRedzone);
 }
 
-TEST(ShadowMap, MarkAndQueryRanges) {
-  ShadowMap shadow;
-  shadow.Mark(0x1000, 64, ShadowState::kAllocated);
-  shadow.Mark(0x1040, 16, ShadowState::kRedzone);
-  EXPECT_EQ(shadow.Query(0x0), ShadowState::kDefault);
-  EXPECT_EQ(shadow.Query(0x1000), ShadowState::kAllocated);
-  EXPECT_EQ(shadow.QueryRange(0x1038, 8), ShadowState::kAllocated);
-  EXPECT_EQ(shadow.QueryRange(0x1038, 16), ShadowState::kRedzone)
+TEST(GuestShadow, MarkAndQueryRanges) {
+  Memory mem;
+  ShadowMarkFree(mem, 0x1010, 0);
+  EXPECT_EQ(mem.TouchedPages(), 0u) << "a 0-byte mark must write nothing";
+
+  ShadowMarkMalloc(mem, 0x1010, 64);  // redzones [0x1000,0x1010), [0x1050,0x1060)
+  EXPECT_EQ(ShadowAt(mem, 0x0, 8), GuestShadow::kOk) << "untouched memory";
+  EXPECT_EQ(ShadowAt(mem, 0x1008, 8), GuestShadow::kRedzone);
+  EXPECT_EQ(ShadowAt(mem, 0x1010, 64), GuestShadow::kOk);
+  EXPECT_EQ(ShadowAt(mem, 0x1048, 8), GuestShadow::kOk);
+  EXPECT_EQ(ShadowAt(mem, 0x1048, 16), GuestShadow::kRedzone)
       << "a straddling access must see the redzone";
-  shadow.Mark(0x1000, 64, ShadowState::kFree);
-  EXPECT_EQ(shadow.QueryRange(0x1000, 8), ShadowState::kFree);
+  EXPECT_EQ(ShadowAt(mem, 0x1060, 8), GuestShadow::kOk);
+  EXPECT_EQ(ShadowAt(mem, 0x100f, 0), GuestShadow::kRedzone) << "0 bytes read one granule";
+
+  // A 20-byte payload ends mid-granule: its last granule is shared with the
+  // trailing redzone, which wins.
+  ShadowMarkMalloc(mem, 0x2010, 20);
+  EXPECT_EQ(ShadowAt(mem, 0x2010, 16), GuestShadow::kOk);
+  EXPECT_EQ(ShadowAt(mem, 0x2020, 1), GuestShadow::kRedzone);
+
+  const size_t pages = mem.TouchedPages();
+  ShadowMarkFree(mem, 0x1010, 0);
+  EXPECT_EQ(ShadowAt(mem, 0x1010, 8), GuestShadow::kOk) << "a 0-byte mark must write nothing";
+  EXPECT_EQ(mem.TouchedPages(), pages);
+
+  ShadowMarkFree(mem, 0x1010, 64);
+  EXPECT_EQ(ShadowAt(mem, 0x1000, 24), GuestShadow::kRedzone) << "the first bad granule wins";
+  EXPECT_EQ(ShadowAt(mem, 0x1010, 8), GuestShadow::kFreed);
+  EXPECT_EQ(ShadowAt(mem, 0x1048, 16), GuestShadow::kFreed);
+  ShadowMarkMalloc(mem, 0x1010, 64);
+  EXPECT_EQ(ShadowAt(mem, 0x1010, 64), GuestShadow::kOk) << "a fresh malloc clears stale state";
 }
 
 }  // namespace

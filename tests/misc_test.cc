@@ -86,7 +86,7 @@ TEST(SiteMap, WriterMatchesFormattedReference) {
   };
   std::vector<SiteRecord> tiered = untiered;
   tiered[0].tier = Tier::kHot;
-  tiered[2].tier = Tier::kCold;
+  tiered[2].tier = Tier::kHot;
   const HardenTier debug = HardenTier::kDebug;
   Result<RheapOptions> parsed = ParseRheapList("prot-freelist,quarantine=8");
   ASSERT_TRUE(parsed.ok()) << parsed.error();

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/asm/assembler.h"
@@ -15,6 +17,8 @@
 #include "src/core/sitemap.h"
 #include "src/support/telemetry.h"
 #include "src/workloads/builder.h"
+#include "src/workloads/spec.h"
+#include "src/workloads/synth.h"
 
 namespace redfat {
 namespace {
@@ -109,11 +113,10 @@ TEST(AssignSiteTiers, MinimalPrefixOfCyclesBecomesHot) {
   const TierStats ts = AssignSiteTiers(profile, 0.9, &sites);
   // cum(100) = 0.625, cum(150) = 0.9375 >= 0.9 — two hot sites.
   EXPECT_EQ(ts.hot, 2u);
-  EXPECT_EQ(ts.cold, 2u);
   EXPECT_EQ(sites[0].tier, Tier::kHot);
   EXPECT_EQ(sites[1].tier, Tier::kHot);
-  EXPECT_EQ(sites[2].tier, Tier::kCold);
-  EXPECT_EQ(sites[3].tier, Tier::kCold);  // profiled at zero: cold, never hot
+  EXPECT_EQ(sites[2].tier, Tier::kWarm);  // profiled outside the hot set
+  EXPECT_EQ(sites[3].tier, Tier::kWarm);  // profiled at zero: never hot
 }
 
 TEST(AssignSiteTiers, ThresholdOneHotsEveryNonZeroSite) {
@@ -122,7 +125,7 @@ TEST(AssignSiteTiers, ThresholdOneHotsEveryNonZeroSite) {
   profile.cycles_by_site = {{0, 5}, {1, 5}, {2, 5}, {3, 0}};
   const TierStats ts = AssignSiteTiers(profile, 1.0, &sites);
   EXPECT_EQ(ts.hot, 3u);
-  EXPECT_EQ(sites[3].tier, Tier::kCold);
+  EXPECT_EQ(sites[3].tier, Tier::kWarm);
 }
 
 TEST(AssignSiteTiers, UnknownSiteIdsAreCountedAndIgnored) {
@@ -142,7 +145,6 @@ TEST(AssignSiteTiers, EmptyProfileLeavesEverySiteWarm) {
   std::vector<SiteRecord> sites = FourSites();
   const TierStats ts = AssignSiteTiers(TierProfile{}, 0.9, &sites);
   EXPECT_EQ(ts.hot, 0u);
-  EXPECT_EQ(ts.cold, 0u);
   for (const SiteRecord& s : sites) {
     EXPECT_EQ(s.tier, Tier::kWarm);
   }
@@ -154,8 +156,9 @@ TEST(AssignSiteTiers, AllZeroCyclesPromotesNothing) {
   profile.cycles_by_site = {{0, 0}, {1, 0}};
   const TierStats ts = AssignSiteTiers(profile, 0.9, &sites);
   EXPECT_EQ(ts.hot, 0u);
-  EXPECT_EQ(ts.cold, 2u);  // profiled-but-unexecuted sites are demoted
-  EXPECT_EQ(sites[2].tier, Tier::kWarm);
+  for (const SiteRecord& s : sites) {
+    EXPECT_EQ(s.tier, Tier::kWarm);  // profiled-but-unexecuted sites stay warm
+  }
 }
 
 TEST(AssignSiteTiers, SitemapJoinsByAddressAndShape) {
@@ -252,10 +255,12 @@ TieredRun RunWithTelemetry(const BinaryImage& image) {
   return r;
 }
 
-TierProfile ProfileFromRun(const BinaryImage& untiered_image) {
+TierProfile ProfileFromRun(const BinaryImage& untiered_image,
+                           std::vector<uint64_t> inputs = {}) {
   TelemetryRegistry reg;
   RunConfig cfg;
   cfg.policy = Policy::kLog;
+  cfg.inputs = std::move(inputs);
   cfg.telemetry = &reg;
   const RunOutcome out = RunImage(untiered_image, RuntimeKind::kRedFat, cfg);
   EXPECT_EQ(out.result.reason, HaltReason::kExit);
@@ -355,6 +360,37 @@ TEST(TieringEndToEnd, TieredRewriteIsDeterministicAcrossJobs) {
   }
 }
 
+// The README's tiering recipe on every Table 1 program, in process: a
+// profiled run of the hardened binary on the train input, a re-rewrite
+// against that profile joined through the profiled sitemap (`redfat
+// --profile= --profile-sitemap`), and both binaries run on ref. Tiering
+// must never cost guest cycles, nor change what the program computes.
+TEST(TieringEndToEnd, SpecSuiteTieredNeverCostsMoreCycles) {
+  for (const SpecBenchmark& bench : SpecSuite()) {
+    const BinaryImage img = BuildSpecBenchmark(bench);
+    RedFatTool plain(RedFatOptions{});
+    const InstrumentResult untiered = plain.Instrument(img).value();
+    TierProfile profile = ProfileFromRun(untiered.image, TrainInputs(40));
+    profile.sitemap = &untiered.sites;
+    RedFatOptions opts;
+    opts.tier_profile = &profile;
+    RedFatTool tiered_tool(opts);
+    const InstrumentResult tiered = tiered_tool.Instrument(img).value();
+
+    RunConfig ref;
+    ref.policy = Policy::kLog;
+    ref.inputs = RefInputs(100);
+    const RunOutcome a = RunImage(untiered.image, RuntimeKind::kRedFat, ref);
+    const RunOutcome b = RunImage(tiered.image, RuntimeKind::kRedFat, ref);
+    EXPECT_EQ(b.outputs, a.outputs) << bench.name;
+    EXPECT_LE(b.result.cycles, a.result.cycles)
+        << bench.name << ": tiered "
+        << 100.0 * (static_cast<double>(b.result.cycles) / static_cast<double>(a.result.cycles) -
+                    1.0)
+        << " % over untiered";
+  }
+}
+
 // --- tier column in the site map --------------------------------------------
 
 TEST(TieringSiteMap, TierColumnRoundTripsAndStaysOptional) {
@@ -364,7 +400,6 @@ TEST(TieringSiteMap, TierColumnRoundTripsAndStaysOptional) {
   EXPECT_EQ(untiered_text.find("tier"), std::string::npos);
 
   sites[1].tier = Tier::kHot;
-  sites[2].tier = Tier::kCold;
   const std::string tiered_text = SerializeSiteMap(sites);
   EXPECT_NE(tiered_text.find(" hot"), std::string::npos);
 
@@ -383,7 +418,18 @@ TEST(TieringSiteMap, TierColumnRoundTripsAndStaysOptional) {
   ASSERT_EQ(parsed.value().size(), sites.size());
   EXPECT_EQ(parsed.value()[0].tier, Tier::kWarm);
   EXPECT_EQ(parsed.value()[1].tier, Tier::kHot);
-  EXPECT_EQ(parsed.value()[2].tier, Tier::kCold);
+  EXPECT_EQ(parsed.value()[2].tier, Tier::kWarm);
+}
+
+// Builds before the cold tier was removed wrote `cold` in the tier column;
+// such a map is rejected with the typed unknown-tier error, not misread.
+TEST(TieringSiteMap, ColdColumnFromAnOlderBuildIsRejected) {
+  const std::vector<std::string> lines = {"# redfat site map: id addr rw kind tier",
+                                          "0 0x400000 w full hot",
+                                          "1 0x400010 r full cold"};
+  Result<std::vector<SiteRecord>> parsed = ParseSiteMap(lines);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_NE(parsed.error().find("unknown tier 'cold'"), std::string::npos) << parsed.error();
 }
 
 }  // namespace

@@ -225,8 +225,9 @@ Leg DebugTierLeg(const BinaryImage& hardened, bool forward) {
   };
 }
 
-// Memcheck as RunMemcheck runs it, or, with `forward`, the same run with
-// the observer reached only through a ForwardingObserver.
+// Memcheck as RunMemcheck runs it, or, with `forward`, the same run (the
+// Memcheck allocator and a ShadowCheckObserver) with the observer reached
+// only through a ForwardingObserver.
 Leg MemcheckLeg(const BinaryImage& img, bool forward) {
   return [&img, forward](const RunConfig& c, std::string*) {
     if (!forward) {
@@ -234,7 +235,8 @@ Leg MemcheckLeg(const BinaryImage& img, bool forward) {
     }
     Vm vm(c.model);
     Memcheck memcheck;
-    ForwardingObserver forwarder(&memcheck);
+    ShadowCheckObserver shadow;
+    ForwardingObserver forwarder(&shadow);
     vm.set_allocator(&memcheck);
     vm.set_observer(&forwarder);
     vm.set_policy(c.policy);
