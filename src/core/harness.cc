@@ -28,7 +28,7 @@ RunOutcome RunImages(const std::vector<const BinaryImage*>& images, RuntimeKind 
   ShadowRedFatAllocator libredfat_shadow(ropts.quarantine_slots);
   DebugRedFatAllocator libredfat_debug(ropts);
   // The allocator whose low-fat heap stats feed the telemetry gauges.
-  RedFatAllocator* gauged = nullptr;
+  const RedFatAllocator* gauged = nullptr;
   switch (runtime) {
     case RuntimeKind::kBaseline:
       vm.set_allocator(&glibc);
@@ -48,6 +48,11 @@ RunOutcome RunImages(const std::vector<const BinaryImage*>& images, RuntimeKind 
       gauged = &libredfat_debug;
       break;
   }
+  return RunBound(vm, images, config, gauged);
+}
+
+RunOutcome RunBound(Vm& vm, const std::vector<const BinaryImage*>& images,
+                    const RunConfig& config, const RedFatAllocator* gauged) {
   if (config.observer != nullptr) {
     vm.set_observer(config.observer);
   }

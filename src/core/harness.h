@@ -21,6 +21,7 @@
 
 namespace redfat {
 
+class RedFatAllocator;
 class SampleProfiler;
 
 // kRedFatShadow binds the ASAN-style shadow runtime; only meaningful for
@@ -31,7 +32,8 @@ class SampleProfiler;
 // (src/shadow/shadow.h), so a DBI shadow-check observer
 // (src/dbi/shadow_check.h) can classify every uninstrumented access. The
 // Memcheck baseline marks the same map and runs the same observer, but
-// with its own allocator, through RunMemcheck (src/dbi/memcheck.h).
+// with its own allocator, through RunMemcheck (src/dbi/memcheck.h) and the
+// same run body (RunBound).
 enum class RuntimeKind { kBaseline, kRedFat, kRedFatShadow, kRedFatDebug };
 
 struct RunConfig {
@@ -123,6 +125,15 @@ RunOutcome RunImage(const BinaryImage& image, RuntimeKind runtime, const RunConf
 // carry checks at runtime.
 RunOutcome RunImages(const std::vector<const BinaryImage*>& images, RuntimeKind runtime,
                      const RunConfig& config);
+
+// The run body behind RunImages and RunMemcheck (src/dbi/memcheck.h): `vm`
+// is fresh, built with config.model, its allocator bound and that
+// allocator's tables written. Runs `images` with the rest of `config` and
+// returns the outcome, writing the run-level telemetry, the vm.run trace
+// slice and the forensic reports. `gauged`, when set, is the allocator whose
+// low-fat heap stats feed the telemetry gauges.
+RunOutcome RunBound(Vm& vm, const std::vector<const BinaryImage*>& images,
+                    const RunConfig& config, const RedFatAllocator* gauged = nullptr);
 
 // Dynamic coverage (Table 1 "coverage" column): fraction of executed,
 // instrumented memory operations protected by the full (Redzone)+(LowFat)

@@ -47,40 +47,9 @@ RunOutcome RunMemcheck(const BinaryImage& image, const RunConfig& config,
   Memcheck memcheck(costs);
   ShadowCheckObserver observer(costs);
   vm.set_allocator(&memcheck);
-  vm.set_observer(&observer);
-  vm.set_policy(config.policy);
-  vm.set_inputs(config.inputs);
-  vm.set_rng_seed(config.rng_seed);
-  vm.set_instruction_limit(config.instruction_limit);
-  vm.set_engine(config.engine);
-  vm.set_chaining(config.chain);
-  vm.set_specialize(config.specialize);
-  if (config.code_cache_size != 0) {
-    vm.set_code_cache_size(config.code_cache_size);
-  }
-  if (config.metrics_epoch != 0 && config.on_epoch) {
-    vm.set_epoch_hook(config.metrics_epoch, config.on_epoch);
-  }
-  vm.set_telemetry(config.telemetry);
-  vm.set_trace(config.trace);
-  vm.set_sampler(config.sampler);
-  vm.set_heap_observer(config.forensics);
-  vm.LoadImage(image);
-
-  RunOutcome out;
-  out.result = vm.Run();
-  out.outputs = vm.outputs();
-  out.errors = vm.mem_errors();
-  out.counters = vm.counters();
-  out.prof_counts = vm.prof_counts();
-  out.touched_pages = vm.memory().TouchedPages();
-  if (config.forensics != nullptr) {
-    for (const MemErrorReport& e : out.errors) {
-      out.forensic_reports.push_back(BuildForensicReport(
-          e, *config.forensics, vm.memory(), nullptr, config.forensic_tier));
-    }
-  }
-  return out;
+  RunConfig c = config;
+  c.observer = &observer;
+  return RunBound(vm, {&image}, c);
 }
 
 }  // namespace redfat

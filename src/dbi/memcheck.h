@@ -77,7 +77,8 @@ class Memcheck : public GuestAllocator {
 };
 
 // Runs the (uninstrumented) image under the Memcheck baseline: the
-// Memcheck allocator and a ShadowCheckObserver with the same costs.
+// Memcheck allocator and a ShadowCheckObserver with the same costs (in
+// place of config.observer), through the harness's run body (RunBound).
 RunOutcome RunMemcheck(const BinaryImage& image, const RunConfig& config,
                        MemcheckCostModel costs = MemcheckCostModel{});
 

@@ -36,11 +36,45 @@ inline uint64_t SubWithFlags(Flags& f, uint64_t a, uint64_t b) {
   return r;
 }
 
-inline void LogicFlags(Flags& f, uint64_t r) {
+// Sets the flags of a logic or multiply result and returns the result.
+inline uint64_t LogicFlags(Flags& f, uint64_t r) {
   f.zf = r == 0;
   f.sf = (r >> 63) != 0;
   f.cf = false;
   f.of = false;
+  return r;
+}
+
+// Sets the flags of a nonzero shift from its result and carry-out, and
+// returns the result. A zero shift leaves the flags alone.
+inline uint64_t ShiftFlags(Flags& f, uint64_t r, bool carry) {
+  f.zf = r == 0;
+  f.sf = (r >> 63) != 0;
+  f.cf = carry;
+  f.of = false;
+  return r;
+}
+
+// The high 64 bits of the unsigned 128-bit product.
+inline uint64_t MulHigh(uint64_t a, uint64_t b) {
+  return static_cast<uint64_t>((static_cast<unsigned __int128>(a) * b) >> 64);
+}
+
+// Whether jcc's condition `c` holds under the flags.
+inline bool CondHolds(const Flags& f, Cond c) {
+  switch (c) {
+    case Cond::kEq: return f.zf;
+    case Cond::kNe: return !f.zf;
+    case Cond::kUlt: return f.cf;
+    case Cond::kUle: return f.cf || f.zf;
+    case Cond::kUgt: return !f.cf && !f.zf;
+    case Cond::kUge: return !f.cf;
+    case Cond::kSlt: return f.sf != f.of;
+    case Cond::kSle: return f.zf || (f.sf != f.of);
+    case Cond::kSgt: return !f.zf && (f.sf == f.of);
+    case Cond::kSge: return f.sf == f.of;
+  }
+  REDFAT_FATAL("bad cond");
 }
 
 // Code-cache slot of a block entry address. Text and trampoline bases are
@@ -142,12 +176,7 @@ void Vm::TakeSampleNow() {
   sampler_next_ += sampler_->period();
 }
 
-bool Vm::InTrampoline(uint64_t addr) const { return TrampImageAt(addr) >= 0; }
-
-int Vm::TrampImageAt(uint64_t addr) const {
-  const TrampRange* r = TrampRangeAt(addr);
-  return r != nullptr ? static_cast<int>(r->image) : -1;
-}
+bool Vm::InTrampoline(uint64_t addr) const { return TrampRangeAt(addr) != nullptr; }
 
 const Vm::TrampRange* Vm::TrampRangeAt(uint64_t addr) const {
   for (const TrampRange& r : tramp_ranges_) {
@@ -436,34 +465,6 @@ void Vm::InsertBlock(Block* b) {
   place(b);
 }
 
-uint64_t Vm::EffectiveAddress(const MemOperand& mem, uint64_t next_rip) const {
-  return ComputeEffectiveAddress(cpu_, mem, next_rip);
-}
-
-void Vm::SetFlagsLogic(uint64_t result) {
-  cpu_.flags.zf = result == 0;
-  cpu_.flags.sf = (result >> 63) != 0;
-  cpu_.flags.cf = false;
-  cpu_.flags.of = false;
-}
-
-bool Vm::EvalCond(Cond c) const {
-  const Flags& f = cpu_.flags;
-  switch (c) {
-    case Cond::kEq: return f.zf;
-    case Cond::kNe: return !f.zf;
-    case Cond::kUlt: return f.cf;
-    case Cond::kUle: return f.cf || f.zf;
-    case Cond::kUgt: return !f.cf && !f.zf;
-    case Cond::kUge: return !f.cf;
-    case Cond::kSlt: return f.sf != f.of;
-    case Cond::kSle: return f.zf || (f.sf != f.of);
-    case Cond::kSgt: return !f.zf && (f.sf == f.of);
-    case Cond::kSge: return f.sf == f.of;
-  }
-  REDFAT_FATAL("bad cond");
-}
-
 bool Vm::ReportMemError(uint32_t site, ErrorKind kind) {
   return ReportMemErrorImpl(site, kind, 0, false);
 }
@@ -700,28 +701,28 @@ bool Vm::ExecuteOne(const Exec& ex, std::string* fault) {
       cycles_ += model_.basic;
       break;
     case Op::kLoad: {
-      const uint64_t addr = EffectiveAddress(in.mem, next_rip);
+      const uint64_t addr = ComputeEffectiveAddress(cpu_, in.mem, next_rip);
       cpu_.Set(in.r0, memory_.Read(addr, in.mem.access_size()));
       ++explicit_reads_;
       cycles_ += model_.mem;
       break;
     }
     case Op::kStoreR: {
-      const uint64_t addr = EffectiveAddress(in.mem, next_rip);
+      const uint64_t addr = ComputeEffectiveAddress(cpu_, in.mem, next_rip);
       memory_.Write(addr, cpu_.Get(in.r0), in.mem.access_size());
       ++explicit_writes_;
       cycles_ += model_.mem;
       break;
     }
     case Op::kStoreI: {
-      const uint64_t addr = EffectiveAddress(in.mem, next_rip);
+      const uint64_t addr = ComputeEffectiveAddress(cpu_, in.mem, next_rip);
       memory_.Write(addr, imm_se, in.mem.access_size());
       ++explicit_writes_;
       cycles_ += model_.mem;
       break;
     }
     case Op::kLea:
-      cpu_.Set(in.r0, EffectiveAddress(in.mem, next_rip));
+      cpu_.Set(in.r0, ComputeEffectiveAddress(cpu_, in.mem, next_rip));
       cycles_ += model_.basic;
       break;
     case Op::kAddRR:
@@ -740,29 +741,18 @@ bool Vm::ExecuteOne(const Exec& ex, std::string* fault) {
       cpu_.Set(in.r0, do_sub(cpu_.Get(in.r0), imm_se));
       cycles_ += model_.basic;
       break;
-    case Op::kImulRR: {
-      const uint64_t r = cpu_.Get(in.r0) * cpu_.Get(in.r1);
-      cpu_.Set(in.r0, r);
-      SetFlagsLogic(r);
+    case Op::kImulRR:
+      cpu_.Set(in.r0, LogicFlags(f, cpu_.Get(in.r0) * cpu_.Get(in.r1)));
       cycles_ += model_.mul;
       break;
-    }
-    case Op::kImulRI: {
-      const uint64_t r = cpu_.Get(in.r0) * imm_se;
-      cpu_.Set(in.r0, r);
-      SetFlagsLogic(r);
+    case Op::kImulRI:
+      cpu_.Set(in.r0, LogicFlags(f, cpu_.Get(in.r0) * imm_se));
       cycles_ += model_.mul;
       break;
-    }
-    case Op::kMulhRR: {
-      const uint64_t r = static_cast<uint64_t>(
-          (static_cast<unsigned __int128>(cpu_.Get(in.r0)) *
-           static_cast<unsigned __int128>(cpu_.Get(in.r1))) >> 64);
-      cpu_.Set(in.r0, r);
-      SetFlagsLogic(r);
+    case Op::kMulhRR:
+      cpu_.Set(in.r0, LogicFlags(f, MulHigh(cpu_.Get(in.r0), cpu_.Get(in.r1))));
       cycles_ += model_.mul;
       break;
-    }
     case Op::kAndRR: case Op::kAndRI:
     case Op::kOrRR: case Op::kOrRI:
     case Op::kXorRR: case Op::kXorRI: {
@@ -777,8 +767,7 @@ bool Vm::ExecuteOne(const Exec& ex, std::string* fault) {
       } else {
         r ^= b;
       }
-      cpu_.Set(in.r0, r);
-      SetFlagsLogic(r);
+      cpu_.Set(in.r0, LogicFlags(f, r));
       cycles_ += model_.basic;
       break;
     }
@@ -804,11 +793,7 @@ bool Vm::ExecuteOne(const Exec& ex, std::string* fault) {
         carry = ((a >> (c - 1)) & 1) != 0;
         r = a >> c;
       }
-      cpu_.Set(in.r0, r);
-      f.zf = r == 0;
-      f.sf = (r >> 63) != 0;
-      f.cf = carry;
-      f.of = false;
+      cpu_.Set(in.r0, ShiftFlags(f, r, carry));
       break;
     }
     case Op::kCmpRR:
@@ -820,7 +805,7 @@ bool Vm::ExecuteOne(const Exec& ex, std::string* fault) {
       cycles_ += model_.basic;
       break;
     case Op::kTestRR:
-      SetFlagsLogic(cpu_.Get(in.r0) & cpu_.Get(in.r1));
+      LogicFlags(f, cpu_.Get(in.r0) & cpu_.Get(in.r1));
       cycles_ += model_.basic;
       break;
     case Op::kJmp:
@@ -832,7 +817,7 @@ bool Vm::ExecuteOne(const Exec& ex, std::string* fault) {
       cycles_ += model_.call_ret;
       break;
     case Op::kJcc:
-      if (EvalCond(in.cond)) {
+      if (CondHolds(f, in.cond)) {
         new_rip = next_rip + imm_se;
       }
       cycles_ += model_.branch;
@@ -973,8 +958,44 @@ template <bool kObserved>
 size_t Vm::ExecSpecsImpl(Exec* execs, size_t count, size_t budget,
                          std::string* fault, bool* faulted) {
   const size_t n = count < budget ? count : budget;
+  if (n == 0) {
+    return 0;
+  }
+  // Handler addresses in SpecOp order (GNU labels-as-values). Every handler
+  // ends in its own indirect jump to the next one, so the host predicts each
+  // guest instruction's successor apart from the others'.
+  static const void* const kDispatch[] = {
+      &&generic, &&nop, &&mov_ri, &&mov_rr, &&lea, &&load, &&store_r, &&store_i,
+      &&add_rr, &&add_ri, &&sub_rr, &&sub_ri, &&and_rr, &&and_ri, &&or_rr, &&or_ri,
+      &&xor_rr, &&xor_ri, &&shl_ri, &&shr_ri, &&sar_ri, &&imul_rr, &&imul_ri, &&mulh_rr,
+      &&cmp_rr, &&cmp_ri, &&test_rr, &&count_site, &&cmp_rr_jcc, &&cmp_ri_jcc, &&test_rr_jcc,
+      &&jmp, &&jcc, &&jmp_r, &&call, &&call_r, &&ret, &&push, &&pop,
+  };
+  static_assert(sizeof(kDispatch) / sizeof(kDispatch[0]) == kNumSpecOps);
   uint64_t* const regs = cpu_.regs;
   Flags& f = cpu_.flags;
+  const CycleModel& m = model_;
+  // The counters live in locals for the whole call: guest stores write
+  // through uint8_t*, which may alias *this, so member counters would be
+  // loaded and stored on every instruction. They are written back before
+  // code that reads them runs (ExecuteOne, an observer call) and on every
+  // return.
+  uint64_t insns = instructions_;
+  uint64_t cycles = cycles_;
+  uint64_t reads = explicit_reads_;
+  uint64_t writes = explicit_writes_;
+  auto write_back = [&] {
+    instructions_ = insns;
+    cycles_ = cycles;
+    explicit_reads_ = reads;
+    explicit_writes_ = writes;
+  };
+  auto reload = [&] {
+    insns = instructions_;
+    cycles = cycles_;
+    reads = explicit_reads_;
+    writes = explicit_writes_;
+  };
   auto ea = [regs](const Spec& s) {
     uint64_t a = static_cast<uint64_t>(s.disp);
     if (s.base != 0xff) {
@@ -985,306 +1006,289 @@ size_t Vm::ExecSpecsImpl(Exec* execs, size_t count, size_t budget,
     }
     return a;
   };
-  size_t i = 0;
-  while (i < n) {
-    Exec& ex = execs[i];
-    const Spec& s = ex.spec;
-    if constexpr (kObserved) {
-      if (!Observe(ex, s.next - ex.length)) {
-        return i;  // the observer halted the run; rip is this instruction's
-      }
-    }
-    ++instructions_;
-    switch (static_cast<SpecOp>(s.op)) {
-      case kSNop:
-        cycles_ += model_.basic;
-        break;
-      case kSMovRI:
-        regs[s.r0] = static_cast<uint64_t>(s.imm);
-        cycles_ += model_.basic;
-        break;
-      case kSMovRR:
-        regs[s.r0] = regs[s.r1];
-        cycles_ += model_.basic;
-        break;
-      case kSLea:
-        regs[s.r0] = ea(s);
-        cycles_ += model_.basic;
-        break;
-      case kSLoad:
-        regs[s.r0] = memory_.ReadFast(ea(s), s.size);
-        ++explicit_reads_;
-        cycles_ += model_.mem;
-        break;
-      case kSStoreR:
-        memory_.WriteFast(ea(s), regs[s.r0], s.size);
-        ++explicit_writes_;
-        cycles_ += model_.mem;
-        break;
-      case kSStoreI:
-        memory_.WriteFast(ea(s), static_cast<uint64_t>(s.imm), s.size);
-        ++explicit_writes_;
-        cycles_ += model_.mem;
-        break;
-      case kSAddRR:
-        regs[s.r0] = AddWithFlags(f, regs[s.r0], regs[s.r1]);
-        cycles_ += model_.basic;
-        break;
-      case kSAddRI:
-        regs[s.r0] = AddWithFlags(f, regs[s.r0], static_cast<uint64_t>(s.imm));
-        cycles_ += model_.basic;
-        break;
-      case kSSubRR:
-        regs[s.r0] = SubWithFlags(f, regs[s.r0], regs[s.r1]);
-        cycles_ += model_.basic;
-        break;
-      case kSSubRI:
-        regs[s.r0] = SubWithFlags(f, regs[s.r0], static_cast<uint64_t>(s.imm));
-        cycles_ += model_.basic;
-        break;
-      case kSAndRR: {
-        const uint64_t r = regs[s.r0] & regs[s.r1];
-        regs[s.r0] = r;
-        LogicFlags(f, r);
-        cycles_ += model_.basic;
-        break;
-      }
-      case kSAndRI: {
-        const uint64_t r = regs[s.r0] & static_cast<uint64_t>(s.imm);
-        regs[s.r0] = r;
-        LogicFlags(f, r);
-        cycles_ += model_.basic;
-        break;
-      }
-      case kSOrRR: {
-        const uint64_t r = regs[s.r0] | regs[s.r1];
-        regs[s.r0] = r;
-        LogicFlags(f, r);
-        cycles_ += model_.basic;
-        break;
-      }
-      case kSOrRI: {
-        const uint64_t r = regs[s.r0] | static_cast<uint64_t>(s.imm);
-        regs[s.r0] = r;
-        LogicFlags(f, r);
-        cycles_ += model_.basic;
-        break;
-      }
-      case kSXorRR: {
-        const uint64_t r = regs[s.r0] ^ regs[s.r1];
-        regs[s.r0] = r;
-        LogicFlags(f, r);
-        cycles_ += model_.basic;
-        break;
-      }
-      case kSXorRI: {
-        const uint64_t r = regs[s.r0] ^ static_cast<uint64_t>(s.imm);
-        regs[s.r0] = r;
-        LogicFlags(f, r);
-        cycles_ += model_.basic;
-        break;
-      }
-      case kSShlRI: {
-        cycles_ += model_.basic;
-        const unsigned c = static_cast<unsigned>(s.imm & 63);
-        if (c != 0) {  // x86: zero shift leaves flags unchanged
-          const uint64_t a = regs[s.r0];
-          const uint64_t r = a << c;
-          regs[s.r0] = r;
-          f.zf = r == 0;
-          f.sf = (r >> 63) != 0;
-          f.cf = ((a >> (64 - c)) & 1) != 0;
-          f.of = false;
-        }
-        break;
-      }
-      case kSShrRI: {
-        cycles_ += model_.basic;
-        const unsigned c = static_cast<unsigned>(s.imm & 63);
-        if (c != 0) {
-          const uint64_t a = regs[s.r0];
-          const uint64_t r = a >> c;
-          regs[s.r0] = r;
-          f.zf = r == 0;
-          f.sf = (r >> 63) != 0;
-          f.cf = ((a >> (c - 1)) & 1) != 0;
-          f.of = false;
-        }
-        break;
-      }
-      case kSSarRI: {
-        cycles_ += model_.basic;
-        const unsigned c = static_cast<unsigned>(s.imm & 63);
-        if (c != 0) {
-          const uint64_t a = regs[s.r0];
-          const uint64_t r = static_cast<uint64_t>(static_cast<int64_t>(a) >> c);
-          regs[s.r0] = r;
-          f.zf = r == 0;
-          f.sf = (r >> 63) != 0;
-          f.cf = ((a >> (c - 1)) & 1) != 0;
-          f.of = false;
-        }
-        break;
-      }
-      case kSImulRR: {
-        const uint64_t r = regs[s.r0] * regs[s.r1];
-        regs[s.r0] = r;
-        LogicFlags(f, r);
-        cycles_ += model_.mul;
-        break;
-      }
-      case kSImulRI: {
-        const uint64_t r = regs[s.r0] * static_cast<uint64_t>(s.imm);
-        regs[s.r0] = r;
-        LogicFlags(f, r);
-        cycles_ += model_.mul;
-        break;
-      }
-      case kSMulhRR: {
-        const uint64_t r = static_cast<uint64_t>(
-            (static_cast<unsigned __int128>(regs[s.r0]) *
-             static_cast<unsigned __int128>(regs[s.r1])) >> 64);
-        regs[s.r0] = r;
-        LogicFlags(f, r);
-        cycles_ += model_.mul;
-        break;
-      }
-      case kSCmpRR:
-        (void)SubWithFlags(f, regs[s.r0], regs[s.r1]);
-        cycles_ += model_.basic;
-        break;
-      case kSCmpRI:
-        (void)SubWithFlags(f, regs[s.r0], static_cast<uint64_t>(s.imm));
-        cycles_ += model_.basic;
-        break;
-      case kSTestRR:
-        LogicFlags(f, regs[s.r0] & regs[s.r1]);
-        cycles_ += model_.basic;
-        break;
-      case kSCount: {
-        // Zero cycles: measurement only. The counter cell pointer is cached
-        // in the spec on first execution (unordered_map values are
-        // node-stable); inserting it eagerly at decode time would create
-        // zero-count entries the step engine never makes.
-        Spec& sm = ex.spec;
-        uint64_t* cell = reinterpret_cast<uint64_t*>(sm.target);
-        if (cell == nullptr) {
-          cell = &counters_[static_cast<uint32_t>(sm.imm)];
-          sm.target = reinterpret_cast<uint64_t>(cell);
-        }
-        ++*cell;
-        if (tshard_ != nullptr || trace_ != nullptr || sampler_ != nullptr) {
-          OnCountSite(static_cast<uint32_t>(sm.imm));
-        }
-        break;
-      }
-      case kSCmpRRJcc:
-      case kSCmpRIJcc:
-      case kSTestRRJcc: {
-        // Fused only when the budget covers both halves; otherwise the
-        // compare runs alone and the Jcc re-enters as its own (tail) block.
-        const bool fuse = i + 2 <= n;
-        if (s.op == kSCmpRRJcc) {
-          (void)SubWithFlags(f, regs[s.r0], regs[s.r1]);
-        } else if (s.op == kSCmpRIJcc) {
-          (void)SubWithFlags(f, regs[s.r0], static_cast<uint64_t>(s.imm));
-        } else {
-          LogicFlags(f, regs[s.r0] & regs[s.r1]);
-        }
-        cycles_ += model_.basic;
-        if (!fuse) {
-          break;
-        }
-        const Spec& j = execs[i + 1].spec;
-        ++instructions_;
-        if constexpr (kObserved) {
-          cycles_ += execs[i + 1].obs_cycles;  // only charge-only Jccs fuse
-        }
-        cycles_ += model_.branch;
-        cpu_.rip = EvalCond(static_cast<Cond>(j.cond)) ? j.target : j.next;
-        ++i;  // the Jcc half; `transfer` steps past it
-        goto transfer;
-      }
-      case kSJmp:
-        cycles_ += model_.branch;
-        cpu_.rip = s.target;
-        goto transfer;
-      case kSJcc:
-        cycles_ += model_.branch;
-        cpu_.rip = EvalCond(static_cast<Cond>(s.cond)) ? s.target : s.next;
-        goto transfer;
-      case kSJmpR:
-        cycles_ += model_.call_ret;
-        cpu_.rip = regs[s.r0];
-        goto transfer;
-      case kSCall: {
-        const uint64_t rsp = regs[4] - 8;  // 4 = RegIndex(kRsp)
-        regs[4] = rsp;
-        memory_.WriteFast(rsp, s.next, 8);
-        cycles_ += model_.call_ret;
-        cpu_.rip = s.target;
-        goto transfer;
-      }
-      case kSCallR: {
-        const uint64_t rsp = regs[4] - 8;
-        regs[4] = rsp;
-        memory_.WriteFast(rsp, s.next, 8);
-        cycles_ += model_.call_ret;
-        cpu_.rip = regs[s.r0];  // after the push, like the reference
-        goto transfer;
-      }
-      case kSRet: {
-        const uint64_t rsp = regs[4];
-        cpu_.rip = memory_.ReadFast(rsp, 8);
-        regs[4] = rsp + 8;
-        cycles_ += model_.call_ret;
-        goto transfer;
-      }
-      case kSPush: {
-        const uint64_t rsp = regs[4] - 8;
-        regs[4] = rsp;
-        memory_.WriteFast(rsp, regs[s.r0], 8);
-        cycles_ += model_.push_pop;
-        break;
-      }
-      case kSPop: {
-        const uint64_t rsp = regs[4];
-        regs[s.r0] = memory_.ReadFast(rsp, 8);
-        regs[4] = rsp + 8;  // after the load, so `pop rsp` matches the reference
-        cycles_ += model_.push_pop;
-        break;
-      }
-      case kSGeneric:
-        // The reference interpreter needs rip materialized (it computes
-        // next_rip itself and reporting paths read it).
-        cpu_.rip = s.next - ex.length;
-        if (!ExecuteOne(ex, fault)) {
-          *faulted = true;
-          return i;  // instructions_ already counts the faulting instruction
-        }
-        if (halt_) {
-          return i + 1;  // rip set by ExecuteOne
-        }
-        break;
-    }
-    ++i;
-    continue;
-  transfer:
-    // A control transfer ends a block, or a trace segment. Inside a trace
-    // lap, go on only if it reached the next segment's entry (the guard);
-    // otherwise exit with rip at the actual target.
-    ++i;
-    if (i < n && execs[i].spec.next - execs[i].length == cpu_.rip) {
-      continue;
-    }
-    return i;
+  Exec* ex = execs;
+  Exec* const end = execs + n;
+  const Spec* s = nullptr;  // &ex->spec
+
+// Enters *ex: the observer's part first (a charge-only plan just adds its
+// cycles to the local), then the handler.
+#define REDFAT_ENTER()                  \
+  do {                                  \
+    if (kObserved) {                    \
+      if (ex->obs != kObsCharge) {      \
+        goto observe;                   \
+      }                                 \
+      cycles += ex->obs_cycles;         \
+    }                                   \
+    ++insns;                            \
+    s = &ex->spec;                      \
+    goto *kDispatch[s->op];             \
+  } while (0)
+// Straight-line successor: the next exec, or the straight exit.
+#define REDFAT_NEXT()                   \
+  do {                                  \
+    if (++ex == end) {                  \
+      goto straight;                    \
+    }                                   \
+    REDFAT_ENTER();                     \
+  } while (0)
+// A control transfer ends a block, or a trace segment. Inside a trace lap,
+// go on only if it reached the next segment's entry (the guard); otherwise
+// exit with rip at the actual target.
+#define REDFAT_TRANSFER(target)                                    \
+  do {                                                             \
+    cpu_.rip = (target);                                           \
+    if (++ex == end || ex->spec.next - ex->length != cpu_.rip) {   \
+      goto left;                                                   \
+    }                                                              \
+    REDFAT_ENTER();                                                \
+  } while (0)
+
+  REDFAT_ENTER();
+
+observe:
+  // A planned check or an unplanned call, which read the counters and may
+  // add cycles or halt the run.
+  write_back();
+  if (!Observe(*ex, ex->spec.next - ex->length)) {
+    return static_cast<size_t>(ex - execs);  // rip is this instruction's
   }
-  if (i != 0) {
-    // Straight-line exit (budget cap, or a block that ends without control
-    // flow): fall through to the next address.
-    cpu_.rip = execs[i - 1].spec.next;
+  reload();
+  ++insns;
+  s = &ex->spec;
+  goto *kDispatch[s->op];
+
+nop:
+  cycles += m.basic;
+  REDFAT_NEXT();
+mov_ri:
+  regs[s->r0] = static_cast<uint64_t>(s->imm);
+  cycles += m.basic;
+  REDFAT_NEXT();
+mov_rr:
+  regs[s->r0] = regs[s->r1];
+  cycles += m.basic;
+  REDFAT_NEXT();
+lea:
+  regs[s->r0] = ea(*s);
+  cycles += m.basic;
+  REDFAT_NEXT();
+load:
+  regs[s->r0] = memory_.ReadFast(ea(*s), s->size);
+  ++reads;
+  cycles += m.mem;
+  REDFAT_NEXT();
+store_r:
+  memory_.WriteFast(ea(*s), regs[s->r0], s->size);
+  ++writes;
+  cycles += m.mem;
+  REDFAT_NEXT();
+store_i:
+  memory_.WriteFast(ea(*s), static_cast<uint64_t>(s->imm), s->size);
+  ++writes;
+  cycles += m.mem;
+  REDFAT_NEXT();
+add_rr:
+  regs[s->r0] = AddWithFlags(f, regs[s->r0], regs[s->r1]);
+  cycles += m.basic;
+  REDFAT_NEXT();
+add_ri:
+  regs[s->r0] = AddWithFlags(f, regs[s->r0], static_cast<uint64_t>(s->imm));
+  cycles += m.basic;
+  REDFAT_NEXT();
+sub_rr:
+  regs[s->r0] = SubWithFlags(f, regs[s->r0], regs[s->r1]);
+  cycles += m.basic;
+  REDFAT_NEXT();
+sub_ri:
+  regs[s->r0] = SubWithFlags(f, regs[s->r0], static_cast<uint64_t>(s->imm));
+  cycles += m.basic;
+  REDFAT_NEXT();
+and_rr:
+  regs[s->r0] = LogicFlags(f, regs[s->r0] & regs[s->r1]);
+  cycles += m.basic;
+  REDFAT_NEXT();
+and_ri:
+  regs[s->r0] = LogicFlags(f, regs[s->r0] & static_cast<uint64_t>(s->imm));
+  cycles += m.basic;
+  REDFAT_NEXT();
+or_rr:
+  regs[s->r0] = LogicFlags(f, regs[s->r0] | regs[s->r1]);
+  cycles += m.basic;
+  REDFAT_NEXT();
+or_ri:
+  regs[s->r0] = LogicFlags(f, regs[s->r0] | static_cast<uint64_t>(s->imm));
+  cycles += m.basic;
+  REDFAT_NEXT();
+xor_rr:
+  regs[s->r0] = LogicFlags(f, regs[s->r0] ^ regs[s->r1]);
+  cycles += m.basic;
+  REDFAT_NEXT();
+xor_ri:
+  regs[s->r0] = LogicFlags(f, regs[s->r0] ^ static_cast<uint64_t>(s->imm));
+  cycles += m.basic;
+  REDFAT_NEXT();
+shl_ri: {
+  cycles += m.basic;
+  const unsigned c = static_cast<unsigned>(s->imm & 63);
+  if (c != 0) {  // x86: zero shift leaves flags unchanged
+    const uint64_t a = regs[s->r0];
+    regs[s->r0] = ShiftFlags(f, a << c, ((a >> (64 - c)) & 1) != 0);
   }
-  return i;
+  REDFAT_NEXT();
+}
+shr_ri: {
+  cycles += m.basic;
+  const unsigned c = static_cast<unsigned>(s->imm & 63);
+  if (c != 0) {
+    const uint64_t a = regs[s->r0];
+    regs[s->r0] = ShiftFlags(f, a >> c, ((a >> (c - 1)) & 1) != 0);
+  }
+  REDFAT_NEXT();
+}
+sar_ri: {
+  cycles += m.basic;
+  const unsigned c = static_cast<unsigned>(s->imm & 63);
+  if (c != 0) {
+    const uint64_t a = regs[s->r0];
+    regs[s->r0] = ShiftFlags(f, static_cast<uint64_t>(static_cast<int64_t>(a) >> c),
+                             ((a >> (c - 1)) & 1) != 0);
+  }
+  REDFAT_NEXT();
+}
+imul_rr:
+  regs[s->r0] = LogicFlags(f, regs[s->r0] * regs[s->r1]);
+  cycles += m.mul;
+  REDFAT_NEXT();
+imul_ri:
+  regs[s->r0] = LogicFlags(f, regs[s->r0] * static_cast<uint64_t>(s->imm));
+  cycles += m.mul;
+  REDFAT_NEXT();
+mulh_rr:
+  regs[s->r0] = LogicFlags(f, MulHigh(regs[s->r0], regs[s->r1]));
+  cycles += m.mul;
+  REDFAT_NEXT();
+cmp_rr:
+  (void)SubWithFlags(f, regs[s->r0], regs[s->r1]);
+  cycles += m.basic;
+  REDFAT_NEXT();
+cmp_ri:
+  (void)SubWithFlags(f, regs[s->r0], static_cast<uint64_t>(s->imm));
+  cycles += m.basic;
+  REDFAT_NEXT();
+test_rr:
+  (void)LogicFlags(f, regs[s->r0] & regs[s->r1]);
+  cycles += m.basic;
+  REDFAT_NEXT();
+count_site: {
+  // Zero cycles: measurement only. The counter cell pointer is cached in the
+  // spec on first execution (unordered_map values are node-stable);
+  // inserting it eagerly at decode time would create zero-count entries the
+  // step engine never makes.
+  Spec& sm = ex->spec;
+  uint64_t* cell = reinterpret_cast<uint64_t*>(sm.target);
+  if (cell == nullptr) {
+    cell = &counters_[static_cast<uint32_t>(sm.imm)];
+    sm.target = reinterpret_cast<uint64_t>(cell);
+  }
+  ++*cell;
+  if (tshard_ != nullptr || trace_ != nullptr || sampler_ != nullptr) {
+    OnCountSite(static_cast<uint32_t>(sm.imm));
+  }
+  REDFAT_NEXT();
+}
+// cmp/test+jcc, fused only when the budget covers both halves; otherwise the
+// compare runs alone and the Jcc re-enters as its own (tail) block.
+cmp_rr_jcc:
+  (void)SubWithFlags(f, regs[s->r0], regs[s->r1]);
+  goto fused_jcc;
+cmp_ri_jcc:
+  (void)SubWithFlags(f, regs[s->r0], static_cast<uint64_t>(s->imm));
+  goto fused_jcc;
+test_rr_jcc:
+  (void)LogicFlags(f, regs[s->r0] & regs[s->r1]);
+fused_jcc:
+  cycles += m.basic;
+  if (end - ex < 2) {
+    REDFAT_NEXT();
+  }
+  ++ex;  // the Jcc half
+  ++insns;
+  if (kObserved) {
+    cycles += ex->obs_cycles;  // only charge-only Jccs fuse
+  }
+  cycles += m.branch;
+  REDFAT_TRANSFER(CondHolds(f, static_cast<Cond>(ex->spec.cond)) ? ex->spec.target
+                                                                   : ex->spec.next);
+jmp:
+  cycles += m.branch;
+  REDFAT_TRANSFER(s->target);
+jcc:
+  cycles += m.branch;
+  REDFAT_TRANSFER(CondHolds(f, static_cast<Cond>(s->cond)) ? s->target : s->next);
+jmp_r:
+  cycles += m.call_ret;
+  REDFAT_TRANSFER(regs[s->r0]);
+call: {
+  const uint64_t rsp = regs[4] - 8;  // 4 = RegIndex(kRsp)
+  regs[4] = rsp;
+  memory_.WriteFast(rsp, s->next, 8);
+  cycles += m.call_ret;
+  REDFAT_TRANSFER(s->target);
+}
+call_r: {
+  const uint64_t rsp = regs[4] - 8;
+  regs[4] = rsp;
+  memory_.WriteFast(rsp, s->next, 8);
+  cycles += m.call_ret;
+  REDFAT_TRANSFER(regs[s->r0]);  // after the push, like the reference
+}
+ret: {
+  const uint64_t rsp = regs[4];
+  const uint64_t target = memory_.ReadFast(rsp, 8);
+  regs[4] = rsp + 8;
+  cycles += m.call_ret;
+  REDFAT_TRANSFER(target);
+}
+push: {
+  const uint64_t rsp = regs[4] - 8;
+  regs[4] = rsp;
+  memory_.WriteFast(rsp, regs[s->r0], 8);
+  cycles += m.push_pop;
+  REDFAT_NEXT();
+}
+pop: {
+  const uint64_t rsp = regs[4];
+  regs[s->r0] = memory_.ReadFast(rsp, 8);
+  regs[4] = rsp + 8;  // after the load, so `pop rsp` matches the reference
+  cycles += m.push_pop;
+  REDFAT_NEXT();
+}
+generic:
+  // The reference interpreter needs rip materialized (it computes next_rip
+  // itself and reporting paths read it) and the counters current.
+  cpu_.rip = s->next - ex->length;
+  write_back();
+  if (!ExecuteOne(*ex, fault)) {
+    *faulted = true;
+    return static_cast<size_t>(ex - execs);  // instructions_ counts the faulting one
+  }
+  if (halt_) {
+    return static_cast<size_t>(ex - execs) + 1;  // rip set by ExecuteOne
+  }
+  reload();
+  REDFAT_NEXT();
+
+straight:
+  // Budget cap, or a block that ends without control flow: fall through to
+  // the next address.
+  cpu_.rip = ex[-1].spec.next;
+left:
+  write_back();
+  return static_cast<size_t>(ex - execs);
+#undef REDFAT_ENTER
+#undef REDFAT_NEXT
+#undef REDFAT_TRANSFER
 }
 
 void Vm::BeginTraceRecording(Block* head) {

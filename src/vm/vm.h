@@ -357,6 +357,7 @@ class Vm {
     // Block terminators with precomputed (kSJmp/kSJcc/kSCall) targets.
     kSJmp, kSJcc, kSJmpR, kSCall, kSCallR, kSRet,
     kSPush, kSPop,
+    kNumSpecOps,
   };
   struct Spec {
     uint8_t op = kSGeneric;  // SpecOp
@@ -477,9 +478,13 @@ class Vm {
   // exec starts at its target (the guard between a trace's segments).
   // Returns instructions executed (== execs consumed, counting a fused pair
   // as two of each). On return cpu_.rip is materialized to the next
-  // instruction to execute. The observed variant
-  // is the same loop with Observe ahead of each instruction, so runs with
-  // no observer pay nothing for it.
+  // instruction to execute. The handlers are threaded: each ends in its own
+  // indirect jump to the next one's label. The run's counters stay in locals
+  // and are written back before ExecuteOne, around an observer's check or
+  // call, and on every return. The observed variant is the same loop with
+  // the observer's part ahead of each instruction, so runs with no observer
+  // pay nothing for it; a charge-only plan adds its cycles with no
+  // write-back.
   size_t ExecSpecs(Exec* execs, size_t count, size_t budget,
                    std::string* fault, bool* faulted) {
     return observer_ == nullptr ? ExecSpecsImpl<false>(execs, count, budget, fault, faulted)
@@ -508,8 +513,6 @@ class Vm {
   // execution goes after the block.
   void RecordTraceBlock(const Block& b, uint64_t next_rip);
   void FinishTraceRecording(bool bake);
-  // Ordinal of the image whose trampoline section contains `addr`, or -1.
-  int TrampImageAt(uint64_t addr) const;
   // The trampoline/inline-check range containing `addr`, or null.
   const TrampRange* TrampRangeAt(uint64_t addr) const;
   // Telemetry key for `site` in the current trampoline's image: plain in
@@ -530,9 +533,6 @@ class Vm {
   }
   bool ReportMemErrorImpl(uint32_t site, ErrorKind kind, uint64_t addr,
                           bool has_addr);
-  uint64_t EffectiveAddress(const MemOperand& mem, uint64_t next_rip) const;
-  void SetFlagsLogic(uint64_t result);
-  bool EvalCond(Cond c) const;
   // Returns false if the run should halt; fills halt info.
   bool ExecuteOne(const Exec& ex, std::string* fault);
   bool DoHostCall(HostFn fn, std::string* fault);

@@ -3,6 +3,8 @@
 #include "src/dbi/memcheck.h"
 #include "src/dbi/shadow_check.h"
 #include "src/shadow/shadow.h"
+#include "src/support/telemetry.h"
+#include "src/support/trace.h"
 #include "src/workloads/builder.h"
 #include "src/workloads/synth.h"
 
@@ -103,6 +105,30 @@ TEST(Memcheck, DispatchCostDominates) {
   EXPECT_EQ(mc.outputs, base.outputs);
   EXPECT_GT(mc.result.cycles, 3 * base.result.cycles)
       << "DBI must be much slower than native";
+}
+
+// A Memcheck run goes through the harness's run body, so its sinks carry
+// the run-level entries every other runtime writes, and they agree with the
+// RunResult.
+TEST(Memcheck, RunLevelTelemetryMatchesTheResult) {
+  TelemetryRegistry telemetry;
+  TraceWriter trace;
+  RunConfig cfg;
+  cfg.policy = Policy::kLog;
+  cfg.inputs = {8};  // one redzone hit
+  cfg.telemetry = &telemetry;
+  cfg.trace = &trace;
+  const RunOutcome out = RunMemcheck(IndexedWriteProgram(), cfg);
+  ASSERT_EQ(out.result.reason, HaltReason::kExit);
+  const TelemetrySnapshot snap = telemetry.Snapshot();
+  EXPECT_EQ(snap.counters.at("vm.runs"), 1u);
+  EXPECT_EQ(snap.counters.at("vm.instructions"), out.result.instructions);
+  EXPECT_EQ(snap.counters.at("vm.cycles"), out.result.cycles);
+  EXPECT_EQ(snap.counters.at("vm.explicit_writes"), out.result.explicit_writes);
+  EXPECT_EQ(snap.counters.at("vm.mem_errors"), 1u);
+  EXPECT_EQ(snap.gauges.at("vm.touched_pages"), static_cast<double>(out.touched_pages));
+  EXPECT_GT(out.dispatch.blocks_built, 0u);
+  EXPECT_NE(trace.ToJson().find("\"vm.run\""), std::string::npos);
 }
 
 // A guest double free is a reported memory error, not a host abort: under

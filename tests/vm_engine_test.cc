@@ -8,9 +8,10 @@
 // mid-block / mid-chain / mid-trace, mem-error aborts at the same points,
 // hostcall/trap termination, one-instruction self-loops, code-cache flushes
 // with links pending and traces recording, TLB + chain invalidation
-// across LoadImage — and observed runs: the debug tier's shadow checker and
-// Memcheck, planned on the fast engine, and both again behind a decorator
-// that has no plan, in every mode.
+// across LoadImage, a hardened loop halted at every instruction of a traced
+// window (same registers, flags and heap-event counts) — and observed runs:
+// the debug tier's shadow checker and Memcheck, planned on the fast engine,
+// and both again behind a decorator that has no plan, in every mode.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,6 +29,8 @@
 #include "src/dbi/shadow_check.h"
 #include "src/heap/forensics.h"
 #include "src/heap/legacy_heap.h"
+#include "src/heap/lowfat.h"
+#include "src/heap/redfat_allocator.h"
 #include "src/support/rng.h"
 #include "src/support/str.h"
 #include "src/support/telemetry.h"
@@ -238,25 +241,9 @@ Leg MemcheckLeg(const BinaryImage& img, bool forward) {
     ShadowCheckObserver shadow;
     ForwardingObserver forwarder(&shadow);
     vm.set_allocator(&memcheck);
-    vm.set_observer(&forwarder);
-    vm.set_policy(c.policy);
-    vm.set_inputs(c.inputs);
-    vm.set_rng_seed(c.rng_seed);
-    vm.set_instruction_limit(c.instruction_limit);
-    vm.set_engine(c.engine);
-    vm.set_chaining(c.chain);
-    vm.set_specialize(c.specialize);
-    vm.set_telemetry(c.telemetry);
-    vm.set_trace(c.trace);
-    vm.LoadImage(img);
-    RunOutcome out;
-    out.result = vm.Run();
-    out.outputs = vm.outputs();
-    out.errors = vm.mem_errors();
-    out.counters = vm.counters();
-    out.prof_counts = vm.prof_counts();
-    out.touched_pages = vm.memory().TouchedPages();
-    return out;
+    RunConfig forwarded = c;
+    forwarded.observer = &forwarder;
+    return RunBound(vm, {&img}, forwarded);
   };
 }
 
@@ -1064,6 +1051,121 @@ TEST(VmChaining, LimitOrSampleOnTakenBranchInsideTrace) {
     step_samples.AppendTrace(step_trace);
     block_samples.AppendTrace(block_trace);
     EXPECT_EQ(step_trace.ToJson(), block_trace.ToJson()) << "period=" << period;
+  }
+}
+
+// Records every malloc/free the VM reports, with the instruction and cycle
+// counts it passes: the fast engine must have its counters current at each.
+class HeapLog : public HeapObserver {
+ public:
+  void OnAlloc(uint64_t ptr, uint64_t size, uint64_t pc, uint64_t instruction,
+               uint64_t cycles, uint64_t /*epoch*/) override {
+    events.push_back(StrFormat("alloc %llx %llu pc=%llx insn=%llu cycles=%llu",
+                               static_cast<unsigned long long>(ptr),
+                               static_cast<unsigned long long>(size),
+                               static_cast<unsigned long long>(pc),
+                               static_cast<unsigned long long>(instruction),
+                               static_cast<unsigned long long>(cycles)));
+    alloc_insns.push_back(instruction);
+  }
+  void OnFree(uint64_t ptr, uint64_t pc, uint64_t instruction, uint64_t cycles,
+              uint64_t /*epoch*/) override {
+    events.push_back(StrFormat("free %llx pc=%llx insn=%llu cycles=%llu",
+                               static_cast<unsigned long long>(ptr),
+                               static_cast<unsigned long long>(pc),
+                               static_cast<unsigned long long>(instruction),
+                               static_cast<unsigned long long>(cycles)));
+  }
+  bool WasFreed(uint64_t /*ptr*/) const override { return false; }
+  bool DistanceTo(uint64_t /*addr*/, uint64_t* /*distance*/) const override { return false; }
+
+  std::vector<std::string> events;
+  std::vector<uint64_t> alloc_insns;  // instruction count at each malloc
+};
+
+// Stop anywhere, same machine: a hardened malloc/store/load/free loop,
+// halted by the instruction limit at every instruction of a three-iteration
+// window deep in its traced steady state, leaves the fast engine's
+// RunResult and CPU state (the 16 GPRs, rip and the four flags) equal to
+// the stepper's. The window covers whole blocks, trampolines, the fused
+// cmp+jcc that closes the loop, two hostcalls per iteration and several
+// trace laps. A second leg records every OnAlloc/OnFree: each must see the
+// same instruction and cycle counts under both engines.
+TEST(VmChaining, StopAnywhereLeavesTheSameMachine) {
+  constexpr int32_t kIters = 200;
+  ProgramBuilder pb;
+  {
+    Assembler& a = pb.text();
+    a.MovRI(Reg::kR15, 0);
+    a.MovRI(Reg::kRbx, 0);
+    auto loop = a.NewLabel();
+    a.Bind(loop);
+    a.MovRR(Reg::kRdi, Reg::kRbx);
+    a.AndI(Reg::kRdi, 7);
+    a.AddI(Reg::kRdi, 24);
+    a.HostCall(HostFn::kMalloc);
+    a.MovRR(Reg::kR12, Reg::kRax);
+    a.Store(Reg::kRbx, MemAt(Reg::kR12, 0));
+    a.Store(Reg::kRdi, MemAt(Reg::kR12, 16));
+    a.Load(Reg::kR13, MemAt(Reg::kR12, 16));
+    a.Add(Reg::kR15, Reg::kR13);
+    a.MovRR(Reg::kRdi, Reg::kR12);
+    a.HostCall(HostFn::kFree);
+    a.AddI(Reg::kRbx, 1);
+    a.CmpI(Reg::kRbx, kIters);
+    a.Jcc(Cond::kNe, loop);
+    a.MovRR(Reg::kRdi, Reg::kR15);
+    a.HostCall(HostFn::kOutputU64);
+    pb.EmitExit(0);
+  }
+  const InstrumentResult ir = RedFatTool(RedFatOptions{}).Instrument(pb.Finish()).value();
+  ASSERT_FALSE(ir.sites.empty());
+
+  auto run_to = [&ir](VmEngine engine, uint64_t limit, HeapLog* heap, std::string* state) {
+    Vm vm;
+    RedFatAllocator alloc;
+    WriteLowFatTables(&vm.memory());
+    vm.set_allocator(&alloc);
+    vm.set_engine(engine);
+    vm.set_heap_observer(heap);
+    vm.LoadImage(ir.image);
+    vm.set_instruction_limit(limit);
+    const CpuState& cpu = vm.cpu();
+    *state = FormatResult(vm.Run());
+    for (const uint64_t r : cpu.regs) {
+      *state += StrFormat(" %llx", static_cast<unsigned long long>(r));
+    }
+    *state += StrFormat(" rip=%llx zf=%d sf=%d cf=%d of=%d",
+                        static_cast<unsigned long long>(cpu.rip), cpu.flags.zf,
+                        cpu.flags.sf, cpu.flags.cf, cpu.flags.of);
+    return vm.dispatch_stats().trace_runs;
+  };
+
+  // The window: three iterations, from just before the 101st malloc through
+  // the 104th, well past trace formation.
+  HeapLog full;
+  std::string state;
+  run_to(VmEngine::kStep, ~uint64_t{0}, &full, &state);
+  ASSERT_EQ(full.alloc_insns.size(), static_cast<size_t>(kIters)) << state;
+  const uint64_t first = full.alloc_insns[100] - 1;
+  const uint64_t last = full.alloc_insns[103];
+  EXPECT_GE(run_to(VmEngine::kBlock, last, nullptr, &state) -
+                run_to(VmEngine::kBlock, first, nullptr, &state),
+            3u)
+      << "the window must span several trace laps";
+
+  for (uint64_t limit = first; limit <= last; ++limit) {
+    std::string step;
+    std::string block;
+    run_to(VmEngine::kStep, limit, nullptr, &step);
+    run_to(VmEngine::kBlock, limit, nullptr, &block);
+    ASSERT_EQ(step, block) << "limit=" << limit;
+    HeapLog step_heap;
+    HeapLog block_heap;
+    run_to(VmEngine::kStep, limit, &step_heap, &step);
+    run_to(VmEngine::kBlock, limit, &block_heap, &block);
+    ASSERT_EQ(step, block) << "limit=" << limit << " (heap observer)";
+    ASSERT_EQ(step_heap.events, block_heap.events) << "limit=" << limit;
   }
 }
 
