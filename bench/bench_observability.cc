@@ -9,9 +9,11 @@
 // image (the zero-guest-cost contract); the host wall-clock overhead of each
 // sink is measured against a generous per-sink budget ceiling and written to
 // BENCH_observability.json, alongside a microbenchmark pricing a single
-// HistogramCell::Record. Budget misses are reported in the JSON
+// HistogramCell::Record. Sink budget misses are reported in the JSON
 // (within_budget=false), not asserted: CI runners are noisy, and the byte
 // identity of guest results is the contract worth failing a build over.
+// After writing the JSON the bench exits 1 if a record costs 1000 ns or
+// more, or if any of the 15 cells is missing.
 //
 //   bench_observability [--quick] [--out FILE]
 #include <chrono>
@@ -235,7 +237,12 @@ int Main(int argc, char** argv) {
   std::fputs(json.c_str(), f);
   std::fclose(f);
   std::printf("wrote %s\n", out_path.c_str());
-  return 0;
+
+  WallClockGates gates("bench_observability");
+  gates.Check(record_ns < 1000.0,
+              StrFormat("HistogramCell::Record %.1f ns >= 1000 ns", record_ns));
+  gates.Check(cells.size() == 15, StrFormat("%zu cells, want 15", cells.size()));
+  return gates.ExitStatus();
 }
 
 }  // namespace

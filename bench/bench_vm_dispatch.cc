@@ -14,10 +14,12 @@
 // Guest-visible results are asserted identical across every mode on every
 // cell (the bit-identity contract the differential test proves exhaustively,
 // re-checked on the bench workload); only the host time may differ. Each
-// cell also records its deterministic dispatch counters. CI gates on
-// speedup_instrumented ≥ 3x (chained vs step, telemetry off), and on the
-// instrumented chained cells' counters: no code-cache evictions, and a chain
-// ratio block_chains / (block_chains + chain_exits) of at least 0.9.
+// cell also records its deterministic dispatch counters. After writing the
+// JSON the bench exits 1 if a gate misses: speedup_instrumented ≥ 3x
+// (chained vs step, telemetry off), ≥ 2x with telemetry on, chained ≥ 0.9x
+// spec ≥ 0.9x block, and on the instrumented chained cells no code-cache
+// evictions and a chain ratio block_chains / (block_chains + chain_exits)
+// of at least 0.9.
 //
 //   bench_vm_dispatch [--quick] [--out FILE]
 #include <chrono>
@@ -222,7 +224,36 @@ int Main(int argc, char** argv) {
   std::fputs(json.c_str(), f);
   std::fclose(f);
   std::printf("wrote %s\n", out_path.c_str());
-  return 0;
+
+  WallClockGates gates("bench_vm_dispatch");
+  gates.Check(speedup_instrumented >= 3.0,
+              StrFormat("chained/step %.2fx < 3.0x", speedup_instrumented));
+  gates.Check(speedup_instrumented_telemetry >= 2.0,
+              StrFormat("chained/step with telemetry %.2fx < 2.0x",
+                        speedup_instrumented_telemetry));
+  gates.Check(speedup_instrumented >= 0.9 * speedup_instrumented_spec,
+              StrFormat("chained %.2fx < 0.9 x spec %.2fx", speedup_instrumented,
+                        speedup_instrumented_spec));
+  gates.Check(speedup_instrumented_spec >= 0.9 * speedup_instrumented_block,
+              StrFormat("spec %.2fx < 0.9 x block %.2fx", speedup_instrumented_spec,
+                        speedup_instrumented_block));
+  for (const Cell& c : cells) {
+    if (std::strcmp(c.image, "instrumented") != 0 || std::strcmp(c.mode, "chained") != 0) {
+      continue;
+    }
+    const uint64_t chains = c.dispatch.block_chains;
+    const double chain_ratio =
+        static_cast<double>(chains) / static_cast<double>(chains + c.dispatch.chain_exits);
+    const char* telemetry = c.telemetry ? "on" : "off";
+    gates.Check(c.dispatch.code_cache_evictions == 0,
+                StrFormat("instrumented chained, telemetry %s: %llu code-cache evictions",
+                          telemetry,
+                          static_cast<unsigned long long>(c.dispatch.code_cache_evictions)));
+    gates.Check(chain_ratio >= 0.9,
+                StrFormat("instrumented chained, telemetry %s: chain ratio %.3f < 0.9",
+                          telemetry, chain_ratio));
+  }
+  return gates.ExitStatus();
 }
 
 }  // namespace

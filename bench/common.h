@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "src/core/harness.h"
@@ -80,6 +81,27 @@ class PassTimeAggregator {
   }
   std::vector<Row> rows_;  // in first-seen (pipeline) order
   double total_ms_ = 0.0;
+};
+
+// Wall-clock gates. A bench checks them after writing its JSON, so a miss
+// still leaves its numbers behind, and returns ExitStatus() from main.
+class WallClockGates {
+ public:
+  explicit WallClockGates(const char* bench) : bench_(bench) {}
+
+  // Records a miss unless `ok`; `what` names the bound and the reading.
+  void Check(bool ok, const std::string& what) {
+    if (!ok) {
+      std::fprintf(stderr, "%s: gate missed: %s\n", bench_, what.c_str());
+      missed_ = true;
+    }
+  }
+
+  int ExitStatus() const { return missed_ ? 1 : 0; }
+
+ private:
+  const char* bench_;
+  bool missed_ = false;
 };
 
 inline double Geomean(const std::vector<double>& xs) {

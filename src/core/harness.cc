@@ -189,21 +189,4 @@ CoverageStats ComputeCoverage(const std::unordered_map<uint32_t, uint64_t>& coun
   return cov;
 }
 
-CoverageStats ComputeCoverage(const TelemetrySnapshot& snapshot,
-                              const std::vector<SiteRecord>& sites) {
-  CoverageStats cov;
-  for (const SiteRecord& site : sites) {
-    const SiteTelemetry* st = snapshot.FindSite(site.id);
-    if (st == nullptr || st->checks() == 0) {
-      continue;
-    }
-    if (site.kind == CheckKind::kFull) {
-      cov.full += st->checks();
-    } else {
-      cov.redzone_only += st->checks();
-    }
-  }
-  return cov;
-}
-
 }  // namespace redfat

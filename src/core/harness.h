@@ -151,12 +151,6 @@ struct CoverageStats {
 CoverageStats ComputeCoverage(const std::unordered_map<uint32_t, uint64_t>& counters,
                               const std::vector<SiteRecord>& sites);
 
-// Same, but from a telemetry snapshot's per-site check counts (so external
-// consumers of a `--metrics` file can recompute coverage offline).
-struct TelemetrySnapshot;
-CoverageStats ComputeCoverage(const TelemetrySnapshot& snapshot,
-                              const std::vector<SiteRecord>& sites);
-
 }  // namespace redfat
 
 #endif  // REDFAT_SRC_CORE_HARNESS_H_

@@ -160,7 +160,7 @@ const ClobberInfo& AnalysisCache::clobbers(size_t insn_index) {
   return *clobbers_[insn_index];
 }
 
-void AnalysisCache::PrecomputeClobbers(const std::vector<size_t>& indices, unsigned jobs) {
+void AnalysisCache::PrecomputeClobbers(const std::vector<size_t>& indices) {
   REDFAT_CHECK(disasm_.has_value() && cfg_.has_value());
   if (clobbers_.empty()) {
     clobbers_.resize(disasm_->insns.size());
@@ -176,9 +176,8 @@ void AnalysisCache::PrecomputeClobbers(const std::vector<size_t>& indices, unsig
   if (missing.empty()) {
     return;
   }
-  std::vector<ClobberInfo> infos =
-      pool_ != nullptr ? ComputeClobbersMany(*disasm_, *cfg_, missing, pool_)
-                       : ComputeClobbersMany(*disasm_, *cfg_, missing, jobs);
+  REDFAT_CHECK(pool_ != nullptr);
+  std::vector<ClobberInfo> infos = ComputeClobbersMany(*disasm_, *cfg_, missing, *pool_);
   for (size_t i = 0; i < missing.size(); ++i) {
     clobbers_[missing[i]] = std::move(infos[i]);
   }
@@ -358,13 +357,8 @@ class MergePass : public Pass {
       before += t.checks.size();
     }
     // Merging is independent per trampoline; run it across the pool.
-    if (ctx.pool != nullptr) {
-      ctx.pool->ParallelFor(tramps.size(),
-                            [&](size_t i) { MergeTrampolineChecks(&tramps[i]); });
-    } else {
-      ParallelFor(ctx.opts.jobs, tramps.size(),
-                  [&](size_t i) { MergeTrampolineChecks(&tramps[i]); });
-    }
+    ctx.pool->ParallelFor(tramps.size(),
+                          [&](size_t i) { MergeTrampolineChecks(&tramps[i]); });
     size_t after = 0;
     for (const PlannedTrampoline& t : tramps) {
       after += t.checks.size();
@@ -388,7 +382,7 @@ class LivenessPass : public Pass {
     for (const PlannedTrampoline& t : ctx.plan.trampolines) {
       indices.push_back(t.insn_index);
     }
-    ctx.cache.PrecomputeClobbers(indices, ctx.opts.jobs);
+    ctx.cache.PrecomputeClobbers(indices);
     return PassOutcome{.items = indices.size()};
   }
 };
@@ -419,7 +413,7 @@ class CodegenPass : public Pass {
       leader_indices.push_back(tramp.insn_index);
       addrs.push_back(tramp.addr);
     }
-    ctx.cache.PrecomputeClobbers(leader_indices, ctx.opts.jobs);
+    ctx.cache.PrecomputeClobbers(leader_indices);
 
     // Each emission chunk instantiates its payloads from a stencil table of
     // its own; the emission phase only reads the clobber cache.

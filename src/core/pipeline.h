@@ -130,9 +130,8 @@ class AnalysisCache {
   // must PrecomputeClobbers first).
   const ClobberInfo& clobbers(size_t insn_index);
   // Fills the cache for every listed index that is not already cached, in
-  // parallel (on the attached pool if set, else up to `jobs` transient
-  // threads).
-  void PrecomputeClobbers(const std::vector<size_t>& indices, unsigned jobs);
+  // parallel on the attached pool (a pipeline run always attaches one).
+  void PrecomputeClobbers(const std::vector<size_t>& indices);
 
  private:
   const BinaryImage& image_;

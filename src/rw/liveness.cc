@@ -41,22 +41,10 @@ ClobberInfo ComputeClobbers(const Disassembly& dis, const CfgInfo& cfg, size_t i
 
 std::vector<ClobberInfo> ComputeClobbersMany(const Disassembly& dis, const CfgInfo& cfg,
                                              const std::vector<size_t>& indices,
-                                             unsigned jobs) {
+                                             ThreadPool& pool) {
   std::vector<ClobberInfo> out(indices.size());
-  ParallelFor(jobs, indices.size(),
-              [&](size_t i) { out[i] = ComputeClobbers(dis, cfg, indices[i]); });
-  return out;
-}
-
-std::vector<ClobberInfo> ComputeClobbersMany(const Disassembly& dis, const CfgInfo& cfg,
-                                             const std::vector<size_t>& indices,
-                                             ThreadPool* pool) {
-  if (pool == nullptr) {
-    return ComputeClobbersMany(dis, cfg, indices, 1u);
-  }
-  std::vector<ClobberInfo> out(indices.size());
-  pool->ParallelFor(indices.size(),
-                    [&](size_t i) { out[i] = ComputeClobbers(dis, cfg, indices[i]); });
+  pool.ParallelFor(indices.size(),
+                   [&](size_t i) { out[i] = ComputeClobbers(dis, cfg, indices[i]); });
   return out;
 }
 

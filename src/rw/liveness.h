@@ -29,17 +29,12 @@ struct ClobberInfo {
 // reads are not dead, registers it writes first are.
 ClobberInfo ComputeClobbers(const Disassembly& dis, const CfgInfo& cfg, size_t index);
 
-// Batch form: clobber info for many instrumentation points, computed across
-// up to `jobs` threads (each index is independent). Returns one entry per
-// input index, in input order.
+// Batch form: clobber info for many instrumentation points, computed on the
+// pool's workers (each index is independent). Returns one entry per input
+// index, in input order.
 std::vector<ClobberInfo> ComputeClobbersMany(const Disassembly& dis, const CfgInfo& cfg,
                                              const std::vector<size_t>& indices,
-                                             unsigned jobs);
-
-// Pool form: same result, but reuses the pipeline's persistent workers.
-std::vector<ClobberInfo> ComputeClobbersMany(const Disassembly& dis, const CfgInfo& cfg,
-                                             const std::vector<size_t>& indices,
-                                             ThreadPool* pool);
+                                             ThreadPool& pool);
 
 }  // namespace redfat
 

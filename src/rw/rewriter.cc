@@ -214,18 +214,6 @@ TrampolineCode EmitTrampolines(const Disassembly& dis, std::span<const SpanPlan>
   return code;
 }
 
-TrampolineCode EmitTrampolines(const Disassembly& dis, std::span<const SpanPlan> spans,
-                               const ChunkEmitterFactory& payloads,
-                               uint64_t trampoline_base, unsigned jobs, RewriteStats* stats) {
-  jobs = ResolveJobs(jobs);
-  if (jobs <= 1 || spans.size() <= 1) {
-    return EmitTrampolines(dis, spans, payloads, trampoline_base,
-                           static_cast<ThreadPool*>(nullptr), stats);
-  }
-  ThreadPool pool(jobs);
-  return EmitTrampolines(dis, spans, payloads, trampoline_base, &pool, stats);
-}
-
 void PatchSpans(Section* text, const std::vector<SpanPlan>& spans,
                 const std::vector<uint64_t>& tramp_starts, ThreadPool* pool) {
   REDFAT_CHECK(text != nullptr);
@@ -284,7 +272,8 @@ Result<BinaryImage> Rewriter::Apply(const std::vector<PatchRequest>& requests,
   const auto payloads = [&requests] {
     return [&requests](Assembler& as, size_t r) { requests[r].emit_payload(as); };
   };
-  const TrampolineCode code = EmitTrampolines(disasm_, spans, payloads, trampoline_base, jobs, &st);
+  ThreadPool pool(jobs);
+  const TrampolineCode code = EmitTrampolines(disasm_, spans, payloads, trampoline_base, &pool, &st);
 
   BinaryImage out = image_;
   Section* text = out.FindSection(Section::Kind::kText);

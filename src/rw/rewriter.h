@@ -117,12 +117,7 @@ struct TrampolineCode {
   std::vector<uint8_t> bytes;
   std::vector<uint64_t> starts;  // parallel to the span vector
 };
-TrampolineCode EmitTrampolines(const Disassembly& dis, std::span<const SpanPlan> spans,
-                               const ChunkEmitterFactory& payloads,
-                               uint64_t trampoline_base, unsigned jobs, RewriteStats* stats);
-
-// Pool form: same chunked emission, but on the pipeline's persistent
-// workers instead of a per-call pool (nullptr = one chunk, serial).
+// Chunks run on the pool's workers (nullptr = one chunk, serial).
 TrampolineCode EmitTrampolines(const Disassembly& dis, std::span<const SpanPlan> spans,
                                const ChunkEmitterFactory& payloads,
                                uint64_t trampoline_base, ThreadPool* pool,

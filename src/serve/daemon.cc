@@ -94,16 +94,32 @@ Status Daemon::Serve() {
       }
       return Error(StrFormat("accept: %s", std::strerror(errno)));
     }
-    handlers_.emplace_back([this, conn] { HandleConnection(conn); });
+    ReapFinishedHandlers();
+    Handler& h = handlers_.emplace_back();
+    h.thread = std::thread([this, conn, &h] {
+      HandleConnection(conn);
+      h.done.store(true, std::memory_order_release);
+    });
   }
-  for (std::thread& t : handlers_) {
-    t.join();
+  for (Handler& h : handlers_) {
+    h.thread.join();
   }
   handlers_.clear();
   ::close(listen_fd_);
   listen_fd_ = -1;
   ::unlink(config_.socket_path.c_str());
   return Status::Ok();
+}
+
+void Daemon::ReapFinishedHandlers() {
+  for (auto it = handlers_.begin(); it != handlers_.end();) {
+    if (it->done.load(std::memory_order_acquire)) {
+      it->thread.join();
+      it = handlers_.erase(it);
+    } else {
+      ++it;
+    }
+  }
 }
 
 void Daemon::HandleConnection(int fd) {

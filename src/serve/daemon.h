@@ -1,16 +1,17 @@
 // redfatd's transport: a Unix-domain stream-socket server in front of a
-// RewriteService. One handler thread per accepted connection; a connection
-// carries any number of framed requests (serve/protocol.h). The service
-// layer owns all heavy state (warm pool, caches, telemetry); the daemon
-// only frames/unframes and maps service errors onto wire error codes.
+// RewriteService. One handler thread per accepted connection, joined by the
+// accept loop once it finishes; a connection carries any number of framed
+// requests (serve/protocol.h). The service layer owns all heavy state (warm
+// pool, caches, telemetry); the daemon only frames/unframes and maps service
+// errors onto wire error codes.
 #ifndef REDFAT_SRC_SERVE_DAEMON_H_
 #define REDFAT_SRC_SERVE_DAEMON_H_
 
 #include <atomic>
+#include <list>
 #include <memory>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "src/serve/service.h"
 #include "src/support/result.h"
@@ -46,7 +47,15 @@ class Daemon {
   const std::string& socket_path() const { return config_.socket_path; }
 
  private:
+  // A connection's thread; it sets `done` as its last act.
+  struct Handler {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+
   void HandleConnection(int fd);
+  // Joins every handler whose connection has ended.
+  void ReapFinishedHandlers();
   // True = keep the connection open for more requests.
   bool HandleFrame(int fd, const struct Frame& frame);
 
@@ -54,7 +63,7 @@ class Daemon {
   std::unique_ptr<RewriteService> service_;
   int listen_fd_ = -1;
   std::atomic<bool> stop_{false};
-  std::vector<std::thread> handlers_;
+  std::list<Handler> handlers_;  // each thread holds its own node
 };
 
 }  // namespace redfat

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "src/serve/protocol.h"
 #include "src/support/str.h"
 
 namespace redfat {
@@ -20,20 +21,6 @@ static_assert(sizeof(RedFatOptions) == 48,
 namespace {
 
 constexpr uint8_t kOptionsBlobVersion = 1;
-
-void PutU8(std::vector<uint8_t>* out, uint8_t v) { out->push_back(v); }
-
-void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
 
 void PutF64(std::vector<uint8_t>* out, double v) {
   uint64_t bits = 0;

@@ -9,8 +9,8 @@ namespace {
 // Depth of parallel regions on this thread. Nested ParallelFor calls (from a
 // worker or from the submitting thread while its region runs) execute inline
 // so nested (image x function) parallelism never oversubscribes. The serial
-// fast path (n or jobs <= 1) does NOT count as a region: a degenerate outer
-// loop must not disable inner parallelism.
+// fast path (one job, or work that fits one chunk) does NOT count as a
+// region: a degenerate outer loop must not disable inner parallelism.
 thread_local int tl_region_depth = 0;
 
 size_t DefaultGrain(size_t n, unsigned jobs) {
@@ -163,33 +163,6 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
       fn(i);
     }
   });
-}
-
-void ParallelFor(unsigned jobs, size_t n,
-                 const std::function<void(size_t)>& fn) {
-  jobs = ResolveJobs(jobs);
-  if (jobs <= 1 || n <= 1 || tl_region_depth > 0) {
-    for (size_t i = 0; i < n; ++i) {
-      fn(i);
-    }
-    return;
-  }
-  ThreadPool pool(static_cast<unsigned>(std::min<size_t>(jobs, n)));
-  pool.ParallelFor(n, fn);
-}
-
-void ParallelForChunked(unsigned jobs, size_t n, size_t grain,
-                        const std::function<void(size_t, size_t)>& fn) {
-  jobs = ResolveJobs(jobs);
-  if (grain == 0) {
-    grain = DefaultGrain(n, jobs);
-  }
-  if (jobs <= 1 || n <= grain || tl_region_depth > 0) {
-    RunSerial(n, fn, grain);
-    return;
-  }
-  ThreadPool pool(jobs);
-  pool.ParallelForChunked(n, grain, fn);
 }
 
 }  // namespace redfat

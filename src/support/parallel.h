@@ -1,14 +1,14 @@
 // A minimal thread-pool work queue for the rewriting pipeline.
 //
-// ParallelFor partitions [0, n) across up to `jobs` worker threads pulling
-// chunks from a shared atomic counter. Callers own determinism: each index
-// must write only its own output slot, so the result is independent of the
-// schedule and `--jobs=N` output is byte-identical to `--jobs=1`.
+// ThreadPool::ParallelFor partitions [0, n) across the pool's workers, which
+// pull chunks from a shared atomic counter. Callers own determinism: each
+// index must write only its own output slot, so the result is independent
+// of the schedule and `--jobs=N` output is byte-identical to `--jobs=1`.
 //
-// ThreadPool keeps the workers alive between loops so a multi-pass pipeline
-// (or a multi-image batch run) pays the thread spawn cost once instead of
-// once per pass. Nested parallel regions run inline on the calling thread:
-// a pool worker that reaches another ParallelFor executes it serially, so
+// The workers stay alive between loops so a multi-pass pipeline (or a
+// multi-image batch run) pays the thread spawn cost once instead of once
+// per pass. Nested parallel regions run inline on the calling thread: a
+// pool worker that reaches another ParallelFor executes it serially, so
 // image-level x function-level nesting never oversubscribes the machine.
 #ifndef REDFAT_SRC_SUPPORT_PARALLEL_H_
 #define REDFAT_SRC_SUPPORT_PARALLEL_H_
@@ -32,34 +32,18 @@ unsigned HardwareJobs();
 // as-is.
 unsigned ResolveJobs(unsigned jobs);
 
-// Invokes fn(i) for every i in [0, n), using up to `jobs` threads
-// (`jobs <= 1` runs inline on the calling thread). Blocks until all
-// indices are done. fn must be safe to call concurrently from different
-// threads on different indices.
-//
-// If fn throws, the first exception (by completion order) is rethrown on the
-// calling thread after all workers have stopped; remaining unstarted indices
-// are abandoned, so a throw means "some subset of [0, n) ran".
-void ParallelFor(unsigned jobs, size_t n, const std::function<void(size_t)>& fn);
-
-// Range variant: invokes fn(begin, end) over half-open chunks that exactly
-// partition [0, n), each at most `grain` long (grain == 0 picks a default
-// from `jobs`). The partition is a function of (n, grain) only — never of
-// the schedule — so chunk-local state stays deterministic.
-void ParallelForChunked(unsigned jobs, size_t n, size_t grain,
-                        const std::function<void(size_t, size_t)>& fn);
-
 // A reusable pool of `jobs - 1` persistent worker threads plus the calling
 // thread. One parallel region runs at a time; concurrent submissions from
 // independent threads are serialized, and submissions from inside a region
 // (any pool's region, on any pool) run inline on the submitting thread.
 //
-// Exceptions follow the ParallelFor contract: first one wins, the queue is
-// drained, and the exception is rethrown on the submitting thread. The pool
-// remains usable after a throw.
+// If fn throws, the first exception (by completion order) is rethrown on the
+// submitting thread after all workers have stopped; remaining unstarted
+// indices are abandoned, so a throw means "some subset of [0, n) ran". The
+// pool remains usable after a throw.
 class ThreadPool {
  public:
-  // `jobs` is resolved like ParallelFor: 0 = hardware concurrency.
+  // `jobs` is resolved by ResolveJobs: 0 = hardware concurrency.
   explicit ThreadPool(unsigned jobs);
   ~ThreadPool();
 
@@ -68,9 +52,6 @@ class ThreadPool {
 
   // The resolved degree of parallelism (>= 1, counting the caller).
   unsigned jobs() const { return jobs_; }
-
-  // Worker threads this pool spawned (constant after construction).
-  size_t threads_spawned() const { return threads_.size(); }
 
   // Process-wide count of ThreadPool constructions. A warm server asserts
   // this stays flat across requests: every rewrite reuses the injected pool
@@ -94,8 +75,7 @@ class ThreadPool {
   }
 
   // True when the calling thread is currently executing inside a parallel
-  // region (of any pool, or of the free ParallelFor). Nested regions run
-  // inline.
+  // region of any pool. Nested regions run inline.
   static bool OnParallelThread();
 
  private:

@@ -76,6 +76,9 @@
 //                          (image-hash, options-fp, profile-fp hex triple)
 //                          this invocation would be served under, and exit
 //   -v                     verbose plan/rewrite statistics
+#include <cctype>
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -220,17 +223,42 @@ Result<TierProfile> TierProfileFromMetrics(const std::string& path) {
   return profile;
 }
 
+// Reads one unsigned integer in strtoull syntax for `base` from the front of
+// `*s` (no sign, no leading blank, no overflow) and advances past it.
+bool TakeUnsigned(const char** s, int base, unsigned long long* out) {
+  if (!std::isdigit(static_cast<unsigned char>(**s))) {
+    return false;
+  }
+  char* end = nullptr;
+  errno = 0;
+  *out = std::strtoull(*s, &end, base);
+  *s = end;
+  return errno != ERANGE;
+}
+
+Error MalformedLine(const std::string& path, size_t index, const std::string& line,
+                    const char* want) {
+  return Error(StrFormat("%s:%zu: malformed line '%s' (want %s)", path.c_str(), index + 1,
+                         line.c_str(), want));
+}
+
 Result<AllowList> AllowListFromFile(const std::string& path) {
   Result<std::vector<std::string>> lines = ReadLines(path);
   if (!lines.ok()) {
     return Error(lines.error());
   }
   AllowList allow;
-  for (const std::string& line : lines.value()) {
+  for (size_t i = 0; i < lines.value().size(); ++i) {
+    const std::string& line = lines.value()[i];
     if (line.empty() || line[0] == '#') {
       continue;
     }
-    allow.addrs.insert(std::strtoull(line.c_str(), nullptr, 0));
+    const char* p = line.c_str();
+    unsigned long long addr = 0;
+    if (!TakeUnsigned(&p, 0, &addr) || *p != '\0') {
+      return MalformedLine(path, i, line, "a site address");
+    }
+    allow.addrs.insert(addr);
   }
   return allow;
 }
@@ -248,13 +276,18 @@ Result<AllowList> AllowListFromProfileData(const BinaryImage& input, const std::
     return Error(lines.error());
   }
   std::unordered_map<uint32_t, Vm::ProfCounts> counts;
-  for (const std::string& line : lines.value()) {
-    unsigned site = 0;
+  for (size_t i = 0; i < lines.value().size(); ++i) {
+    const std::string& line = lines.value()[i];
+    const char* p = line.c_str();
+    unsigned long long site = 0;
     unsigned long long passes = 0;
     unsigned long long fails = 0;
-    if (std::sscanf(line.c_str(), "%u %llu %llu", &site, &passes, &fails) == 3) {
-      counts[site] = Vm::ProfCounts{passes, fails};
+    if (!TakeUnsigned(&p, 10, &site) || site > UINT32_MAX || *p++ != ' ' ||
+        !TakeUnsigned(&p, 10, &passes) || *p++ != ' ' || !TakeUnsigned(&p, 10, &fails) ||
+        *p != '\0') {
+      return MalformedLine(path, i, line, "\"<site> <passes> <fails>\"");
     }
+    counts[static_cast<uint32_t>(site)] = Vm::ProfCounts{passes, fails};
   }
   return BuildAllowList(counts, ir.value().sites);
 }

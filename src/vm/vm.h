@@ -218,7 +218,6 @@ class Vm {
   void set_rng_seed(uint64_t seed) { rng_ = Rng(seed); }
   void set_instruction_limit(uint64_t limit) { instruction_limit_ = limit; }
   void set_engine(VmEngine e) { engine_ = e; }
-  VmEngine engine() const { return engine_; }
 
   // --- block-engine dispatch knobs -----------------------------------------
   // Direct superblock chaining (default on): a block's exit patches a cached
@@ -226,17 +225,14 @@ class Vm {
   // without a dispatcher round-trip. Guest-visible results are bit-identical
   // with chaining on or off, with or without an observer attached.
   void set_chaining(bool on) { chain_ = on; }
-  bool chaining() const { return chain_; }
   // Specialized opcode handlers (default on): decode-time classification of
   // the hot opcode+operand shapes into a flat Spec form executed by a tight
   // dedicated loop instead of the generic decode-result interpreter.
   void set_specialize(bool on) { spec_ = on; }
-  bool specialize() const { return spec_; }
   // Code-cache capacity in superblocks; must be a power of two. A cache that
   // is full when one more block is needed is flushed whole (blocks, chain
   // links, traces), so host memory stays bounded. Setting it drops the cache.
   void set_code_cache_size(size_t entries);
-  size_t code_cache_size() const { return code_cache_size_; }
 
   // Host-side dispatch-layer statistics. These describe the engine, not the
   // guest: they are deliberately NOT part of the bit-identity contract (the
@@ -307,7 +303,6 @@ class Vm {
     uint64_t fails = 0;
   };
   const std::unordered_map<uint32_t, ProfCounts>& prof_counts() const { return prof_counts_; }
-  const CycleModel& cycle_model() const { return model_; }
   // High-water mark of tracked live heap bytes (0 unless a heap histogram
   // sink or HeapObserver was attached for the whole run).
   uint64_t live_bytes_peak() const { return live_bytes_peak_; }

@@ -1,11 +1,13 @@
 #!/bin/sh
 # End-to-end CLI test: the complete Fig. 5 workflow driven through the
-# command-line tools, plus detection and disassembly smoke checks.
+# command-line tools, plus detection, disassembly, hardening-tier, daemon
+# and allocator smoke checks.
 # Usage: cli_roundtrip.sh <tools-dir>
 set -e
 TOOLS="$1"
 WORK="$(mktemp -d)"
-trap 'rm -rf "$WORK"' EXIT
+DAEMON=
+trap '[ -z "$DAEMON" ] || kill "$DAEMON" 2> /dev/null; rm -rf "$WORK"' EXIT
 cd "$WORK"
 
 fail() { echo "FAIL: $1" >&2; exit 1; }
@@ -110,19 +112,63 @@ for bad in hostile_count.json hostile_nesting.json; do
     grep -q "metrics json" hostile_err.txt || fail "redfat $cmd printed no parse error"
   done
 done
+# So is a malformed allow-list or profile-dump line: exit status 1, an error
+# naming the file and line, and no image written. Blank lines and comments
+# in an allow-list are fine.
+for bad in "allowlist:not-an-address" "allowlist:0xzz" "profile-data:garbage" \
+    "profile-data:-1 5 0" "profile-data:12 5"; do
+  FLAG=${bad%%:*}
+  if [ "$FLAG" = allowlist ]; then
+    printf '# sites\n\n0x1000\n%s\n' "${bad#*:}" > hostile.txt
+    LINE=4
+  else
+    printf '0 1 0\n%s\n' "${bad#*:}" > hostile.txt
+    LINE=2
+  fi
+  status=0
+  "$TOOLS/redfat" --$FLAG hostile.txt mcf.rfbin hostile.rfbin 2> hostile_err.txt || status=$?
+  [ "$status" -eq 1 ] || fail "redfat --$FLAG '${bad#*:}' exited $status"
+  grep -q "hostile.txt:$LINE: malformed line" hostile_err.txt \
+      || fail "redfat --$FLAG '${bad#*:}' did not name the line"
+  [ ! -e hostile.rfbin ] || fail "redfat --$FLAG '${bad#*:}' wrote an image"
+done
 
-# Hardening tiers (policy layer). extensive is byte-identical to the
-# default flags; fast runs clean; contradictory flag combos are rejected.
-"$TOOLS/redfat" --harden=extensive mcf.rfbin mcf.ext.rfbin
-cmp mcf.hard.rfbin mcf.ext.rfbin 2> /dev/null || {
-  "$TOOLS/redfat" mcf.rfbin mcf.def.rfbin
-  cmp mcf.def.rfbin mcf.ext.rfbin || fail "--harden=extensive not byte-identical"
-}
-"$TOOLS/redfat" --harden=fast --sitemap fast.map mcf.rfbin mcf.fast.rfbin
-grep -q "^# harden: fast$" fast.map || fail "sitemap missing policy header"
-"$TOOLS/rfrun" --harden=fast mcf.fast.rfbin 50 0x3f > fast_out.txt \
-    || fail "fast-tier run aborted on a clean program"
-cmp base_out.txt fast_out.txt || fail "fast-tier output differs from baseline"
+# Hardening tiers (policy layer). Every tier writes its sitemap header and
+# reproduces the baseline output, with and without the sitemap; extensive
+# is byte-identical to the default flags; contradictory flag combos are
+# rejected.
+"$TOOLS/redfat" mcf.rfbin mcf.def.rfbin
+for TIER in none fast extensive debug; do
+  "$TOOLS/redfat" --harden=$TIER --sitemap $TIER.map mcf.rfbin mcf.$TIER.rfbin
+  grep -q "^# harden: $TIER$" $TIER.map || fail "$TIER sitemap missing policy header"
+  "$TOOLS/rfrun" --harden=$TIER --sitemap $TIER.map mcf.$TIER.rfbin 50 0x3f \
+      > ${TIER}_out.txt || fail "$TIER-tier run aborted on a clean program"
+  cmp base_out.txt ${TIER}_out.txt || fail "$TIER-tier output differs from baseline"
+done
+cmp mcf.def.rfbin mcf.extensive.rfbin || fail "--harden=extensive not byte-identical"
+"$TOOLS/rfrun" --harden=fast mcf.fast.rfbin 50 0x3f > fast_nomap_out.txt \
+    || fail "fast-tier run without a sitemap aborted"
+cmp base_out.txt fast_nomap_out.txt || fail "fast-tier output differs without a sitemap"
+# The two observed runs (the debug tier's shadow checker and the Memcheck
+# baseline) once per engine: the fast engine runs their plans with chaining
+# and traces on and must match the stepper's stdout and metrics byte for
+# byte; Memcheck reproduces the baseline output.
+for ENG in step default; do
+  FLAGS=
+  [ $ENG = default ] || FLAGS=--engine=step
+  # shellcheck disable=SC2086
+  "$TOOLS/rfrun" $FLAGS --harden=debug --sitemap debug.map --metrics debug_$ENG.json \
+      mcf.debug.rfbin 50 0x3f > debug_$ENG.out || fail "debug $ENG run"
+  # shellcheck disable=SC2086
+  "$TOOLS/rfrun" $FLAGS --runtime=memcheck --metrics memcheck_$ENG.json \
+      mcf.rfbin 50 0x3f > memcheck_$ENG.out || fail "memcheck $ENG run"
+done
+for RUN in debug memcheck; do
+  for EXT in out json; do
+    cmp ${RUN}_step.$EXT ${RUN}_default.$EXT || fail "$RUN: step and default engine differ"
+  done
+done
+cmp base_out.txt memcheck_default.out || fail "memcheck output differs from baseline"
 "$TOOLS/redfat" --harden=fast --shadow mcf.rfbin /dev/null 2> /dev/null \
     && fail "fast+shadow conflict not rejected"
 "$TOOLS/redfat" --harden=debug --no-lowfat mcf.rfbin /dev/null 2> /dev/null \
@@ -179,6 +225,7 @@ grep -q '"alloc_pc"' uaf_err.json || fail "error-report JSON missing alloc_pc"
 grep -q '"free_pc"' uaf_err.json || fail "error-report JSON missing free_pc"
 grep -q '"neighborhood"' uaf_err.json || fail "error-report JSON missing neighborhood"
 grep -q '"tier":"debug"' uaf_err.json || fail "error-report JSON missing tier"
+grep -q '"freed":true' uaf_err.json || fail "error-report JSON object not marked freed"
 # Double free (mode 2) is diagnosed under --policy=log and the run finishes
 # with the benign checksum.
 "$TOOLS/rfrun" --harden=debug --sitemap uaf.map --policy=log \
@@ -275,5 +322,77 @@ for ENG in cc64 nochain step; do
 done
 "$TOOLS/rfrun" --runtime=redfat --code-cache-size=64 --report mcf.hard.rfbin 50 0x3f \
     | grep -qE "code_cache_evictions +[1-9]" || fail "a 64-block cache did not flush"
+
+# redfatd (killed by the exit trap): miss, hit, incremental re-tier and the
+# no-daemon fallback each write the bytes of the offline rewrite with the
+# same flags, and --print-cache-key agrees with the key the daemon served
+# the request under.
+"$TOOLS/rfrun" --runtime=redfat --metrics=dmn_prof.json mcf.def.rfbin 50 0x3f \
+    > /dev/null || fail "daemon profiling run"
+"$TOOLS/redfat" --profile=dmn_prof.json mcf.rfbin mcf.tier_offline.rfbin
+"$TOOLS/redfatd" --socket=dmn.sock --jobs=2 2> daemon.log &
+DAEMON=$!
+for i in $(seq 100); do [ -S dmn.sock ] && break; sleep 0.1; done
+[ -S dmn.sock ] || fail "redfatd did not listen"
+for CELL in miss hit tier; do
+  PROF=
+  [ $CELL != tier ] || PROF=--profile=dmn_prof.json
+  # shellcheck disable=SC2086
+  "$TOOLS/redfat" --connect=dmn.sock -v $PROF mcf.rfbin mcf.dmn_$CELL.rfbin \
+      2> dmn_$CELL.log || fail "daemon $CELL request"
+done
+cmp mcf.def.rfbin mcf.dmn_miss.rfbin || fail "daemon miss differs from offline"
+cmp mcf.def.rfbin mcf.dmn_hit.rfbin || fail "daemon hit differs from offline"
+cmp mcf.tier_offline.rfbin mcf.dmn_tier.rfbin || fail "daemon re-tier differs from offline"
+grep -q "cache hit" dmn_hit.log || fail "second request was not a cache hit"
+grep -q "incremental re-tier" dmn_tier.log || fail "profiled request was not re-tiered"
+KEY=$("$TOOLS/redfat" --print-cache-key mcf.rfbin)
+grep -q "key=$KEY" dmn_miss.log || fail "--print-cache-key differs from the served key"
+"$TOOLS/redfat" --connect=no_such.sock -v mcf.rfbin mcf.dmn_fb.rfbin 2> dmn_fb.log \
+    || fail "daemon fallback"
+cmp mcf.def.rfbin mcf.dmn_fb.rfbin || fail "fallback differs from offline"
+grep -q "rewriting in-process" dmn_fb.log || fail "fallback did not say so"
+
+# rheap: a rewrite under an explicit --rheap list is byte-identical to the
+# default rewrite (the features bind at run time), and features-off and
+# all-features runs reproduce the baseline checksum.
+"$TOOLS/rfgen" churn 1 churn.rfbin 2> /dev/null
+"$TOOLS/redfat" churn.rfbin churn.def.rfbin
+"$TOOLS/redfat" --rheap=prot-freelist,quarantine=64 --sitemap churn.map \
+    churn.rfbin churn.rheap.rfbin
+cmp churn.def.rfbin churn.rheap.rfbin || fail "--rheap changed the rewrite"
+grep -q "^# rheap: prot-freelist,quarantine=64$" churn.map || fail "sitemap missing rheap header"
+"$TOOLS/rfrun" churn.rfbin 2000 0 > churn_base.txt || fail "churn baseline run"
+"$TOOLS/rfrun" --runtime=redfat churn.def.rfbin 2000 0 > churn_off.txt \
+    || fail "churn features-off run"
+"$TOOLS/rfrun" --runtime=redfat --rheap=prot-freelist,guard-memcpy,random,quarantine=64 \
+    churn.def.rfbin 2000 0 > churn_all.txt || fail "churn all-features run"
+cmp churn_base.txt churn_off.txt || fail "features-off run changed the output"
+cmp churn_base.txt churn_all.txt || fail "all-features run changed the output"
+"$TOOLS/rfrun" --rheap=prot-freelist churn.rfbin 10 0 2> /dev/null \
+    && fail "--rheap on the baseline runtime not rejected"
+# The forged-freelist-link attack (churn mode 1), uninstrumented under the
+# hardened runtime: prot-freelist aborts it with a provenance-rich report,
+# the sitemap header alone switches the feature on, and with features off
+# the attack runs to the benign checksum.
+if "$TOOLS/rfrun" --runtime=redfat --rheap=prot-freelist,quarantine=64 \
+    --error-report forge_err.json churn.rfbin 2000 1 > /dev/null 2> forge_err.txt; then
+  fail "forged link not detected"
+else
+  [ $? -eq 134 ] || fail "unexpected forged-link exit code"
+fi
+grep -q "freelist corruption" forge_err.txt || fail "forged-link report missing kind"
+grep -q "freed at pc 0x" forge_err.txt || fail "forged-link report missing free provenance"
+grep -q '"kind":"freelist-corruption"' forge_err.json || fail "forged-link JSON missing kind"
+grep -q '"freed":true' forge_err.json || fail "forged-link JSON object not marked freed"
+if "$TOOLS/rfrun" --runtime=redfat --sitemap churn.map churn.rfbin 2000 1 \
+    > /dev/null 2>&1; then
+  fail "sitemap rheap header did not enable prot-freelist"
+else
+  [ $? -eq 134 ] || fail "unexpected sitemap-enabled forged-link exit code"
+fi
+"$TOOLS/rfrun" --runtime=redfat churn.rfbin 2000 1 > churn_forge_off.txt \
+    || fail "features-off forged-link run"
+cmp churn_base.txt churn_forge_off.txt || fail "features-off forged-link run changed the output"
 
 echo "cli_roundtrip: OK"

@@ -10,6 +10,8 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <cstdlib>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -64,6 +66,15 @@ std::string ProfileJsonFromRun(const BinaryImage& hardened) {
   const RunOutcome out = RunImage(hardened, RuntimeKind::kRedFat, cfg);
   EXPECT_EQ(out.result.reason, HaltReason::kExit);
   return reg.Snapshot().ToJson();
+}
+
+// One top-level request counter ("hits", "retiers", ...) of StatsJson().
+uint64_t StatsCounter(const RewriteService& svc, const char* name) {
+  const std::string json = svc.StatsJson();
+  const std::string key = StrFormat("\"%s\":", name);
+  const size_t at = json.find(key);
+  EXPECT_NE(at, std::string::npos) << json;
+  return at == std::string::npos ? 0 : std::strtoull(json.c_str() + at + key.size(), nullptr, 10);
 }
 
 // --- option fingerprinting ---------------------------------------------------
@@ -312,6 +323,33 @@ TEST(RewriteService, RetierMatchesOfflineTieredRewrite) {
   ASSERT_TRUE(hit.ok()) << hit.error();
   EXPECT_TRUE(hit.value().cache_hit);
   EXPECT_EQ(hit.value().image_bytes, offline_tiered.image_bytes);
+  EXPECT_EQ(StatsCounter(svc, "hits"), 1u);
+  EXPECT_EQ(StatsCounter(svc, "full_rewrites"), 1u);
+  EXPECT_EQ(StatsCounter(svc, "retiers"), 1u);
+
+  // A refreshed profile misses the artifact cache but still re-tiers the
+  // warm analysis instead of rerunning the pipeline.
+  Result<TelemetrySnapshot> snap = TelemetrySnapshotFromJson(profile_json);
+  ASSERT_TRUE(snap.ok()) << snap.error();
+  ASSERT_FALSE(snap.value().sites.empty());
+  snap.value().sites[0].counts[static_cast<size_t>(SiteEvent::kTrampCycles)] += 1;
+  Result<RewriteService::Outcome> refreshed = svc.Rewrite(wire, opts, snap.value().ToJson());
+  ASSERT_TRUE(refreshed.ok()) << refreshed.error();
+  EXPECT_TRUE(refreshed.value().incremental_retier);
+  EXPECT_EQ(StatsCounter(svc, "full_rewrites"), 1u);
+  EXPECT_EQ(StatsCounter(svc, "retiers"), 2u);
+
+  // A changed hot_threshold changes the options fingerprint, so no warm
+  // analysis matches and the whole pipeline runs again.
+  RedFatOptions other_threshold = opts;
+  other_threshold.hot_threshold = 0.8;
+  Result<RewriteService::Outcome> full = svc.Rewrite(wire, other_threshold, profile_json);
+  ASSERT_TRUE(full.ok()) << full.error();
+  EXPECT_FALSE(full.value().cache_hit);
+  EXPECT_FALSE(full.value().incremental_retier);
+  EXPECT_EQ(StatsCounter(svc, "hits"), 1u);
+  EXPECT_EQ(StatsCounter(svc, "full_rewrites"), 2u);
+  EXPECT_EQ(StatsCounter(svc, "retiers"), 2u);
 }
 
 TEST(RewriteService, UploadProfileRetiersWithoutResendingTheImage) {
@@ -536,6 +574,37 @@ TEST_F(DaemonFixture, MalformedFramesAreRejectedWithoutKillingTheDaemon) {
   ASSERT_TRUE(client.Connect(socket_path_).ok());
   Result<std::string> stats = client.Stats();
   EXPECT_TRUE(stats.ok()) << (stats.ok() ? "" : stats.error());
+}
+
+// Mappings in this process: every live or unjoined thread holds a stack and
+// its guard page.
+size_t MappingCount() {
+  std::ifstream maps("/proc/self/maps");
+  size_t n = 0;
+  for (std::string line; std::getline(maps, line);) {
+    ++n;
+  }
+  return n;
+}
+
+TEST_F(DaemonFixture, FinishedConnectionsReleaseTheirThreads) {
+  // One connection at a time, each closed before the next opens: the
+  // accept loop must join the finished handlers instead of keeping one
+  // stack per connection served (two mappings each) until shutdown.
+  const auto serve_one = [this] {
+    DaemonClient client;
+    ASSERT_TRUE(client.Connect(socket_path_).ok());
+    ASSERT_TRUE(client.Stats().ok());
+  };
+  for (int i = 0; i < 4; ++i) {
+    serve_one();
+  }
+  const size_t before = MappingCount();
+  for (int i = 0; i < 64; ++i) {
+    serve_one();
+  }
+  const size_t after = MappingCount();
+  EXPECT_LT(after, before + 32) << before << " -> " << after << " mappings";
 }
 
 // --- framing -------------------------------------------------------------

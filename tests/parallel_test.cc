@@ -1,5 +1,6 @@
 // Tests for support/parallel.h: exactly-once index coverage across job
-// counts, degenerate sizes, and exception propagation to the caller.
+// counts, degenerate sizes, schedule-independent chunking, and exception
+// propagation to the caller.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,143 +23,30 @@ TEST(ParallelTest, ResolveJobsMapsZeroToHardware) {
   EXPECT_EQ(ResolveJobs(7), 7u);
 }
 
-void ExpectEveryIndexExactlyOnce(unsigned jobs, size_t n) {
-  std::vector<std::atomic<uint32_t>> hits(n);
-  for (auto& h : hits) {
-    h.store(0);
-  }
-  ParallelFor(jobs, n, [&hits](size_t i) { hits[i].fetch_add(1); });
-  for (size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(hits[i].load(), 1u) << "jobs=" << jobs << " n=" << n << " i=" << i;
-  }
-}
-
-TEST(ParallelTest, CoversEveryIndexExactlyOnce) {
-  for (unsigned jobs : {0u, 1u, 2u, 4u, 16u}) {
-    for (size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{3}, size_t{64},
-                     size_t{1000}}) {
-      ExpectEveryIndexExactlyOnce(jobs, n);
-    }
-  }
-}
-
-TEST(ParallelTest, MoreJobsThanItemsStillCoversAll) {
-  ExpectEveryIndexExactlyOnce(/*jobs=*/32, /*n=*/5);
-}
-
-TEST(ParallelTest, ZeroItemsNeverInvokesFn) {
-  ParallelFor(4, 0, [](size_t) { FAIL() << "fn called for empty range"; });
-}
-
-TEST(ParallelTest, InlinePathPreservesOrder) {
-  // jobs <= 1 runs on the calling thread in ascending index order.
-  std::vector<size_t> order;
-  ParallelFor(1, 8, [&order](size_t i) { order.push_back(i); });
-  ASSERT_EQ(order.size(), 8u);
-  for (size_t i = 0; i < order.size(); ++i) {
-    EXPECT_EQ(order[i], i);
-  }
-}
-
-TEST(ParallelTest, RethrowsExceptionFromInlinePath) {
-  EXPECT_THROW(
-      ParallelFor(1, 4,
-                  [](size_t i) {
-                    if (i == 2) {
-                      throw std::runtime_error("boom");
-                    }
-                  }),
-      std::runtime_error);
-}
-
-TEST(ParallelTest, RethrowsFirstExceptionFromWorkers) {
-  std::atomic<size_t> ran{0};
-  try {
-    ParallelFor(4, 1000, [&ran](size_t i) {
-      if (i == 10) {
-        throw std::runtime_error("worker failure");
-      }
-      ran.fetch_add(1);
-    });
-    FAIL() << "expected ParallelFor to rethrow";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "worker failure");
-  }
-  // The queue is drained on failure: some subset of [0, n) ran, never more.
-  EXPECT_LT(ran.load(), 1000u);
-}
-
-TEST(ParallelTest, ExceptionLeavesPoolReusable) {
-  // A throw must join all workers; subsequent calls behave normally.
-  EXPECT_THROW(
-      ParallelFor(4, 100, [](size_t) { throw std::logic_error("once"); }),
-      std::logic_error);
-  ExpectEveryIndexExactlyOnce(4, 100);
-}
-
-// --- chunked variant --------------------------------------------------------
-
-TEST(ParallelChunkedTest, ChunksExactlyPartitionTheRange) {
-  for (unsigned jobs : {1u, 2u, 4u}) {
-    for (size_t n : {size_t{0}, size_t{1}, size_t{7}, size_t{64}, size_t{1001}}) {
-      for (size_t grain : {size_t{0}, size_t{1}, size_t{3}, size_t{64}, size_t{5000}}) {
-        std::vector<std::atomic<uint32_t>> hits(n);
-        for (auto& h : hits) {
-          h.store(0);
-        }
-        ParallelForChunked(jobs, n, grain, [&](size_t begin, size_t end) {
-          ASSERT_LT(begin, end);
-          ASSERT_LE(end, n);
-          for (size_t i = begin; i < end; ++i) {
-            hits[i].fetch_add(1);
-          }
-        });
-        for (size_t i = 0; i < n; ++i) {
-          ASSERT_EQ(hits[i].load(), 1u)
-              << "jobs=" << jobs << " n=" << n << " grain=" << grain << " i=" << i;
-        }
-      }
-    }
-  }
-}
-
-TEST(ParallelChunkedTest, ChunksNeverExceedGrain) {
-  ParallelForChunked(4, 1000, 37, [](size_t begin, size_t end) {
-    EXPECT_LE(end - begin, size_t{37});
-  });
-}
-
-TEST(ParallelChunkedTest, PartitionIsScheduleIndependent) {
-  // The (begin, end) chunk set must be a pure function of (n, grain):
-  // collect it at jobs=1 and jobs=8 and compare as sets.
-  auto collect = [](unsigned jobs) {
-    std::mutex mu;
-    std::vector<std::pair<size_t, size_t>> chunks;
-    ParallelForChunked(jobs, 500, 64, [&](size_t begin, size_t end) {
-      std::lock_guard<std::mutex> lock(mu);
-      chunks.emplace_back(begin, end);
-    });
-    std::sort(chunks.begin(), chunks.end());
-    return chunks;
-  };
-  EXPECT_EQ(collect(1), collect(8));
-}
-
 // --- ThreadPool -------------------------------------------------------------
 
 TEST(ThreadPoolTest, CoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.jobs(), 4u);
-  for (size_t n : {size_t{0}, size_t{1}, size_t{5}, size_t{1000}}) {
-    std::vector<std::atomic<uint32_t>> hits(n);
-    for (auto& h : hits) {
-      h.store(0);
-    }
-    pool.ParallelFor(n, [&hits](size_t i) { hits[i].fetch_add(1); });
-    for (size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(hits[i].load(), 1u) << "n=" << n << " i=" << i;
+  // Includes more jobs than items (16 jobs, n <= 3).
+  for (unsigned jobs : {1u, 2u, 4u, 16u}) {
+    ThreadPool pool(jobs);
+    EXPECT_EQ(pool.jobs(), jobs);
+    for (size_t n : {size_t{0}, size_t{1}, size_t{3}, size_t{5}, size_t{1000}}) {
+      std::vector<std::atomic<uint32_t>> hits(n);
+      for (auto& h : hits) {
+        h.store(0);
+      }
+      pool.ParallelFor(n, [&hits](size_t i) { hits[i].fetch_add(1); });
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(hits[i].load(), 1u) << "jobs=" << jobs << " n=" << n << " i=" << i;
+      }
     }
   }
+}
+
+TEST(ThreadPoolTest, ZeroItemsNeverInvokesFn) {
+  ThreadPool pool(4);
+  pool.ParallelFor(0, [](size_t) { FAIL() << "fn called for empty range"; });
+  pool.ParallelForChunked(0, 0, [](size_t, size_t) { FAIL() << "fn called for empty range"; });
 }
 
 TEST(ThreadPoolTest, ReusableAcrossManyRegions) {
@@ -176,7 +64,7 @@ TEST(ThreadPoolTest, ReusableAcrossManyRegions) {
 TEST(ThreadPoolTest, NestedRegionsRunInline) {
   // A worker reaching another ParallelFor must execute it serially on its
   // own thread (no deadlock, no oversubscription) — for nesting on the same
-  // pool, on another pool, and on the free function.
+  // pool and on another pool.
   ThreadPool pool(4);
   ThreadPool other(2);
   std::atomic<uint64_t> inner_hits{0};
@@ -184,9 +72,8 @@ TEST(ThreadPoolTest, NestedRegionsRunInline) {
     EXPECT_TRUE(ThreadPool::OnParallelThread());
     pool.ParallelFor(16, [&](size_t) { inner_hits.fetch_add(1); });
     other.ParallelFor(16, [&](size_t) { inner_hits.fetch_add(1); });
-    ParallelFor(4, 16, [&](size_t) { inner_hits.fetch_add(1); });
   });
-  EXPECT_EQ(inner_hits.load(), 8u * 3u * 16u);
+  EXPECT_EQ(inner_hits.load(), 8u * 2u * 16u);
   EXPECT_FALSE(ThreadPool::OnParallelThread());
 }
 
@@ -240,6 +127,27 @@ TEST(ThreadPoolTest, ChunkedHonorsGrainAndPartition) {
   }
 }
 
+TEST(ThreadPoolTest, ChunkPartitionIsScheduleIndependent) {
+  // The (begin, end) chunk set must be a pure function of (n, grain): collect
+  // it on a 1-job and an 8-job pool and compare as sets.
+  auto collect = [](unsigned jobs, size_t n, size_t grain) {
+    ThreadPool pool(jobs);
+    std::mutex mu;
+    std::vector<std::pair<size_t, size_t>> chunks;
+    pool.ParallelForChunked(n, grain, [&](size_t begin, size_t end) {
+      std::lock_guard<std::mutex> lock(mu);
+      chunks.emplace_back(begin, end);
+    });
+    std::sort(chunks.begin(), chunks.end());
+    return chunks;
+  };
+  for (size_t n : {size_t{1}, size_t{500}, size_t{1001}}) {
+    for (size_t grain : {size_t{1}, size_t{3}, size_t{64}, size_t{5000}}) {
+      EXPECT_EQ(collect(1, n, grain), collect(8, n, grain)) << "n=" << n << " grain=" << grain;
+    }
+  }
+}
+
 TEST(ThreadPoolTest, SingleJobPoolRunsInlineInOrder) {
   ThreadPool pool(1);
   std::vector<size_t> order;
@@ -248,6 +156,17 @@ TEST(ThreadPoolTest, SingleJobPoolRunsInlineInOrder) {
   for (size_t i = 0; i < order.size(); ++i) {
     EXPECT_EQ(order[i], i);
   }
+}
+
+TEST(ThreadPoolTest, RethrowsExceptionFromInlinePath) {
+  ThreadPool pool(1);
+  EXPECT_THROW(pool.ParallelFor(4,
+                                [](size_t i) {
+                                  if (i == 2) {
+                                    throw std::runtime_error("boom");
+                                  }
+                                }),
+               std::runtime_error);
 }
 
 }  // namespace

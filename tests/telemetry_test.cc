@@ -467,7 +467,7 @@ TEST(TelemetryEndToEnd, AttachingTelemetryDoesNotChangeGuestCycles) {
   EXPECT_EQ(without.outputs, with.outputs);
 }
 
-TEST(TelemetryEndToEnd, CoverageFromSnapshotMatchesCounters) {
+TEST(TelemetryEndToEnd, SnapshotSiteChecksMatchCounters) {
   RedFatTool tool(RedFatOptions{});
   const InstrumentResult ir = tool.Instrument(OobWriteProgram()).value();
 
@@ -477,10 +477,14 @@ TEST(TelemetryEndToEnd, CoverageFromSnapshotMatchesCounters) {
   cfg.telemetry = &reg;
   const RunOutcome out = RunImage(ir.image, RuntimeKind::kRedFat, cfg);
 
-  const CoverageStats from_counters = ComputeCoverage(out.counters, ir.sites);
-  const CoverageStats from_snapshot = ComputeCoverage(reg.Snapshot(), ir.sites);
-  EXPECT_EQ(from_counters.full, from_snapshot.full);
-  EXPECT_EQ(from_counters.redzone_only, from_snapshot.redzone_only);
+  const TelemetrySnapshot snap = reg.Snapshot();
+  ASSERT_FALSE(out.counters.empty());
+  for (const SiteRecord& site : ir.sites) {
+    const auto it = out.counters.find(site.id);
+    const SiteTelemetry* st = snap.FindSite(site.id);
+    EXPECT_EQ(it == out.counters.end() ? 0 : it->second, st == nullptr ? 0 : st->checks())
+        << "site " << site.id;
+  }
 }
 
 // --- pipeline bridges & report ----------------------------------------------
