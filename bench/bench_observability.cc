@@ -2,18 +2,20 @@
 // sinks cost the HOST, and proof they cost the GUEST nothing.
 //
 // Runs one Kraken kernel — baseline, extensive-tier and fast-tier images —
-// with each observability sink attached in turn (none, histogram telemetry,
-// sampling profiler, forensic ring, everything), the five interleaved
-// within each rep and each timed by its best rep. Guest cycles, instruction
-// counts and outputs are asserted bit-identical across all sinks on every
-// image (the zero-guest-cost contract); the host wall-clock overhead of each
-// sink is measured against a generous per-sink budget ceiling and written to
-// BENCH_observability.json, alongside a microbenchmark pricing a single
-// HistogramCell::Record. Sink budget misses are reported in the JSON
+// and the debug-tier `rfgen server` image (the heap-debug configuration:
+// the redfat-debug runtime with its shadow-check observer attached in every
+// cell) with each observability sink attached in turn (none, histogram
+// telemetry, sampling profiler, forensic ring, everything), the five
+// interleaved within each rep and each timed by its best rep. Guest cycles,
+// instruction counts and outputs are asserted bit-identical across all
+// sinks on every image (the zero-guest-cost contract); the host wall-clock
+// overhead of each sink is measured against a generous per-sink budget
+// ceiling and written to BENCH_observability.json, alongside a
+// microbenchmark pricing a single HistogramCell::Record. Sink budget misses are reported in the JSON
 // (within_budget=false), not asserted: CI runners are noisy, and the byte
 // identity of guest results is the contract worth failing a build over.
 // After writing the JSON the bench exits 1 if a record costs 1000 ns or
-// more, or if any of the 15 cells is missing.
+// more, or if any of the 20 cells is missing.
 //
 //   bench_observability [--quick] [--out FILE]
 #include <chrono>
@@ -25,6 +27,7 @@
 
 #include "bench/common.h"
 #include "src/core/policy.h"
+#include "src/dbi/shadow_check.h"
 #include "src/heap/forensics.h"
 #include "src/support/str.h"
 #include "src/support/telemetry.h"
@@ -87,11 +90,14 @@ int Main(int argc, char** argv) {
   const InstrumentResult extensive =
       MustInstrument(baseline, Tier(HardenTier::kExtensive).rewrite);
   const InstrumentResult fast = MustInstrument(baseline, Tier(HardenTier::kFast).rewrite);
+  const ResolvedPolicy debug_tier = Tier(HardenTier::kDebug);
+  const InstrumentResult debug =
+      MustInstrument(GenerateServerProgram(ServerParams{}), debug_tier.rewrite);
   const uint64_t iters = quick ? 300 : 2000;
   const int reps = quick ? 2 : 3;
 
-  std::printf("observability bench: kraken/%s, %llu iters, best of %d rep%s, "
-              "sample period %llu\n\n",
+  std::printf("observability bench: kraken/%s, %llu iters (server: requests), best of "
+              "%d rep%s, sample period %llu\n\n",
               bench.name.c_str(), static_cast<unsigned long long>(iters), reps,
               reps == 1 ? "" : "s", static_cast<unsigned long long>(kSamplePeriod));
   std::printf("%12s %10s %14s %10s %12s %10s %8s\n", "image", "sink", "instructions",
@@ -101,11 +107,13 @@ int Main(int argc, char** argv) {
     const char* name;
     const BinaryImage* img;
     RuntimeKind runtime;
+    bool debug;  // the debug tier's rheap features and shadow-check observer
   };
   const ImageCase images[] = {
-      {"baseline", &baseline, RuntimeKind::kBaseline},
-      {"extensive", &extensive.image, RuntimeKind::kRedFat},
-      {"fast", &fast.image, RuntimeKind::kRedFat},
+      {"baseline", &baseline, RuntimeKind::kBaseline, false},
+      {"extensive", &extensive.image, RuntimeKind::kRedFat, false},
+      {"fast", &fast.image, RuntimeKind::kRedFat, false},
+      {"debug-srv", &debug.image, debug_tier.runtime, true},
   };
   struct SinkCase {
     const char* name;
@@ -138,8 +146,13 @@ int Main(int argc, char** argv) {
         TelemetryRegistry telemetry;
         SampleProfiler sampler(kSamplePeriod);
         ForensicRing forensics;
+        ShadowCheckObserver observer;
         RunConfig cfg;
-        cfg.inputs = RefInputs(iters);
+        cfg.inputs = ic.debug ? std::vector<uint64_t>{iters} : RefInputs(iters);
+        if (ic.debug) {
+          cfg.rheap = debug_tier.rheap;
+          cfg.observer = &observer;
+        }
         if (sc.telemetry) {
           cfg.telemetry = &telemetry;
         }
@@ -241,7 +254,7 @@ int Main(int argc, char** argv) {
   WallClockGates gates("bench_observability");
   gates.Check(record_ns < 1000.0,
               StrFormat("HistogramCell::Record %.1f ns >= 1000 ns", record_ns));
-  gates.Check(cells.size() == 15, StrFormat("%zu cells, want 15", cells.size()));
+  gates.Check(cells.size() == 20, StrFormat("%zu cells, want 20", cells.size()));
   return gates.ExitStatus();
 }
 

@@ -27,7 +27,11 @@
 // registration) and then records into relaxed atomics it exclusively
 // writes, with the same OwnerAdd. The bucket layout is fixed (log-linear,
 // two sub-exponent bits), so Merge/Delta/JSON round-trips stay bit-exact —
-// a histogram is just 252 monotonic counters plus a monotonic sum.
+// a histogram is just 252 monotonic counters plus a monotonic sum. A
+// producer may also batch records: the VM adds a trace's per-lap
+// vm.superblock_len records before its epoch hook, when it drops its
+// traces and at the end of Vm::Run, so a snapshot from another thread in
+// between may lag by those laps.
 #ifndef REDFAT_SRC_SUPPORT_TELEMETRY_H_
 #define REDFAT_SRC_SUPPORT_TELEMETRY_H_
 
@@ -164,9 +168,11 @@ struct HistogramData {
 // staleness contract as TelemetryShard).
 class HistogramCell {
  public:
-  void Record(uint64_t value) {
-    OwnerAdd(buckets_[HistogramBucketIndex(value)], 1);
-    OwnerAdd(sum_, value);
+  void Record(uint64_t value) { RecordN(value, 1); }
+  // `n` records of one value at once, as n Record(value) calls would add.
+  void RecordN(uint64_t value, uint64_t n) {
+    OwnerAdd(buckets_[HistogramBucketIndex(value)], n);
+    OwnerAdd(sum_, n * value);
   }
 
  private:

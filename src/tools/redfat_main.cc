@@ -76,8 +76,6 @@
 //                          (image-hash, options-fp, profile-fp hex triple)
 //                          this invocation would be served under, and exit
 //   -v                     verbose plan/rewrite statistics
-#include <cctype>
-#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -223,19 +221,6 @@ Result<TierProfile> TierProfileFromMetrics(const std::string& path) {
   return profile;
 }
 
-// Reads one unsigned integer in strtoull syntax for `base` from the front of
-// `*s` (no sign, no leading blank, no overflow) and advances past it.
-bool TakeUnsigned(const char** s, int base, unsigned long long* out) {
-  if (!std::isdigit(static_cast<unsigned char>(**s))) {
-    return false;
-  }
-  char* end = nullptr;
-  errno = 0;
-  *out = std::strtoull(*s, &end, base);
-  *s = end;
-  return errno != ERANGE;
-}
-
 Error MalformedLine(const std::string& path, size_t index, const std::string& line,
                     const char* want) {
   return Error(StrFormat("%s:%zu: malformed line '%s' (want %s)", path.c_str(), index + 1,
@@ -255,7 +240,7 @@ Result<AllowList> AllowListFromFile(const std::string& path) {
     }
     const char* p = line.c_str();
     unsigned long long addr = 0;
-    if (!TakeUnsigned(&p, 0, &addr) || *p != '\0') {
+    if (!TakeUnsigned(&p, 16, &addr) || *p != '\0') {
       return MalformedLine(path, i, line, "a site address");
     }
     allow.addrs.insert(addr);

@@ -9,8 +9,8 @@
 //   rfgen uaf SEED out.rfbin          # forensics workload (mode-gated bug)
 //   rfgen churn SEED out.rfbin        # fragmentation workload (mode-gated
 //                                     # freelist-corruption bugs)
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -78,6 +78,12 @@ int Main(int argc, char** argv) {
   }
   const std::string name = argv[2];
   const std::string out = argv[3];
+  // The generators below take a numeric SEED where the others take a NAME.
+  uint64_t seed = 0;
+  if ((cmd == "synth" || cmd == "server" || cmd == "uaf" || cmd == "churn") &&
+      !ParseUnsignedArg("rfgen", "SEED", name, &seed)) {
+    return 2;
+  }
   if (cmd == "spec") {
     for (const SpecBenchmark& b : SpecSuite()) {
       if (b.name == name) {
@@ -115,24 +121,24 @@ int Main(int argc, char** argv) {
   }
   if (cmd == "synth") {
     SynthParams p;
-    p.seed = std::strtoull(name.c_str(), nullptr, 0);
+    p.seed = seed;
     return Save(GenerateSynthProgram(p), out);
   }
   if (cmd == "server") {
     ServerParams p;
-    p.seed = std::strtoull(name.c_str(), nullptr, 0);
+    p.seed = seed;
     return Save(GenerateServerProgram(p), out);
   }
   if (cmd == "uaf") {
     UafParams p;
-    p.seed = std::strtoull(name.c_str(), nullptr, 0);
+    p.seed = seed;
     std::fprintf(stderr,
                  "rfgen: inputs[0]=0 benign, =1 use-after-free, =2 double free\n");
     return Save(GenerateUafProgram(p), out);
   }
   if (cmd == "churn") {
     ChurnParams p;
-    p.seed = std::strtoull(name.c_str(), nullptr, 0);
+    p.seed = seed;
     std::fprintf(stderr,
                  "rfgen: inputs[0]=operations, inputs[1]=0 benign, =1 forged "
                  "freelist link, =2 overlapping free\n");

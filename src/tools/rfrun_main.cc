@@ -82,6 +82,8 @@
 //
 // Guest outputs are printed one per line. Exit status: the guest's exit
 // code; 134 if the run aborted on a detected memory error (like SIGABRT).
+// Every number (input words and N above) is unsigned decimal, 0x hex or
+// 0-prefixed octal; anything else exits 2 with the argument named.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -205,9 +207,13 @@ int Main(int argc, char** argv) {
     } else if (arg == "--sitemap" && i + 1 < argc) {
       sitemap_path = argv[++i];
     } else if (arg == "--seed" && i + 1 < argc) {
-      cfg.rng_seed = std::strtoull(argv[++i], nullptr, 0);
+      if (!ParseUnsignedArg("rfrun", "--seed", argv[++i], &cfg.rng_seed)) {
+        return 2;
+      }
     } else if (arg == "--limit" && i + 1 < argc) {
-      cfg.instruction_limit = std::strtoull(argv[++i], nullptr, 0);
+      if (!ParseUnsignedArg("rfrun", "--limit", argv[++i], &cfg.instruction_limit)) {
+        return 2;
+      }
     } else if (arg == "--stats") {
       stats = true;
     } else if (arg == "--metrics" && i + 1 < argc) {
@@ -215,9 +221,13 @@ int Main(int argc, char** argv) {
     } else if (arg.rfind("--metrics=", 0) == 0) {
       metrics_path = arg.substr(10);
     } else if (arg.rfind("--metrics-epoch=", 0) == 0) {
-      cfg.metrics_epoch = std::strtoull(arg.substr(16).c_str(), nullptr, 0);
+      if (!ParseUnsignedArg("rfrun", "--metrics-epoch", arg.substr(16), &cfg.metrics_epoch)) {
+        return 2;
+      }
     } else if (arg == "--metrics-epoch" && i + 1 < argc) {
-      cfg.metrics_epoch = std::strtoull(argv[++i], nullptr, 0);
+      if (!ParseUnsignedArg("rfrun", "--metrics-epoch", argv[++i], &cfg.metrics_epoch)) {
+        return 2;
+      }
     } else if (arg.rfind("--engine=", 0) == 0) {
       const std::string engine = arg.substr(9);
       if (engine == "step") {
@@ -255,9 +265,13 @@ int Main(int argc, char** argv) {
     } else if (arg.rfind("--lib=", 0) == 0) {
       libs.push_back(ParseLibSpec(arg.substr(6)));
     } else if (arg.rfind("--sample-period=", 0) == 0) {
-      sample_period = std::strtoull(arg.substr(16).c_str(), nullptr, 0);
+      if (!ParseUnsignedArg("rfrun", "--sample-period", arg.substr(16), &sample_period)) {
+        return 2;
+      }
     } else if (arg == "--sample-period" && i + 1 < argc) {
-      sample_period = std::strtoull(argv[++i], nullptr, 0);
+      if (!ParseUnsignedArg("rfrun", "--sample-period", argv[++i], &sample_period)) {
+        return 2;
+      }
     } else if (arg == "--profile-folded" && i + 1 < argc) {
       profile_folded_path = argv[++i];
     } else if (arg.rfind("--profile-folded=", 0) == 0) {
@@ -305,7 +319,11 @@ int Main(int argc, char** argv) {
   }
   cfg.policy = policy == "log" ? Policy::kLog : Policy::kHarden;
   for (size_t i = 1; i < positional.size(); ++i) {
-    cfg.inputs.push_back(std::strtoull(positional[i].c_str(), nullptr, 0));
+    uint64_t word = 0;
+    if (!ParseUnsignedArg("rfrun", "an input word", positional[i], &word)) {
+      return 2;
+    }
+    cfg.inputs.push_back(word);
   }
 
   Result<BinaryImage> image = LoadImageFile(positional[0]);

@@ -1,6 +1,9 @@
 #include "src/tools/tool_io.h"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 
 #include "src/support/str.h"
 
@@ -78,6 +81,31 @@ Status WriteTextFile(const std::string& path, const std::string& text) {
     return Status::Ok();
   }
   return WriteFileBytes(path, std::vector<uint8_t>(text.begin(), text.end()));
+}
+
+bool TakeUnsigned(const char** s, int base, unsigned long long* out) {
+  const unsigned char c = static_cast<unsigned char>(**s);
+  if (base == 16 ? !std::isxdigit(c) : !std::isdigit(c)) {
+    return false;
+  }
+  char* end = nullptr;
+  errno = 0;
+  *out = std::strtoull(*s, &end, base);
+  *s = end;
+  return errno != ERANGE;
+}
+
+bool ParseUnsignedArg(const char* tool, const char* what, const std::string& text,
+                      uint64_t* out) {
+  const char* p = text.c_str();
+  unsigned long long v = 0;
+  if (!TakeUnsigned(&p, 0, &v) || *p != '\0') {
+    std::fprintf(stderr, "%s: %s must be an unsigned integer, got '%s'\n", tool, what,
+                 text.c_str());
+    return false;
+  }
+  *out = v;
+  return true;
 }
 
 }  // namespace redfat

@@ -108,6 +108,7 @@ void Vm::LoadImage(const BinaryImage& image) {
 }
 
 void Vm::ClearCodeCache() {
+  FlushTraceLaps();
   cache_slots_.assign(cache_slots_.size(), CacheSlot{});
   blocks_.clear();
   exec_pool_.clear();
@@ -940,9 +941,10 @@ bool Vm::ExecuteOne(const Exec& ex, std::string* fault) {
 }
 
 inline bool Vm::Observe(const Exec& ex, uint64_t addr) {
-  if (ex.obs != kObsCharge) {
+  const uint8_t op = static_cast<uint8_t>(ex.obs & ~kObsEnterRange);
+  if (op != kObsCharge) {
     cpu_.rip = addr;  // reports carry it
-    if (ex.obs == kObsCheck) {
+    if (op == kObsCheck) {
       observer_->Check(*this, addr, ex.insn);
     } else {
       cycles_ += observer_->OnInstruction(*this, addr, ex.insn);
@@ -955,8 +957,8 @@ inline bool Vm::Observe(const Exec& ex, uint64_t addr) {
 }
 
 template <bool kObserved>
-size_t Vm::ExecSpecsImpl(Exec* execs, size_t count, size_t budget,
-                         std::string* fault, bool* faulted) {
+size_t Vm::ExecSpecsImpl(Exec* execs, size_t count, size_t budget, std::string* fault,
+                         bool* faulted, const TrampRange* const* range_of) {
   const size_t n = count < budget ? count : budget;
   if (n == 0) {
     return 0;
@@ -1047,9 +1049,13 @@ size_t Vm::ExecSpecsImpl(Exec* execs, size_t count, size_t budget,
   REDFAT_ENTER();
 
 observe:
-  // A planned check or an unplanned call, which read the counters and may
-  // add cycles or halt the run.
+  // A range edge, a planned check or an unplanned call, which read the
+  // counters and may add cycles or halt the run. The edge goes first, as
+  // the stepper classifies rip before it calls the observer.
   write_back();
+  if ((ex->obs & kObsEnterRange) != 0) {
+    EnterRange(range_of[ex->range_run]);
+  }
   if (!Observe(*ex, ex->spec.next - ex->length)) {
     return static_cast<size_t>(ex - execs);  // rip is this instruction's
   }
@@ -1304,14 +1310,19 @@ void Vm::RecordTraceBlock(const Block& b, uint64_t next_rip) {
     return;
   }
   const Exec* const execs = ExecsOf(b);
+  const size_t first = trace_rec_.execs.size();
   trace_rec_.execs.insert(trace_rec_.execs.end(), execs, execs + b.count);
   ++trace_rec_.segments;
   const uint32_t end = static_cast<uint32_t>(trace_rec_.execs.size());
   if (trace_rec_.range_of.empty() || trace_rec_.range_of.back() != b.range) {
+    if (first != 0) {
+      // A range edge inside the lap. It must not be the Jcc half of a fused
+      // pair, which the fused handler runs without entering it.
+      const uint8_t prev = trace_rec_.execs[first - 1].spec.op;
+      REDFAT_CHECK(prev < kSCmpRRJcc || prev > kSTestRRJcc);
+      trace_rec_.execs[first].range_run = static_cast<uint8_t>(trace_rec_.range_of.size());
+    }
     trace_rec_.range_of.push_back(b.range);
-    trace_rec_.range_end.push_back(end);
-  } else {
-    trace_rec_.range_end.back() = end;
   }
   if (IsControlFlow(execs[b.count - 1].insn.op)) {
     trace_rec_.cf_pos.push_back(end - 1);
@@ -1372,6 +1383,7 @@ void Vm::RunBoundaryHooks() {
     TakeSampleNow();
   }
   if (epoch_every_ != 0 && instructions_ == epoch_next_) {
+    FlushTraceLaps();
     epoch_hook_();
     epoch_next_ += epoch_every_;
   }
@@ -1393,16 +1405,38 @@ void Vm::RecordTraceSuperblocks(const Trace& t, size_t from, size_t done) {
   sb_run_len_ += from + done - start;
 }
 
+void Vm::FlushTraceLaps() {
+  for (const std::unique_ptr<Trace>& t : traces_) {
+    if (t->laps == 0) {
+      continue;
+    }
+    for (size_t i = 1; i < t->cf_pos.size(); ++i) {
+      h_superblock_len_->RecordN(t->cf_pos[i] - t->cf_pos[i - 1], t->laps);
+    }
+    t->laps = 0;
+  }
+}
+
 bool Vm::ExecTrace(Trace& t, bool track_tramp, bool track_sb, std::string* fault) {
   ++dispatch_.trace_runs;
   const size_t total = t.execs.size();
+  const TrampRange* const* range_of = track_tramp ? t.range_of.data() : nullptr;
+  if (t.edges_flagged != track_tramp) {
+    // A sink was attached or detached since the trace last ran.
+    for (Exec& ex : t.execs) {
+      if (ex.range_run != 0) {
+        ex.obs ^= kObsEnterRange;
+      }
+    }
+    t.edges_flagged = track_tramp;
+  }
   for (;;) {
-    // One ExecSpecs call covers the lap. It splits where an instruction
-    // budget ends (a sample or epoch is then taken in place), and with a
-    // sink attached where the range changes, so EnterRange lands between
-    // the two instructions that change range.
+    if (track_tramp) {
+      EnterRange(t.range_of[0]);  // the lap's later ranges are entered in ExecSpecs
+    }
+    // One ExecSpecs call covers the lap. It splits only where an
+    // instruction budget ends; a sample or epoch is then taken in place.
     size_t pos = 0;
-    size_t run = 0;
     while (pos < total) {
       if (pos != 0 && cpu_.rip != t.execs[pos].spec.next - t.execs[pos].length) {
         return true;  // guard failed at the split: rip is intact, re-dispatch
@@ -1410,28 +1444,28 @@ bool Vm::ExecTrace(Trace& t, bool track_tramp, bool track_sb, std::string* fault
       if (instructions_ >= instruction_limit_) {
         return true;  // the dispatcher halts exactly here
       }
-      const size_t end = track_tramp ? t.range_end[run] : total;
-      if (track_tramp) {
-        EnterRange(t.range_of[run]);
-      }
-      const size_t len = end - pos;
+      const size_t len = total - pos;
       const uint64_t budget = NextBoundary() - instructions_;
       const size_t n = budget < len ? static_cast<size_t>(budget) : len;
       bool faulted = false;
-      const size_t done = ExecSpecs(&t.execs[pos], len, n, fault, &faulted);
-      if (track_sb && done > 0) {
+      const size_t done = ExecSpecs(&t.execs[pos], len, n, fault, &faulted, range_of);
+      if (track_sb && done == total && !t.cf_pos.empty()) {
+        // A whole lap: record the run its first control transfer closes,
+        // count the lap for the static runs after it (FlushTraceLaps), and
+        // carry its tail into the next run.
+        h_superblock_len_->Record(sb_run_len_ + t.cf_pos.front() + 1);
+        ++t.laps;
+        sb_run_len_ = total - 1 - t.cf_pos.back();
+      } else if (track_sb && done > 0) {
         RecordTraceSuperblocks(t, pos, done);
       }
       if (faulted) {
         return false;
       }
       if (halt_ || done < n) {
-        return true;  // halted, or a guard failed inside the run
+        return true;  // halted, or a guard failed inside the lap
       }
       pos += done;
-      if (pos == end) {
-        ++run;
-      }
       RunBoundaryHooks();
     }
     if (cpu_.rip != t.entry) {
@@ -1512,8 +1546,8 @@ void Vm::RunBlockLoop(RunResult* res) {
     // Blocks never span a trampoline/inline-region boundary and end at every
     // control transfer, so rip's range can only change at a block entry:
     // the visit bookkeeping on each edge into a block (here, on link
-    // follows and between a trace's same-range runs) is exactly the step
-    // engine's per-instruction check.
+    // follows and at a trace's flagged execs) is exactly the step engine's
+    // per-instruction check.
     if (track_tramp) {
       EnterRange(block->range);
     }
@@ -1629,6 +1663,7 @@ RunResult Vm::Run() {
   } else {
     RunStepLoop(&res);
   }
+  FlushTraceLaps();
   if (t_in_tramp_) {
     FlushTrampolineVisit();  // run ended (halt/fault/limit) inside a trampoline
   }

@@ -369,22 +369,28 @@ class Vm {
     uint64_t next = 0;       // static fall-through address (insn end)
   };
 
-  // What the block engine does for the attached observer before an Exec.
+  // What the block engine does before an Exec: the attached observer's part
+  // and, in a trace run with a sink attached, the visit bookkeeping. The
+  // observed loop leaves its fast path for any value but kObsCharge.
   enum ObsOp : uint8_t {
     kObsCharge = 0,  // add obs_cycles only (0 when no observer is attached)
     kObsCheck,       // planned: Check, then add obs_cycles
     kObsCall,        // no plan: add OnInstruction's cycles
+    // Or-ed onto the plan of a trace's range edge while a sink tracks
+    // visits: EnterRange(range_of[range_run]) runs before the observer's part.
+    kObsEnterRange = 4,
   };
 
   struct Exec {
     Instruction insn;
     uint8_t length = 0;
     uint8_t obs = kObsCharge;  // ObsOp, from the observer's plan
+    uint8_t range_run = 0;     // a trace's range edge: its run in range_of, else 0
     uint32_t obs_cycles = 0;   // the plan's fixed charge
     Spec spec;
   };
-  // The plan fields fill alignment padding: the hot loops stream Exec
-  // arrays, and a larger Exec measurably slows the unobserved engine.
+  // The plan and edge fields fill alignment padding: the hot loops stream
+  // Exec arrays, and a larger Exec measurably slows the unobserved engine.
   static_assert(sizeof(Exec) == 72, "keep Exec at 72 bytes");
 
   // A superblock: decoded straight-line instruction run starting at `entry`.
@@ -425,24 +431,32 @@ class Vm {
 
   // A trace: the concatenation of a hot chain's blocks (segments) into one
   // straight-line Exec run, which may pass through trampolines. A lap runs
-  // in one ExecSpecs call: the control transfer that ends a segment checks
-  // the next segment's entry address inline (the guard) and side-exits to
-  // the dispatcher with rip intact on a mismatch. With a sink attached the
-  // lap also splits where the trampoline range changes, so the visit
-  // bookkeeping runs at the same instruction as under the stepper.
+  // in one ExecSpecs call, with or without a sink: the control transfer
+  // that ends a segment checks the next segment's entry address inline (the
+  // guard) and side-exits to the dispatcher with rip intact on a mismatch.
+  // The first exec of each same-range run after the first is a range edge;
+  // with a sink attached it carries kObsEnterRange, so the visit bookkeeping
+  // runs at the same instruction as under the stepper.
   struct Trace {
     uint64_t entry = 0;
     std::vector<Exec> execs;
     uint32_t segments = 0;
-    // Maximal same-range runs: one past each run's last exec, and its range.
-    std::vector<uint32_t> range_end;
+    // The range of each maximal same-range run, in lap order.
     std::vector<const TrampRange*> range_of;
     // Indices of the execs that end a segment with a control transfer: where
-    // the vm.superblock_len histogram records a straight-line run.
+    // the vm.superblock_len histogram records a straight-line run. A whole
+    // lap records its first run at once and counts itself in `laps`; the
+    // runs between its control transfers are the same every lap and go into
+    // the histogram in bulk (FlushTraceLaps).
     std::vector<uint32_t> cf_pos;
+    uint64_t laps = 0;
+    // Whether the range edges carry kObsEnterRange: only while a sink tracks
+    // visits, so an observed run with no sink keeps them on its fast path.
+    bool edges_flagged = false;
   };
   static constexpr uint32_t kTraceThreshold = 64;  // dispatches before recording
   static constexpr size_t kMaxTraceSegments = 16;
+  static_assert(kMaxTraceSegments <= 256, "Exec::range_run is one byte");
   static constexpr size_t kMaxTraceInsns = 512;
   static constexpr size_t kMaxTraces = 256;
 
@@ -476,25 +490,29 @@ class Vm {
   // instruction to execute. The handlers are threaded: each ends in its own
   // indirect jump to the next one's label. The run's counters stay in locals
   // and are written back before ExecuteOne, around an observer's check or
-  // call, and on every return. The observed variant is the same loop with
-  // the observer's part ahead of each instruction, so runs with no observer
-  // pay nothing for it; a charge-only plan adds its cycles with no
-  // write-back.
-  size_t ExecSpecs(Exec* execs, size_t count, size_t budget,
-                   std::string* fault, bool* faulted) {
-    return observer_ == nullptr ? ExecSpecsImpl<false>(execs, count, budget, fault, faulted)
-                                : ExecSpecsImpl<true>(execs, count, budget, fault, faulted);
+  // call, around EnterRange and on every return. The observed variant is the
+  // same loop with the observer's part ahead of each instruction, so runs
+  // with no observer pay nothing for it; a charge-only plan adds its cycles
+  // with no write-back. A trace run with a sink attached flags its range
+  // edges and passes its range_of table, and takes the observed variant,
+  // observer or not, so each edge runs EnterRange.
+  size_t ExecSpecs(Exec* execs, size_t count, size_t budget, std::string* fault,
+                   bool* faulted, const TrampRange* const* range_of = nullptr) {
+    return observer_ == nullptr && range_of == nullptr
+               ? ExecSpecsImpl<false>(execs, count, budget, fault, faulted, nullptr)
+               : ExecSpecsImpl<true>(execs, count, budget, fault, faulted, range_of);
   }
   template <bool kObserved>
-  size_t ExecSpecsImpl(Exec* execs, size_t count, size_t budget,
-                       std::string* fault, bool* faulted);
+  size_t ExecSpecsImpl(Exec* execs, size_t count, size_t budget, std::string* fault,
+                       bool* faulted, const TrampRange* const* range_of);
   // The unspecialized executor: ExecuteOne over execs[0..n), Observe first.
   // Same contract as ExecSpecs, without the transfer guard (blocks only).
   size_t ExecPlain(Exec* execs, size_t n, std::string* fault, bool* faulted);
   // Runs the trace (cpu_.rip == t.entry), one ExecSpecs call per lap,
   // looping while it closes on itself. Returns false on a fault (message in
   // *fault). Respects instruction/sampler/epoch boundaries exactly: a
-  // sample or epoch is taken in place, the instruction limit exits.
+  // sample or epoch is taken in place, the instruction limit exits. A
+  // boundary on a range edge sees the previous range, as under the stepper.
   bool ExecTrace(Trace& t, bool track_tramp, bool track_sb, std::string* fault);
   // The instruction index of the next limit, epoch or sample boundary.
   uint64_t NextBoundary() const;
@@ -502,6 +520,9 @@ class Vm {
   void RunBoundaryHooks();
   // Records vm.superblock_len for `done` execs of `t` run from `from`.
   void RecordTraceSuperblocks(const Trace& t, size_t from, size_t done);
+  // Adds every trace's counted laps to vm.superblock_len. Runs before the
+  // epoch hook, before ClearCodeCache drops the traces and at the end of Run.
+  void FlushTraceLaps();
   void BeginTraceRecording(Block* head);
   // Appends a fully-executed block to the in-progress recording; finishes
   // (bake or discard) when a stop condition hits. `next_rip` is where

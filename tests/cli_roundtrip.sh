@@ -176,6 +176,32 @@ cmp base_out.txt memcheck_default.out || fail "memcheck output differs from base
 "$TOOLS/rfrun" --harden=fast --runtime=redfat mcf.fast.rfbin 5 0x3f 2> /dev/null \
     && fail "rfrun --harden/--runtime conflict not rejected"
 
+# An allow-list address is hex with or without the 0x prefix: both
+# spellings of mcf's first site give the same image, with one full check.
+SITE0=$(sed -n 's/^0 0x\([0-9a-f]*\) .*/\1/p' extensive.map)
+[ -n "$SITE0" ] || fail "no first site in the sitemap"
+printf '%s\n' "$SITE0" > allow_bare.txt
+printf '0x%s\n' "$SITE0" > allow_0x.txt
+for A in bare 0x; do
+  "$TOOLS/redfat" --allowlist allow_$A.txt --sitemap allow_$A.map mcf.rfbin mcf.allow_$A.rfbin
+  [ "$(grep -c ' full$' allow_$A.map)" = 1 ] || fail "allow-list ($A) did not give one full site"
+done
+cmp mcf.allow_bare.rfbin mcf.allow_0x.rfbin || fail "allow-list spellings differ"
+# A malformed number on rfrun's or rfgen's command line exits 2 and names
+# the argument; a well-formed decimal input runs as its hex spelling does.
+for bad in "rfrun mcf.rfbin 5x 0x3f:an input word" "rfrun --limit abc mcf.rfbin 5 0x3f:--limit" \
+    "rfrun --sample-period=zz mcf.rfbin 5 0x3f:--sample-period" "rfgen server 7x bad.rfbin:SEED"; do
+  status=0
+  # shellcheck disable=SC2086  # the command is a word list on purpose
+  "$TOOLS/"${bad%%:*} > /dev/null 2> num_err.txt || status=$?
+  [ "$status" -eq 2 ] || fail "${bad%%:*} exited $status"
+  grep -q -e "${bad#*:} must be an unsigned integer" num_err.txt \
+      || fail "${bad%%:*} did not name the argument"
+done
+[ ! -e bad.rfbin ] || fail "rfgen wrote an image for a malformed SEED"
+"$TOOLS/rfrun" mcf.rfbin 50 63 > dec_out.txt || fail "decimal-input run"
+cmp base_out.txt dec_out.txt || fail "decimal and hex inputs differ"
+
 # The fast tier drops sites that only rate a (Redzone)-only check: with a
 # truncated allow-list profile, unobserved sites demote to redzone-only and
 # fast leaves them bare.
@@ -394,5 +420,35 @@ fi
 "$TOOLS/rfrun" --runtime=redfat churn.rfbin 2000 1 > churn_forge_off.txt \
     || fail "features-off forged-link run"
 cmp churn_base.txt churn_forge_off.txt || fail "features-off forged-link run changed the output"
+
+# The debug tier with every sink attached writes the same bytes under the
+# default engine as under the stepper: stdout, stderr, exit status and every
+# file, epoch files included, on the server and on churn (benign, and the
+# forged link logged).
+"$TOOLS/redfat" --harden=debug --sitemap srv.dbg.map srv.rfbin srv.dbg.rfbin
+"$TOOLS/redfat" --harden=debug --sitemap churn.dbg.map churn.rfbin churn.dbg.rfbin
+for RUN in "srv 300" "churn 400 0" "churn 400 1"; do
+  # shellcheck disable=SC2086  # $RUN is a word list on purpose
+  set -- $RUN
+  PROG=$1
+  shift
+  TAG=dbg_$(echo "$RUN" | tr ' ' _)
+  for ENG in step default; do
+    FLAGS=
+    [ $ENG = default ] || FLAGS=--engine=step
+    mkdir $TAG.$ENG
+    status=0
+    # shellcheck disable=SC2086
+    "$TOOLS/rfrun" $FLAGS --harden=debug --sitemap $PROG.dbg.map --policy=log --stats \
+        --metrics $TAG.$ENG/m.json --metrics-epoch=20000 --trace $TAG.$ENG/t.json \
+        --error-report $TAG.$ENG/e.json --sample-period=97 --profile-folded $TAG.$ENG/f.txt \
+        $PROG.dbg.rfbin "$@" > $TAG.$ENG/out 2> $TAG.$ENG/err || status=$?
+    echo $status > $TAG.$ENG/status
+  done
+  [ -s $TAG.default/m.1.json ] || fail "$TAG: sink run cut fewer than two epochs"
+  diff -r $TAG.step $TAG.default > /dev/null || fail "$TAG: step and default engine differ"
+done
+grep -q '"kind":"freelist-corruption"' dbg_churn_400_1.default/e.json \
+    || fail "debug-tier churn mode 1 not diagnosed"
 
 echo "cli_roundtrip: OK"

@@ -9,7 +9,8 @@
 // hostcall/trap termination, one-instruction self-loops, code-cache flushes
 // with links pending and traces recording, TLB + chain invalidation
 // across LoadImage, a hardened loop halted at every instruction of a traced
-// window (same registers, flags and heap-event counts) — and observed runs:
+// window (same registers, flags, heap-event counts and sink output), sinks
+// attached and detached between runs — and observed runs:
 // the debug tier's shadow checker and Memcheck, planned on the fast engine,
 // and both again behind a decorator that has no plan, in every mode.
 #include <gtest/gtest.h>
@@ -1083,20 +1084,14 @@ class HeapLog : public HeapObserver {
   std::vector<uint64_t> alloc_insns;  // instruction count at each malloc
 };
 
-// Stop anywhere, same machine: a hardened malloc/store/load/free loop,
-// halted by the instruction limit at every instruction of a three-iteration
-// window deep in its traced steady state, leaves the fast engine's
-// RunResult and CPU state (the 16 GPRs, rip and the four flags) equal to
-// the stepper's. The window covers whole blocks, trampolines, the fused
-// cmp+jcc that closes the loop, two hostcalls per iteration and several
-// trace laps. A second leg records every OnAlloc/OnFree: each must see the
-// same instruction and cycle counts under both engines.
-TEST(VmChaining, StopAnywhereLeavesTheSameMachine) {
-  constexpr int32_t kIters = 200;
+// `loops` hardened malloc/store/load/free loops of `iters` iterations each,
+// one after the other: every lap of a loop's trace passes through
+// trampolines, two hostcalls and a fused cmp+jcc. One loop is 10 blocks.
+InstrumentResult BuildHardenedHeapLoop(int32_t iters, int loops = 1) {
   ProgramBuilder pb;
-  {
-    Assembler& a = pb.text();
-    a.MovRI(Reg::kR15, 0);
+  Assembler& a = pb.text();
+  a.MovRI(Reg::kR15, 0);
+  for (int i = 0; i < loops; ++i) {
     a.MovRI(Reg::kRbx, 0);
     auto loop = a.NewLabel();
     a.Bind(loop);
@@ -1112,13 +1107,29 @@ TEST(VmChaining, StopAnywhereLeavesTheSameMachine) {
     a.MovRR(Reg::kRdi, Reg::kR12);
     a.HostCall(HostFn::kFree);
     a.AddI(Reg::kRbx, 1);
-    a.CmpI(Reg::kRbx, kIters);
+    a.CmpI(Reg::kRbx, iters);
     a.Jcc(Cond::kNe, loop);
-    a.MovRR(Reg::kRdi, Reg::kR15);
-    a.HostCall(HostFn::kOutputU64);
-    pb.EmitExit(0);
   }
-  const InstrumentResult ir = RedFatTool(RedFatOptions{}).Instrument(pb.Finish()).value();
+  a.MovRR(Reg::kRdi, Reg::kR15);
+  a.HostCall(HostFn::kOutputU64);
+  pb.EmitExit(0);
+  return RedFatTool(RedFatOptions{}).Instrument(pb.Finish()).value();
+}
+
+// Stop anywhere, same machine: the hardened heap loop, halted by the
+// instruction limit at every instruction of a three-iteration window deep
+// in its traced steady state, leaves the fast engine's RunResult and CPU
+// state (the 16 GPRs, rip and the four flags) equal to the stepper's. The
+// window covers whole blocks, trampolines, the fused cmp+jcc that closes
+// the loop, two hostcalls per iteration and several trace laps. A second
+// leg records every OnAlloc/OnFree: each must see the same instruction and
+// cycle counts under both engines. A third attaches telemetry, a trace
+// writer, a sampler and an epoch hook: the snapshot, the epoch deltas, the
+// trace and the folded samples must match at every stop, and again with
+// the sample and epoch periods swept over every length up to one lap.
+TEST(VmChaining, StopAnywhereLeavesTheSameMachine) {
+  constexpr int32_t kIters = 200;
+  const InstrumentResult ir = BuildHardenedHeapLoop(kIters);
   ASSERT_FALSE(ir.sites.empty());
 
   auto run_to = [&ir](VmEngine engine, uint64_t limit, HeapLog* heap, std::string* state) {
@@ -1140,6 +1151,38 @@ TEST(VmChaining, StopAnywhereLeavesTheSameMachine) {
                         cpu.flags.sf, cpu.flags.cf, cpu.flags.of);
     return vm.dispatch_stats().trace_runs;
   };
+  // The sink leg: what every sink wrote, one entry per sink. Telemetry and
+  // the trace writer are attached from the start; the sampler and the
+  // epoch hook from instruction `from` on, where the run pauses once.
+  auto run_sinks = [&ir](VmEngine engine, uint64_t from, uint64_t limit,
+                         uint64_t sample_period, uint64_t epoch_period) {
+    Vm vm;
+    RedFatAllocator alloc;
+    TelemetryRegistry telemetry;
+    TraceWriter trace;
+    SampleProfiler sampler(sample_period);
+    TelemetrySnapshot prev;
+    std::string epochs;
+    WriteLowFatTables(&vm.memory());
+    vm.set_allocator(&alloc);
+    vm.set_engine(engine);
+    vm.set_telemetry(&telemetry);
+    vm.set_trace(&trace);
+    vm.LoadImage(ir.image);
+    vm.set_instruction_limit(from);
+    std::string result = FormatResult(vm.Run());
+    vm.set_sampler(&sampler);
+    vm.set_epoch_hook(epoch_period, [&] {
+      const TelemetrySnapshot cur = telemetry.Snapshot();
+      epochs += DeltaTelemetrySnapshot(cur, prev).ToJson() + "\n";
+      prev = cur;
+    });
+    vm.set_instruction_limit(limit);
+    result += " | " + FormatResult(vm.Run());
+    return std::vector<std::string>{result, telemetry.Snapshot().ToJson(), epochs,
+                                    trace.ToJson(), sampler.ToFolded()};
+  };
+  const char* const kSinks[] = {"result", "snapshot", "epochs", "trace", "folded"};
 
   // The window: three iterations, from just before the 101st malloc through
   // the 104th, well past trace formation.
@@ -1149,6 +1192,7 @@ TEST(VmChaining, StopAnywhereLeavesTheSameMachine) {
   ASSERT_EQ(full.alloc_insns.size(), static_cast<size_t>(kIters)) << state;
   const uint64_t first = full.alloc_insns[100] - 1;
   const uint64_t last = full.alloc_insns[103];
+  const uint64_t lap = full.alloc_insns[101] - full.alloc_insns[100];
   EXPECT_GE(run_to(VmEngine::kBlock, last, nullptr, &state) -
                 run_to(VmEngine::kBlock, first, nullptr, &state),
             3u)
@@ -1166,7 +1210,76 @@ TEST(VmChaining, StopAnywhereLeavesTheSameMachine) {
     run_to(VmEngine::kBlock, limit, &block_heap, &block);
     ASSERT_EQ(step, block) << "limit=" << limit << " (heap observer)";
     ASSERT_EQ(step_heap.events, block_heap.events) << "limit=" << limit;
+    // Both periods exceed a lap, so whole laps run, and are only counted,
+    // before the epoch at `first` and between the boundaries after it.
+    const uint64_t from = first - 2 * lap;
+    const std::vector<std::string> step_sinks =
+        run_sinks(VmEngine::kStep, from, limit, 3 * lap, 2 * lap);
+    const std::vector<std::string> block_sinks =
+        run_sinks(VmEngine::kBlock, from, limit, 3 * lap, 2 * lap);
+    for (size_t i = 0; i < step_sinks.size(); ++i) {
+      ASSERT_EQ(step_sinks[i], block_sinks[i]) << "limit=" << limit << " " << kSinks[i];
+    }
   }
+  // Every sample and epoch position inside a lap: the sample period runs up
+  // from 1 to the lap's length while the epoch period runs down.
+  for (uint64_t p = 1; p <= lap; ++p) {
+    const std::vector<std::string> step_sinks =
+        run_sinks(VmEngine::kStep, first, last, p, lap + 1 - p);
+    const std::vector<std::string> block_sinks =
+        run_sinks(VmEngine::kBlock, first, last, p, lap + 1 - p);
+    for (size_t i = 0; i < step_sinks.size(); ++i) {
+      ASSERT_EQ(step_sinks[i], block_sinks[i]) << "sample period=" << p << " " << kSinks[i];
+    }
+  }
+}
+
+// Sinks attached and detached between runs of one VM: a trace formed with
+// no sink gets its range edges flagged when a sink arrives, and loses them
+// when the sinks go, while a planned observer keeps every run on the
+// observed loop. Each leg's result and the sinks' output match the stepper.
+TEST(VmChaining, SinksBetweenRunsKeepTraceEdgesExact) {
+  class Charge : public ExecObserver {
+   public:
+    bool Plan(const Vm&, uint64_t, const Instruction&, ObserverPlan* plan) const override {
+      plan->cycles = 1;
+      return true;
+    }
+  };
+  const InstrumentResult ir = BuildHardenedHeapLoop(200);
+  struct Leg {
+    bool sinks;
+    uint64_t limit;
+  };
+  const Leg legs[] = {{false, 5000}, {true, 8000}, {false, ~uint64_t{0}}};
+  auto run = [&ir, &legs](VmEngine engine, std::vector<uint64_t>* trace_runs) {
+    Vm vm;
+    RedFatAllocator alloc;
+    Charge charge;
+    TelemetryRegistry telemetry;
+    TraceWriter trace;
+    WriteLowFatTables(&vm.memory());
+    vm.set_allocator(&alloc);
+    vm.set_engine(engine);
+    vm.set_observer(&charge);
+    vm.LoadImage(ir.image);
+    std::string out;
+    for (const Leg& leg : legs) {
+      vm.set_telemetry(leg.sinks ? &telemetry : nullptr);
+      vm.set_trace(leg.sinks ? &trace : nullptr);
+      vm.set_instruction_limit(leg.limit);
+      out += FormatResult(vm.Run()) + "\n";
+      trace_runs->push_back(vm.dispatch_stats().trace_runs);
+    }
+    return out + telemetry.Snapshot().ToJson() + "\n" + trace.ToJson();
+  };
+  std::vector<uint64_t> step_runs;
+  std::vector<uint64_t> runs;
+  EXPECT_EQ(run(VmEngine::kStep, &step_runs), run(VmEngine::kBlock, &runs));
+  ASSERT_EQ(runs.size(), 3u);
+  EXPECT_GT(runs[0], 0u) << "no trace ran before the sinks were attached";
+  EXPECT_GT(runs[1], runs[0]) << "no trace ran with the sinks attached";
+  EXPECT_GT(runs[2], runs[1]) << "no trace ran after the sinks were detached";
 }
 
 // LoadImage while chains and traces are live: the second image overlays the
@@ -1288,19 +1401,45 @@ TEST(VmChaining, SetObserverDropsCachedPlans) {
 
 // The cache-size knob: rejects zero and non-powers-of-two via REDFAT_CHECK
 // (covered by rfrun's exit-2 validation at the CLI layer); accepted sizes
-// keep bit-identity — checked here across a drastic down-size.
+// keep bit-identity — checked here across a drastic down-size, on a hot loop
+// and on two hardened heap loops with a telemetry registry attached. With 16
+// entries the first loop's trace runs its laps and the second loop's blocks
+// then flush the cache while those laps are still counted, not recorded.
 TEST(VmChaining, CodeCacheSizeKnobKeepsIdentity) {
   const BinaryImage img = BuildHotLoop(300);
-  RunConfig ref_cfg;
-  ref_cfg.engine = VmEngine::kStep;
-  const RunOutcome ref = RunImage(img, RuntimeKind::kBaseline, ref_cfg);
-  for (const size_t entries : {size_t{1}, size_t{8}, size_t{131072}}) {
-    RunConfig cfg;
-    cfg.code_cache_size = entries;
-    const RunOutcome out = RunImage(img, RuntimeKind::kBaseline, cfg);
-    EXPECT_EQ(out.result.instructions, ref.result.instructions) << entries;
-    EXPECT_EQ(out.result.cycles, ref.result.cycles) << entries;
-    EXPECT_EQ(out.outputs, ref.outputs) << entries;
+  const BinaryImage hardened = BuildHardenedHeapLoop(300, 2).image;
+  struct Input {
+    const BinaryImage* image;
+    RuntimeKind runtime;
+    bool telemetry;
+  };
+  for (const Input& in : {Input{&img, RuntimeKind::kBaseline, false},
+                          Input{&hardened, RuntimeKind::kRedFat, true}}) {
+    auto run = [&in](VmEngine engine, size_t entries, std::string* metrics) {
+      TelemetryRegistry telemetry;
+      RunConfig cfg;
+      cfg.engine = engine;
+      cfg.code_cache_size = entries;
+      cfg.telemetry = in.telemetry ? &telemetry : nullptr;
+      const RunOutcome out = RunImage(*in.image, in.runtime, cfg);
+      *metrics = in.telemetry ? telemetry.Snapshot().ToJson() : "";
+      return out;
+    };
+    std::string ref_metrics;
+    const RunOutcome ref = run(VmEngine::kStep, 0, &ref_metrics);
+    for (const size_t entries : {size_t{1}, size_t{8}, size_t{16}, size_t{131072}}) {
+      std::string metrics;
+      const RunOutcome out = run(VmEngine::kBlock, entries, &metrics);
+      const std::string tag = StrFormat("telemetry=%d entries=%zu", in.telemetry ? 1 : 0, entries);
+      EXPECT_EQ(out.result.instructions, ref.result.instructions) << tag;
+      EXPECT_EQ(out.result.cycles, ref.result.cycles) << tag;
+      EXPECT_EQ(out.outputs, ref.outputs) << tag;
+      EXPECT_EQ(metrics, ref_metrics) << tag;
+      if (in.telemetry && entries == 16) {
+        EXPECT_GT(out.dispatch.trace_runs, 0u) << tag;
+        EXPECT_GT(out.dispatch.code_cache_evictions, 0u) << tag;
+      }
+    }
   }
 }
 
