@@ -16,7 +16,7 @@ void PutU64(std::vector<uint8_t>* out, uint64_t v) {
   }
 }
 
-bool GetU64(const std::vector<uint8_t>& in, size_t* pos, uint64_t* v) {
+bool GetU64(std::span<const uint8_t> in, size_t* pos, uint64_t* v) {
   if (in.size() - *pos < 8) {
     return false;
   }
@@ -58,8 +58,15 @@ uint64_t BinaryImage::TotalBytes() const {
 }
 
 std::vector<uint8_t> BinaryImage::Serialize() const {
+  size_t total = sizeof(kMagic) + 16;
+  for (const Section& s : sections) {
+    total += 17 + s.bytes.size();
+  }
   std::vector<uint8_t> out;
-  out.insert(out.end(), kMagic, kMagic + sizeof(kMagic));
+  out.reserve(total);
+  for (const char c : kMagic) {
+    out.push_back(static_cast<uint8_t>(c));
+  }
   PutU64(&out, entry);
   PutU64(&out, sections.size());
   for (const Section& s : sections) {
@@ -71,7 +78,7 @@ std::vector<uint8_t> BinaryImage::Serialize() const {
   return out;
 }
 
-Result<BinaryImage> BinaryImage::Deserialize(const std::vector<uint8_t>& bytes) {
+Result<BinaryImage> BinaryImage::Deserialize(std::span<const uint8_t> bytes) {
   if (bytes.size() < sizeof(kMagic) || std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
     return Error("image: bad magic");
   }

@@ -8,6 +8,7 @@
 #define REDFAT_SRC_BIN_IMAGE_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/support/result.h"
@@ -41,8 +42,9 @@ struct BinaryImage {
   // Total bytes across all sections (the "binary size").
   uint64_t TotalBytes() const;
 
+  // The RFBIN bytes, in one allocation of exactly their size.
   std::vector<uint8_t> Serialize() const;
-  static Result<BinaryImage> Deserialize(const std::vector<uint8_t>& bytes);
+  static Result<BinaryImage> Deserialize(std::span<const uint8_t> bytes);
 };
 
 }  // namespace redfat

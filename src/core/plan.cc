@@ -172,9 +172,14 @@ std::vector<OperandClass> ClassifyOperands(const Disassembly& dis, const RedFatO
     pool->ParallelFor(ranges, [&](size_t r) {
       const size_t begin = r * n / ranges;
       const size_t end = (r + 1) * n / ranges;
+      // Counted in locals: neighbouring ranges' totals share a cache line.
+      size_t range_mem_operands = 0;
+      size_t range_considered = 0;
       for (size_t i = begin; i < end; ++i) {
-        classes[i] = ClassifyOne(dis.insns[i], opts, &mem_operands[r], &considered[r]);
+        classes[i] = ClassifyOne(dis.insns[i], opts, &range_mem_operands, &range_considered);
       }
+      mem_operands[r] = range_mem_operands;
+      considered[r] = range_considered;
     });
     for (size_t r = 0; r < ranges; ++r) {
       stats->mem_operands += mem_operands[r];

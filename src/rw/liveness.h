@@ -26,12 +26,15 @@ struct ClobberInfo {
 
 // Computes clobber information for an instrumentation point at instruction
 // `index`. The scan starts *at* insns[index] itself: registers it merely
-// reads are not dead, registers it writes first are.
+// reads are not dead, registers it writes first are. It runs forward to the
+// block's end or its first control transfer. This is the lazy accessor's
+// path and the oracle of the batch form.
 ClobberInfo ComputeClobbers(const Disassembly& dis, const CfgInfo& cfg, size_t index);
 
-// Batch form: clobber info for many instrumentation points, computed on the
-// pool's workers (each index is independent). Returns one entry per input
-// index, in input order.
+// Batch form, equal to ComputeClobbers at every index: the indices are
+// grouped by basic block, and each block that holds one is walked once,
+// backwards from its end, on the pool's workers. Returns one entry per
+// input index (any order, repeats allowed), in input order.
 std::vector<ClobberInfo> ComputeClobbersMany(const Disassembly& dis, const CfgInfo& cfg,
                                              const std::vector<size_t>& indices,
                                              ThreadPool& pool);

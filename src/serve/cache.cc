@@ -1,5 +1,7 @@
 #include "src/serve/cache.h"
 
+#include "src/support/check.h"
+
 namespace redfat {
 
 bool ArtifactCache::Lookup(const CacheKey& key, std::shared_ptr<const CachedArtifact>* out) {
@@ -27,11 +29,11 @@ std::shared_ptr<void> ArtifactCache::LookupRetained(const CacheKey& key) {
   return it->second->retained;
 }
 
-void ArtifactCache::Insert(const CacheKey& key, CachedArtifact artifact,
+void ArtifactCache::Insert(const CacheKey& key, std::shared_ptr<const CachedArtifact> artifact,
                            std::shared_ptr<void> retained, uint64_t retained_bytes) {
-  auto shared = std::make_shared<const CachedArtifact>(std::move(artifact));
+  REDFAT_CHECK(artifact != nullptr);
   std::lock_guard<std::mutex> lock(mu_);
-  const uint64_t charge = shared->image_bytes.size() + shared->sitemap.size() +
+  const uint64_t charge = artifact->image_bytes.size() + artifact->sitemap.size() +
                           (retained != nullptr ? retained_bytes : 0);
   auto it = index_.find(key);
   if (it != index_.end()) {
@@ -40,7 +42,7 @@ void ArtifactCache::Insert(const CacheKey& key, CachedArtifact artifact,
     // the new insert does not bring one.
     Entry& e = *it->second;
     bytes_ -= e.charged_bytes;
-    e.artifact = std::move(shared);
+    e.artifact = std::move(artifact);
     if (retained != nullptr) {
       e.retained = std::move(retained);
     }
@@ -49,7 +51,7 @@ void ArtifactCache::Insert(const CacheKey& key, CachedArtifact artifact,
     bytes_ += e.charged_bytes;
     lru_.splice(lru_.begin(), lru_, it->second);
   } else {
-    lru_.push_front(Entry{key, std::move(shared), std::move(retained), charge});
+    lru_.push_front(Entry{key, std::move(artifact), std::move(retained), charge});
     index_[key] = lru_.begin();
     bytes_ += charge;
   }

@@ -14,9 +14,11 @@
 // under the base key, but never fabricates an untiered image it did not
 // build. Lookup() only reports entries that carry an artifact.
 //
-// Artifacts are immutable once inserted and shared by pointer: a hit holds
-// the cache's one mutex only long enough to copy a shared_ptr, so
-// concurrent hits and inserts never wait on a copy of the image bytes.
+// Artifacts are immutable and shared by pointer. The request that builds
+// one inserts that same object, and a hit holds the cache's one mutex only
+// long enough to copy the shared_ptr: no one copies the image bytes. The
+// daemon writes a reply straight from the artifact, and the reply's pointer
+// keeps it alive even if the LRU evicts the entry mid-write.
 #ifndef REDFAT_SRC_SERVE_CACHE_H_
 #define REDFAT_SRC_SERVE_CACHE_H_
 
@@ -62,12 +64,14 @@ class ArtifactCache {
   // last thing the budget evicts.
   std::shared_ptr<void> LookupRetained(const CacheKey& key);
 
-  // Inserts or replaces an entry. `retained_bytes` is the caller's estimate
-  // of the retained handle's footprint (0 when `retained` is null); the
-  // entry's total charge is artifact bytes + sitemap bytes + retained
-  // bytes. Inserting may evict least-recently-used entries until the budget
-  // holds again (the new entry itself is never evicted by its own insert).
-  void Insert(const CacheKey& key, CachedArtifact artifact,
+  // Inserts or replaces an entry, storing `artifact` itself (never null;
+  // empty for an analysis-only entry). `retained_bytes` is the caller's
+  // estimate of the retained handle's footprint (0 when `retained` is
+  // null); the entry's total charge is artifact bytes + sitemap bytes +
+  // retained bytes. Inserting may evict least-recently-used entries until
+  // the budget holds again (the new entry itself is never evicted by its
+  // own insert).
+  void Insert(const CacheKey& key, std::shared_ptr<const CachedArtifact> artifact,
               std::shared_ptr<void> retained = nullptr, uint64_t retained_bytes = 0);
 
   ArtifactCacheStats stats() const;

@@ -9,17 +9,17 @@ namespace redfat {
 
 namespace {
 
-Result<DaemonClient::RewriteReply> ParseRewriteReply(const Frame& frame) {
-  BodyReader r(frame.body);
+// Decodes a kOk rewrite reply off the socket: the fixed fields, then the
+// image blob and the sitemap straight into `reply`.
+Status ReadRewriteReply(FrameReader& r, DaemonClient::RewriteReply* reply) {
   Result<uint8_t> flags = r.U8();
   if (!flags.ok()) {
     return Error(flags.error());
   }
-  DaemonClient::RewriteReply reply;
-  reply.cache_hit = (flags.value() & 1) != 0;
-  reply.incremental_retier = (flags.value() & 2) != 0;
-  uint64_t* fields[3] = {&reply.key.image_hash, &reply.key.options_fp,
-                         &reply.key.profile_fp};
+  reply->cache_hit = (flags.value() & 1) != 0;
+  reply->incremental_retier = (flags.value() & 2) != 0;
+  uint64_t* fields[3] = {&reply->key.image_hash, &reply->key.options_fp,
+                         &reply->key.profile_fp};
   for (uint64_t* field : fields) {
     Result<uint64_t> v = r.U64();
     if (!v.ok()) {
@@ -27,25 +27,20 @@ Result<DaemonClient::RewriteReply> ParseRewriteReply(const Frame& frame) {
     }
     *field = v.value();
   }
-  Result<std::vector<uint8_t>> image = r.Blob();
-  if (!image.ok()) {
-    return Error(image.error());
+  Status blob = r.Blob(&reply->image_bytes);
+  if (blob.ok()) {
+    blob = r.Blob(&reply->sitemap);
   }
-  Result<std::string> sitemap = r.Str();
-  if (!sitemap.ok()) {
-    return Error(sitemap.error());
+  if (!blob.ok() || r.Done()) {
+    return blob;
   }
-  if (!r.Done()) {
-    return Error("reply: trailing bytes");
-  }
-  reply.image_bytes = std::move(image.value());
-  reply.sitemap = std::move(sitemap.value());
-  return reply;
+  const Status skipped = r.Skip();
+  return Error(skipped.ok() ? "reply: trailing bytes" : skipped.error());
 }
 
-// Decodes a kError frame into a readable message.
-std::string DecodeWireError(const Frame& frame) {
-  BodyReader r(frame.body);
+// Decodes a kError frame's body into a readable message.
+std::string DecodeWireError(const std::vector<uint8_t>& body) {
+  BodyReader r(body);
   Result<uint32_t> code = r.U32();
   Result<std::string> message = code.ok() ? r.Str() : Error(code.error());
   if (!message.ok()) {
@@ -76,44 +71,52 @@ void DaemonClient::Close() {
 }
 
 Result<DaemonClient::RewriteReply> DaemonClient::RoundTrip(
-    uint8_t type, const std::vector<uint8_t>& body) {
+    MsgType type, std::initializer_list<BodyPart> body) {
   if (fd_ < 0) {
     return Error("client: not connected");
   }
-  Status w = WriteFrame(fd_, static_cast<MsgType>(type), body);
+  Status w = WriteFrame(fd_, type, body);
   if (!w.ok()) {
     return Error(w.error());
   }
-  Result<Frame> reply = ReadFrame(fd_);
-  if (!reply.ok()) {
-    return Error(reply.error());
+  FrameReader r(fd_);
+  Result<MsgType> reply_type = r.Begin();
+  if (!reply_type.ok()) {
+    return Error(reply_type.error());
   }
-  if (reply.value().type == MsgType::kError) {
-    return Error(DecodeWireError(reply.value()));
+  if (reply_type.value() == MsgType::kError) {
+    std::vector<uint8_t> error;
+    const Status read = r.Rest(&error);
+    return Error(read.ok() ? DecodeWireError(error) : read.error());
   }
-  if (reply.value().type != MsgType::kOk) {
-    return Error("reply: unexpected frame type");
+  if (reply_type.value() != MsgType::kOk) {
+    const Status skipped = r.Skip();
+    return Error(skipped.ok() ? "reply: unexpected frame type" : skipped.error());
   }
-  return ParseRewriteReply(reply.value());
+  RewriteReply reply;
+  const Status read = ReadRewriteReply(r, &reply);
+  if (!read.ok()) {
+    return Error(read.error());
+  }
+  return reply;
 }
 
 Result<DaemonClient::RewriteReply> DaemonClient::Rewrite(
     const std::vector<uint8_t>& image_bytes, const RedFatOptions& opts,
     const std::string& profile_json) {
-  std::vector<uint8_t> body;
-  PutBlob(&body, CanonicalOptionsBlob(opts));
-  PutBlob(&body, profile_json);
-  body.insert(body.end(), image_bytes.begin(), image_bytes.end());
-  return RoundTrip(static_cast<uint8_t>(MsgType::kRewrite), body);
+  std::vector<uint8_t> head;
+  PutBlob(&head, CanonicalOptionsBlob(opts));
+  PutU32(&head, static_cast<uint32_t>(profile_json.size()));
+  return RoundTrip(MsgType::kRewrite, {head, AsPart(profile_json), image_bytes});
 }
 
 Result<DaemonClient::RewriteReply> DaemonClient::UploadProfile(
     uint64_t image_hash, const RedFatOptions& opts, const std::string& profile_json) {
-  std::vector<uint8_t> body;
-  PutU64(&body, image_hash);
-  PutBlob(&body, CanonicalOptionsBlob(opts));
-  PutBlob(&body, profile_json);
-  return RoundTrip(static_cast<uint8_t>(MsgType::kUploadProfile), body);
+  std::vector<uint8_t> head;
+  PutU64(&head, image_hash);
+  PutBlob(&head, CanonicalOptionsBlob(opts));
+  PutU32(&head, static_cast<uint32_t>(profile_json.size()));
+  return RoundTrip(MsgType::kUploadProfile, {head, AsPart(profile_json)});
 }
 
 Result<DaemonClient::RewriteReply> DaemonClient::FetchArtifact(const CacheKey& key) {
@@ -121,7 +124,7 @@ Result<DaemonClient::RewriteReply> DaemonClient::FetchArtifact(const CacheKey& k
   PutU64(&body, key.image_hash);
   PutU64(&body, key.options_fp);
   PutU64(&body, key.profile_fp);
-  return RoundTrip(static_cast<uint8_t>(MsgType::kFetchArtifact), body);
+  return RoundTrip(MsgType::kFetchArtifact, {body});
 }
 
 Result<std::string> DaemonClient::Stats() {
@@ -137,7 +140,7 @@ Result<std::string> DaemonClient::Stats() {
     return Error(reply.error());
   }
   if (reply.value().type == MsgType::kError) {
-    return Error(DecodeWireError(reply.value()));
+    return Error(DecodeWireError(reply.value().body));
   }
   BodyReader r(reply.value().body);
   Result<std::string> json = r.Str();

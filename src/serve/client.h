@@ -2,6 +2,11 @@
 // Thin and synchronous — one connected socket, one outstanding request.
 // Connection failure is surfaced eagerly from Connect() so the CLI can fall
 // back to in-process rewriting without having built a request first.
+//
+// Neither direction copies an image: a request goes out as frame parts (the
+// encoded fields, then the caller's profile text and image bytes), and a
+// reply's image blob and sitemap are read off the socket straight into the
+// RewriteReply, each declared length checked against the frame first.
 #ifndef REDFAT_SRC_SERVE_CLIENT_H_
 #define REDFAT_SRC_SERVE_CLIENT_H_
 
@@ -11,6 +16,7 @@
 
 #include "src/core/options.h"
 #include "src/serve/fingerprint.h"
+#include "src/serve/protocol.h"
 #include "src/support/result.h"
 
 namespace redfat {
@@ -55,9 +61,9 @@ class DaemonClient {
   Status Shutdown();
 
  private:
-  // Sends one frame and decodes the kOk/kError reply; a kError reply is
-  // surfaced as "daemon error N: message".
-  Result<RewriteReply> RoundTrip(uint8_t type, const std::vector<uint8_t>& body);
+  // Sends one frame, its body as parts, and decodes the kOk/kError reply
+  // as it arrives; a kError reply is surfaced as "daemon error N: message".
+  Result<RewriteReply> RoundTrip(MsgType type, std::initializer_list<BodyPart> body);
 
   int fd_ = -1;
 };

@@ -33,8 +33,11 @@ WireError ClassifyServiceError(const std::string& error) {
   return WireError::kRewriteFailed;
 }
 
+// Writes the reply straight from the shared artifact: only the fixed
+// fields and the two blob lengths are encoded here.
 Status SendOutcome(int fd, const RewriteService::Outcome& out) {
-  std::vector<uint8_t> body;
+  const CachedArtifact& artifact = *out.artifact;
+  std::vector<uint8_t> head;
   uint8_t flags = 0;
   if (out.cache_hit) {
     flags |= 1;
@@ -42,13 +45,15 @@ Status SendOutcome(int fd, const RewriteService::Outcome& out) {
   if (out.incremental_retier) {
     flags |= 2;
   }
-  PutU8(&body, flags);
-  PutU64(&body, out.key.image_hash);
-  PutU64(&body, out.key.options_fp);
-  PutU64(&body, out.key.profile_fp);
-  PutBlob(&body, out.image_bytes);
-  PutBlob(&body, out.sitemap);
-  return WriteFrame(fd, MsgType::kOk, body);
+  PutU8(&head, flags);
+  PutU64(&head, out.key.image_hash);
+  PutU64(&head, out.key.options_fp);
+  PutU64(&head, out.key.profile_fp);
+  PutU32(&head, static_cast<uint32_t>(artifact.image_bytes.size()));
+  std::vector<uint8_t> sitemap_len;
+  PutU32(&sitemap_len, static_cast<uint32_t>(artifact.sitemap.size()));
+  return WriteFrame(fd, MsgType::kOk,
+                    {head, artifact.image_bytes, sitemap_len, AsPart(artifact.sitemap)});
 }
 
 }  // namespace
@@ -153,7 +158,9 @@ bool Daemon::HandleFrame(int fd, const Frame& frame) {
       if (!profile_json.ok()) {
         return SendError(fd, WireError::kMalformedFrame, profile_json.error()).ok();
       }
-      const std::vector<uint8_t> image = r.Rest();
+      // The image stays where it arrived: the service hashes it in the
+      // frame and decodes it from there on a miss.
+      const std::span<const uint8_t> image = r.Rest();
       Result<RedFatOptions> opts = OptionsFromBlob(opts_blob.value());
       if (!opts.ok()) {
         return SendError(fd, WireError::kBadRequest, opts.error()).ok();

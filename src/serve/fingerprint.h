@@ -21,6 +21,7 @@
 #define REDFAT_SRC_SERVE_FINGERPRINT_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -33,6 +34,9 @@ namespace redfat {
 // FNV-1a over a byte range; the one hash used for all fingerprints.
 uint64_t Fnv1a64(const uint8_t* data, size_t len, uint64_t seed = 0xcbf29ce484222325ULL);
 inline uint64_t Fnv1a64(const std::vector<uint8_t>& bytes) {
+  return Fnv1a64(bytes.data(), bytes.size());
+}
+inline uint64_t Fnv1a64(std::span<const uint8_t> bytes) {
   return Fnv1a64(bytes.data(), bytes.size());
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cstring>
 
 #include <sys/socket.h>
@@ -39,6 +40,26 @@ void PutBlob(std::vector<uint8_t>* out, const std::string& text) {
   PutBlob(out, reinterpret_cast<const uint8_t*>(text.data()), text.size());
 }
 
+namespace {
+
+uint32_t LoadU32(const uint8_t* p) {
+  uint32_t v = 0;
+  for (int i = 3; i >= 0; --i) {
+    v = (v << 8) | p[i];
+  }
+  return v;
+}
+
+uint64_t LoadU64(const uint8_t* p) {
+  uint64_t v = 0;
+  for (int i = 7; i >= 0; --i) {
+    v = (v << 8) | p[i];
+  }
+  return v;
+}
+
+}  // namespace
+
 Result<uint8_t> BodyReader::U8() {
   if (pos_ + 1 > body_.size()) {
     return Error("frame body: truncated u8");
@@ -50,24 +71,16 @@ Result<uint32_t> BodyReader::U32() {
   if (pos_ + 4 > body_.size()) {
     return Error("frame body: truncated u32");
   }
-  uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) | body_[pos_ + static_cast<size_t>(i)];
-  }
   pos_ += 4;
-  return v;
+  return LoadU32(&body_[pos_ - 4]);
 }
 
 Result<uint64_t> BodyReader::U64() {
   if (pos_ + 8 > body_.size()) {
     return Error("frame body: truncated u64");
   }
-  uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | body_[pos_ + static_cast<size_t>(i)];
-  }
   pos_ += 8;
-  return v;
+  return LoadU64(&body_[pos_ - 8]);
 }
 
 Result<std::vector<uint8_t>> BodyReader::Blob() {
@@ -92,27 +105,41 @@ Result<std::string> BodyReader::Str() {
   return std::string(blob.value().begin(), blob.value().end());
 }
 
-std::vector<uint8_t> BodyReader::Rest() {
-  std::vector<uint8_t> out(body_.begin() + static_cast<ptrdiff_t>(pos_), body_.end());
+std::span<const uint8_t> BodyReader::Rest() {
+  const std::span<const uint8_t> rest = body_.subspan(pos_);
   pos_ = body_.size();
-  return out;
+  return rest;
 }
 
 namespace {
 
 constexpr size_t kFirstBodyChunk = 1 << 20;
 
-Status WriteAll(int fd, const uint8_t* data, size_t len) {
-  size_t off = 0;
-  while (off < len) {
-    const ssize_t n = ::write(fd, data + off, len - off);
+// Writes every byte of the iovec array, advancing past short writes. A
+// peer that hung up is an error of this connection (EPIPE), never a
+// SIGPIPE that ends the whole process.
+Status WriteAllV(int fd, iovec* iov, size_t count) {
+  while (count > 0) {
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = std::min<size_t>(count, IOV_MAX);
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) {
         continue;
       }
       return Error(StrFormat("socket write: %s", std::strerror(errno)));
     }
-    off += static_cast<size_t>(n);
+    size_t done = static_cast<size_t>(n);
+    while (count > 0 && done >= iov->iov_len) {
+      done -= iov->iov_len;
+      ++iov;
+      --count;
+    }
+    if (count > 0) {
+      iov->iov_base = static_cast<uint8_t*>(iov->iov_base) + done;
+      iov->iov_len -= done;
+    }
   }
   return Status::Ok();
 }
@@ -140,60 +167,160 @@ Result<bool> ReadAll(int fd, uint8_t* data, size_t len, bool eof_ok) {
   return true;
 }
 
-}  // namespace
-
-Status WriteFrame(int fd, MsgType type, const std::vector<uint8_t>& body) {
-  if (body.size() + 1 > kMaxFramePayload) {
-    return Error("frame: payload too large");
+// Reads exactly len bytes into `out`, which grows geometrically as they
+// arrive: a declared length alone reserves nothing, and smaller fields land
+// in one allocation of their own size.
+template <typename Buffer>
+Status ReadGrowing(int fd, size_t len, Buffer* out) {
+  out->clear();
+  while (out->size() < len) {
+    const size_t have = out->size();
+    out->resize(std::min(len, std::max(kFirstBodyChunk, 2 * have)));
+    Result<bool> got = ReadAll(fd, reinterpret_cast<uint8_t*>(out->data()) + have,
+                               out->size() - have, /*eof_ok=*/false);
+    if (!got.ok()) {
+      return Error(got.error());
+    }
   }
-  std::vector<uint8_t> out;
-  out.reserve(9 + body.size());
-  PutU32(&out, kFrameMagic);
-  PutU32(&out, static_cast<uint32_t>(body.size() + 1));
-  PutU8(&out, static_cast<uint8_t>(type));
-  out.insert(out.end(), body.begin(), body.end());
-  return WriteAll(fd, out.data(), out.size());
+  return Status::Ok();
 }
 
-Result<Frame> ReadFrame(int fd) {
-  uint8_t header[8];
-  Result<bool> got = ReadAll(fd, header, sizeof(header), /*eof_ok=*/true);
+}  // namespace
+
+Status WriteFrame(int fd, MsgType type, std::initializer_list<BodyPart> parts) {
+  size_t body_len = 0;
+  for (const BodyPart& part : parts) {
+    body_len += part.size();
+  }
+  if (body_len + 1 > kMaxFramePayload) {
+    return Error("frame: payload too large");
+  }
+  uint8_t header[9];
+  for (int i = 0; i < 4; ++i) {
+    header[i] = static_cast<uint8_t>(kFrameMagic >> (8 * i));
+    header[4 + i] = static_cast<uint8_t>((body_len + 1) >> (8 * i));
+  }
+  header[8] = static_cast<uint8_t>(type);
+  std::vector<iovec> iov;
+  iov.reserve(parts.size() + 1);
+  iov.push_back(iovec{header, sizeof(header)});
+  for (const BodyPart& part : parts) {
+    if (!part.empty()) {
+      iov.push_back(iovec{const_cast<uint8_t*>(part.data()), part.size()});
+    }
+  }
+  return WriteAllV(fd, iov.data(), iov.size());
+}
+
+Result<MsgType> FrameReader::Begin() {
+  uint8_t header[9];
+  Result<bool> got = ReadAll(fd_, header, 8, /*eof_ok=*/true);
   if (!got.ok()) {
     return Error(got.error());
   }
   if (!got.value()) {
     return Error("eof");  // clean close between frames
   }
-  uint32_t magic = 0;
-  uint32_t length = 0;
-  for (int i = 3; i >= 0; --i) {
-    magic = (magic << 8) | header[i];
-    length = (length << 8) | header[4 + i];
-  }
+  const uint32_t magic = LoadU32(header);
+  const uint32_t length = LoadU32(header + 4);
   if (magic != kFrameMagic) {
     return Error("frame: bad magic");
   }
   if (length == 0 || length > kMaxFramePayload) {
     return Error(StrFormat("frame: bad length %u", length));
   }
-  uint8_t type = 0;
-  got = ReadAll(fd, &type, 1, /*eof_ok=*/false);
+  got = ReadAll(fd_, &header[8], 1, /*eof_ok=*/false);
   if (!got.ok()) {
     return Error(got.error());
   }
-  Frame f;
-  f.type = static_cast<MsgType>(type);
-  // The body grows geometrically as bytes arrive, so a header that declares
-  // 1 GiB and sends nothing costs one 1 MiB chunk; smaller frames land in
-  // one allocation of their own size.
-  const size_t body_len = length - 1;
-  while (f.body.size() < body_len) {
-    const size_t have = f.body.size();
-    f.body.resize(std::min(body_len, std::max(kFirstBodyChunk, 2 * have)));
-    got = ReadAll(fd, f.body.data() + have, f.body.size() - have, /*eof_ok=*/false);
+  left_ = length - 1;
+  return static_cast<MsgType>(header[8]);
+}
+
+Error FrameReader::Fail(const char* error) {
+  const Status skipped = Skip();
+  return Error(skipped.ok() ? error : skipped.error());
+}
+
+Status FrameReader::Take(uint8_t* out, size_t len, const char* truncated) {
+  if (left_ < len) {
+    return Fail(truncated);
+  }
+  Result<bool> got = ReadAll(fd_, out, len, /*eof_ok=*/false);
+  if (!got.ok()) {
+    return Error(got.error());
+  }
+  left_ -= len;
+  return Status::Ok();
+}
+
+Result<uint8_t> FrameReader::U8() {
+  uint8_t v = 0;
+  const Status took = Take(&v, 1, "frame body: truncated u8");
+  if (!took.ok()) {
+    return Error(took.error());
+  }
+  return v;
+}
+
+Result<uint64_t> FrameReader::U64() {
+  uint8_t v[8] = {};
+  const Status took = Take(v, sizeof(v), "frame body: truncated u64");
+  if (!took.ok()) {
+    return Error(took.error());
+  }
+  return LoadU64(v);
+}
+
+template <typename Buffer>
+Status FrameReader::ReadBlob(Buffer* out) {
+  uint8_t prefix[4] = {};
+  const Status took = Take(prefix, sizeof(prefix), "frame body: truncated u32");
+  if (!took.ok()) {
+    return took;
+  }
+  const uint32_t len = LoadU32(prefix);
+  if (len > left_) {
+    return Fail("frame body: truncated blob");
+  }
+  left_ -= len;
+  return ReadGrowing(fd_, len, out);
+}
+
+Status FrameReader::Blob(std::vector<uint8_t>* out) { return ReadBlob(out); }
+
+Status FrameReader::Blob(std::string* out) { return ReadBlob(out); }
+
+Status FrameReader::Rest(std::vector<uint8_t>* out) {
+  const size_t len = left_;
+  left_ = 0;
+  return ReadGrowing(fd_, len, out);
+}
+
+Status FrameReader::Skip() {
+  uint8_t sink[4096];
+  while (left_ > 0) {
+    const size_t n = std::min(left_, sizeof(sink));
+    Result<bool> got = ReadAll(fd_, sink, n, /*eof_ok=*/false);
     if (!got.ok()) {
       return Error(got.error());
     }
+    left_ -= n;
+  }
+  return Status::Ok();
+}
+
+Result<Frame> ReadFrame(int fd) {
+  FrameReader reader(fd);
+  Result<MsgType> type = reader.Begin();
+  if (!type.ok()) {
+    return Error(type.error());
+  }
+  Frame f;
+  f.type = type.value();
+  const Status body = reader.Rest(&f.body);
+  if (!body.ok()) {
+    return Error(body.error());
   }
   return f;
 }

@@ -59,15 +59,21 @@ uint64_t EstimateAnalysisBytes(const PipelineContext& ctx, size_t input_bytes) {
   return est;
 }
 
-// A cache hit's reply. The bytes are copied out of the shared artifact
-// here, after the cache lock is released.
-RewriteService::Outcome HitOutcome(const CacheKey& key, const CachedArtifact& cached) {
+// A cache hit's reply: the cached artifact itself, shared.
+RewriteService::Outcome HitOutcome(const CacheKey& key,
+                                   std::shared_ptr<const CachedArtifact> cached) {
   RewriteService::Outcome out;
   out.key = key;
   out.cache_hit = true;
-  out.image_bytes = cached.image_bytes;
-  out.sitemap = cached.sitemap;
+  out.artifact = std::move(cached);
   return out;
+}
+
+// The artifact of a finished run, serialized once: the cache stores this
+// object and every reply for its key is written from it.
+std::shared_ptr<const CachedArtifact> MakeArtifact(const PipelineContext& ctx) {
+  return std::make_shared<const CachedArtifact>(
+      CachedArtifact{ctx.output.Serialize(), SerializeSiteMap(ctx.plan.sites, nullptr)});
 }
 
 }  // namespace
@@ -100,7 +106,7 @@ RewriteService::RewriteService(const Config& config)
 RewriteService::~RewriteService() = default;
 
 Result<RewriteService::Outcome> RewriteService::Rewrite(
-    const std::vector<uint8_t>& image_bytes, const RedFatOptions& opts,
+    std::span<const uint8_t> image_bytes, const RedFatOptions& opts,
     const std::string& profile_json) {
   RequestScope scope(this);
 
@@ -121,7 +127,7 @@ Result<RewriteService::Outcome> RewriteService::Rewrite(
   std::shared_ptr<const CachedArtifact> cached;
   if (cache_.Lookup(key, &cached)) {
     hits_.fetch_add(1, std::memory_order_relaxed);
-    return HitOutcome(key, *cached);
+    return HitOutcome(key, std::move(cached));
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
 
@@ -155,7 +161,7 @@ Result<RewriteService::Outcome> RewriteService::UploadProfile(
   std::shared_ptr<const CachedArtifact> cached;
   if (cache_.Lookup(key, &cached)) {
     hits_.fetch_add(1, std::memory_order_relaxed);
-    return HitOutcome(key, *cached);
+    return HitOutcome(key, std::move(cached));
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
 
@@ -177,11 +183,11 @@ Result<RewriteService::Outcome> RewriteService::FetchArtifact(const CacheKey& ke
     return Error(StrFormat("no cached artifact for key %s", key.ToString().c_str()));
   }
   hits_.fetch_add(1, std::memory_order_relaxed);
-  return HitOutcome(key, *cached);
+  return HitOutcome(key, std::move(cached));
 }
 
 Result<RewriteService::Outcome> RewriteService::RewriteMiss(
-    const CacheKey& key, std::vector<uint8_t> image_bytes, const RedFatOptions& opts,
+    const CacheKey& key, std::span<const uint8_t> image_bytes, const RedFatOptions& opts,
     const TierProfile* profile) {
   Result<BinaryImage> input = BinaryImage::Deserialize(image_bytes);
   if (!input.ok()) {
@@ -213,19 +219,18 @@ Result<RewriteService::Outcome> RewriteService::RewriteMiss(
 
   Outcome out;
   out.key = key;
-  out.image_bytes = entry->ctx->output.Serialize();
-  out.sitemap = SerializeSiteMap(entry->ctx->plan.sites, nullptr);
+  out.artifact = MakeArtifact(*entry->ctx);
   entry->approx_bytes = EstimateAnalysisBytes(*entry->ctx, image_bytes.size());
 
   // The artifact lands under the request's key; the warm analysis always
   // belongs to the base key. A tiered cold run therefore deposits two
   // entries: (artifact@key) and (analysis-only@base).
   if (key.profile_fp == 0) {
-    cache_.Insert(key, CachedArtifact{out.image_bytes, out.sitemap}, entry,
-                  entry->approx_bytes);
+    cache_.Insert(key, out.artifact, entry, entry->approx_bytes);
   } else {
-    cache_.Insert(key.Base(), CachedArtifact{}, entry, entry->approx_bytes);
-    cache_.Insert(key, CachedArtifact{out.image_bytes, out.sitemap});
+    cache_.Insert(key.Base(), std::make_shared<const CachedArtifact>(), entry,
+                  entry->approx_bytes);
+    cache_.Insert(key, out.artifact);
   }
   return out;
 }
@@ -254,9 +259,8 @@ Result<RewriteService::Outcome> RewriteService::Retier(
   Outcome out;
   out.key = key;
   out.incremental_retier = true;
-  out.image_bytes = ctx.output.Serialize();
-  out.sitemap = SerializeSiteMap(ctx.plan.sites, nullptr);
-  cache_.Insert(key, CachedArtifact{out.image_bytes, out.sitemap});
+  out.artifact = MakeArtifact(ctx);
+  cache_.Insert(key, out.artifact);
   return out;
 }
 

@@ -12,7 +12,7 @@
 // Request flow:
 //   Rewrite(image, opts, profile_json):
 //     key = (fnv(image), OptionsFingerprint(opts), fingerprint(profile))
-//     cache hit                 -> return the cached artifact untouched
+//     cache hit                 -> share the cached artifact (no byte copied)
 //     miss, no profile          -> full pipeline run; capture the post-group
 //                                  PipelineCheckpoint; store artifact +
 //                                  warm analysis under the (base) key
@@ -27,6 +27,11 @@
 //     shipping the image again — fails kNotFound when the daemon holds no
 //     warm analysis for the base key.
 //
+// Every outcome carries the cache's artifact object itself: a miss or
+// re-tier serializes its image and sitemap once into the artifact it
+// inserts, a hit hands out that same object, and the transport writes the
+// reply from it.
+//
 // Byte identity is the hard contract: every cell (hit, miss, re-tier) must
 // produce images cmp-identical to the offline `redfat` run with the same
 // flags. The incremental path preserves it because the checkpoint is
@@ -40,6 +45,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -81,14 +87,17 @@ class RewriteService {
     CacheKey key;
     bool cache_hit = false;           // served without touching the pipeline
     bool incremental_retier = false;  // tier..patch re-entry on warm analysis
-    std::vector<uint8_t> image_bytes;
-    std::string sitemap;
+    // The image and sitemap: the object the cache holds under `key`, never
+    // null. Holding it keeps the bytes alive while a reply is written, even
+    // if the cache evicts the entry meanwhile.
+    std::shared_ptr<const CachedArtifact> artifact;
   };
 
   // `image_bytes` are the raw serialized RFBIN bytes as sent by the client
-  // (hashed as-is). `profile_json` may be empty (no tiering).
-  Result<Outcome> Rewrite(const std::vector<uint8_t>& image_bytes,
-                          const RedFatOptions& opts, const std::string& profile_json);
+  // (hashed as-is, and only decoded on a miss); the daemon passes a view
+  // into the request frame. `profile_json` may be empty (no tiering).
+  Result<Outcome> Rewrite(std::span<const uint8_t> image_bytes, const RedFatOptions& opts,
+                          const std::string& profile_json);
 
   // Re-tiers the already-cached image identified by (image_hash, opts).
   Result<Outcome> UploadProfile(uint64_t image_hash, const RedFatOptions& opts,
@@ -120,7 +129,7 @@ class RewriteService {
 
   class RequestScope;  // RAII latency/queue-depth recorder
 
-  Result<Outcome> RewriteMiss(const CacheKey& key, std::vector<uint8_t> image_bytes,
+  Result<Outcome> RewriteMiss(const CacheKey& key, std::span<const uint8_t> image_bytes,
                               const RedFatOptions& opts, const TierProfile* profile);
   Result<Outcome> Retier(const CacheKey& key, const std::shared_ptr<AnalysisEntry>& entry,
                          const RedFatOptions& opts, const TierProfile& profile);

@@ -46,7 +46,9 @@
 //                          than mis-applied
 //   --hot-threshold=F      fraction of profiled trampoline cycles the hot
 //                          tier must cover (default 0.9)
-//   --allowlist FILE       allow-list file: one hex site address per line
+//   --allowlist FILE       allow-list file: one hex site address per line;
+//                          entries that name no check site of the input
+//                          are counted on stderr
 //   --profile-data FILE    build the allow-list from an `rfrun
 //                          --profile-dump` file (re-plans the input binary
 //                          deterministically to map site ids to addresses)
@@ -82,6 +84,7 @@
 #include <cstring>
 #include <optional>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "src/core/policy.h"
@@ -742,6 +745,22 @@ int Main(int argc, char** argv) {
   if (!emitted.ok()) {
     std::fprintf(stderr, "redfat: %s\n", emitted.error().c_str());
     return 1;
+  }
+  if (!allow_path.empty()) {
+    // An entry that names no site (stale, or for another binary) gives no
+    // site a full check; count them, so a wrong list is not applied silently.
+    std::unordered_set<uint64_t> site_addrs;
+    for (const SiteRecord& site : out.value().sites) {
+      site_addrs.insert(site.addr);
+    }
+    size_t unmatched = 0;
+    for (const uint64_t addr : allow.addrs) {
+      unmatched += site_addrs.count(addr) == 0 ? 1 : 0;
+    }
+    if (unmatched != 0) {
+      std::fprintf(stderr, "redfat: allow-list: %zu of %zu entries match no check site\n",
+                   unmatched, allow.addrs.size());
+    }
   }
   if (time_passes) {
     PrintPassTimings("", out.value().pipeline_stats);

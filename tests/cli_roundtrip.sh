@@ -183,10 +183,27 @@ SITE0=$(sed -n 's/^0 0x\([0-9a-f]*\) .*/\1/p' extensive.map)
 printf '%s\n' "$SITE0" > allow_bare.txt
 printf '0x%s\n' "$SITE0" > allow_0x.txt
 for A in bare 0x; do
-  "$TOOLS/redfat" --allowlist allow_$A.txt --sitemap allow_$A.map mcf.rfbin mcf.allow_$A.rfbin
+  "$TOOLS/redfat" --allowlist allow_$A.txt --sitemap allow_$A.map mcf.rfbin mcf.allow_$A.rfbin \
+      2> allow_$A.err
   [ "$(grep -c ' full$' allow_$A.map)" = 1 ] || fail "allow-list ($A) did not give one full site"
 done
 cmp mcf.allow_bare.rfbin mcf.allow_0x.rfbin || fail "allow-list spellings differ"
+# Entries that match no check site are counted on stderr; the image is what
+# an allow-list with no entries gives. mcf's real allow-list (every site of
+# its sitemap) prints nothing.
+printf '0x1\n' > allow_stale.txt
+printf '# nothing\n' > allow_none.txt
+"$TOOLS/redfat" --allowlist allow_stale.txt mcf.rfbin mcf.allow_stale.rfbin 2> allow_stale.err \
+    || fail "stale allow-list rewrite failed"
+grep -qx "redfat: allow-list: 1 of 1 entries match no check site" allow_stale.err \
+    || fail "stale allow-list entry not reported"
+"$TOOLS/redfat" --allowlist allow_none.txt mcf.rfbin mcf.allow_none.rfbin
+cmp mcf.allow_stale.rfbin mcf.allow_none.rfbin || fail "stale allow-list changed the image"
+sed -n 's/^[0-9]* \(0x[0-9a-f]*\) .*/\1/p' extensive.map > allow_all.txt
+"$TOOLS/redfat" --allowlist allow_all.txt mcf.rfbin mcf.allow_all.rfbin 2> allow_all.err
+for A in bare 0x all; do
+  ! grep -q "match no check site" allow_$A.err || fail "allow-list ($A) reported unmatched entries"
+done
 # A malformed number on rfrun's or rfgen's command line exits 2 and names
 # the argument; a well-formed decimal input runs as its hex spelling does.
 for bad in "rfrun mcf.rfbin 5x 0x3f:an input word" "rfrun --limit abc mcf.rfbin 5 0x3f:--limit" \

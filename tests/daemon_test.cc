@@ -5,10 +5,13 @@
 // Unix-domain socket, including malformed-frame handling.
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+#include <signal.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -178,9 +181,9 @@ CacheKey KeyOf(uint64_t image_hash) {
   return k;
 }
 
-CachedArtifact ArtifactOfSize(size_t n) {
-  CachedArtifact a;
-  a.image_bytes.assign(n, 0xab);
+std::shared_ptr<const CachedArtifact> ArtifactOfSize(size_t n) {
+  auto a = std::make_shared<CachedArtifact>();
+  a->image_bytes.assign(n, 0xab);
   return a;
 }
 
@@ -223,19 +226,23 @@ TEST(RewriteService, HitAndMissAreByteIdenticalToOffline) {
   Result<RewriteService::Outcome> miss = svc.Rewrite(wire, opts, "");
   ASSERT_TRUE(miss.ok()) << miss.error();
   EXPECT_FALSE(miss.value().cache_hit);
-  EXPECT_EQ(miss.value().image_bytes, offline.image_bytes);
-  EXPECT_EQ(miss.value().sitemap, offline.sitemap);
+  EXPECT_EQ(miss.value().artifact->image_bytes, offline.image_bytes);
+  EXPECT_EQ(miss.value().artifact->sitemap, offline.sitemap);
 
   Result<RewriteService::Outcome> hit = svc.Rewrite(wire, opts, "");
   ASSERT_TRUE(hit.ok()) << hit.error();
   EXPECT_TRUE(hit.value().cache_hit);
-  EXPECT_EQ(hit.value().image_bytes, offline.image_bytes);
-  EXPECT_EQ(hit.value().sitemap, offline.sitemap);
+  EXPECT_EQ(hit.value().artifact->image_bytes, offline.image_bytes);
+  EXPECT_EQ(hit.value().artifact->sitemap, offline.sitemap);
   EXPECT_EQ(hit.value().key, miss.value().key);
+  // Not a copy: the hit hands out the very object the miss built and
+  // inserted.
+  EXPECT_EQ(hit.value().artifact.get(), miss.value().artifact.get());
 
   Result<RewriteService::Outcome> fetched = svc.FetchArtifact(miss.value().key);
   ASSERT_TRUE(fetched.ok()) << fetched.error();
-  EXPECT_EQ(fetched.value().image_bytes, offline.image_bytes);
+  EXPECT_EQ(fetched.value().artifact->image_bytes, offline.image_bytes);
+  EXPECT_EQ(fetched.value().artifact.get(), miss.value().artifact.get());
 
   CacheKey bogus;
   bogus.image_hash = 0xdead;
@@ -272,9 +279,9 @@ TEST(RewriteService, WarmPipelineNeverRespawnsPoolsOrLeaksAnalysis) {
 
   // No analysis-state leakage across images or option sets: every warm
   // output matches a fresh offline tool's.
-  EXPECT_EQ(first.value().image_bytes, OfflineRewrite(img_a, opts).image_bytes);
-  EXPECT_EQ(b.value().image_bytes, OfflineRewrite(img_b, opts).image_bytes);
-  EXPECT_EQ(b_variant.value().image_bytes,
+  EXPECT_EQ(first.value().artifact->image_bytes, OfflineRewrite(img_a, opts).image_bytes);
+  EXPECT_EQ(b.value().artifact->image_bytes, OfflineRewrite(img_b, opts).image_bytes);
+  EXPECT_EQ(b_variant.value().artifact->image_bytes,
             OfflineRewrite(img_b, no_merge).image_bytes);
 }
 
@@ -304,25 +311,25 @@ TEST(RewriteService, RetierMatchesOfflineTieredRewrite) {
   RewriteService svc(RewriteService::Config{});
   Result<RewriteService::Outcome> base = svc.Rewrite(wire, opts, "");
   ASSERT_TRUE(base.ok()) << base.error();
-  EXPECT_EQ(base.value().image_bytes, offline_untiered.image_bytes);
+  EXPECT_EQ(base.value().artifact->image_bytes, offline_untiered.image_bytes);
   Result<RewriteService::Outcome> retier = svc.Rewrite(wire, opts, profile_json);
   ASSERT_TRUE(retier.ok()) << retier.error();
   EXPECT_TRUE(retier.value().incremental_retier);
-  EXPECT_EQ(retier.value().image_bytes, offline_tiered.image_bytes);
-  EXPECT_EQ(retier.value().sitemap, offline_tiered.sitemap);
+  EXPECT_EQ(retier.value().artifact->image_bytes, offline_tiered.image_bytes);
+  EXPECT_EQ(retier.value().artifact->sitemap, offline_tiered.sitemap);
 
   // Cold path on a fresh service: full tiered run, same bytes.
   RewriteService cold(RewriteService::Config{});
   Result<RewriteService::Outcome> cold_tiered = cold.Rewrite(wire, opts, profile_json);
   ASSERT_TRUE(cold_tiered.ok()) << cold_tiered.error();
   EXPECT_FALSE(cold_tiered.value().incremental_retier);
-  EXPECT_EQ(cold_tiered.value().image_bytes, offline_tiered.image_bytes);
+  EXPECT_EQ(cold_tiered.value().artifact->image_bytes, offline_tiered.image_bytes);
 
   // The re-tiered artifact is now cached: the same request is a pure hit.
   Result<RewriteService::Outcome> hit = svc.Rewrite(wire, opts, profile_json);
   ASSERT_TRUE(hit.ok()) << hit.error();
   EXPECT_TRUE(hit.value().cache_hit);
-  EXPECT_EQ(hit.value().image_bytes, offline_tiered.image_bytes);
+  EXPECT_EQ(hit.value().artifact->image_bytes, offline_tiered.image_bytes);
   EXPECT_EQ(StatsCounter(svc, "hits"), 1u);
   EXPECT_EQ(StatsCounter(svc, "full_rewrites"), 1u);
   EXPECT_EQ(StatsCounter(svc, "retiers"), 1u);
@@ -373,7 +380,7 @@ TEST(RewriteService, UploadProfileRetiersWithoutResendingTheImage) {
   Result<RewriteService::Outcome> up = svc.UploadProfile(image_hash, opts, profile_json);
   ASSERT_TRUE(up.ok()) << up.error();
   EXPECT_TRUE(up.value().incremental_retier);
-  EXPECT_EQ(up.value().image_bytes, offline_tiered.image_bytes);
+  EXPECT_EQ(up.value().artifact->image_bytes, offline_tiered.image_bytes);
 
   // Without warm analysis the upload has nothing to re-tier against.
   RewriteService cold(RewriteService::Config{});
@@ -397,6 +404,9 @@ TEST(RewriteService, LruBudgetEvictsOldImages) {
   EXPECT_FALSE(svc.FetchArtifact(a.value().key).ok());
   ASSERT_TRUE(svc.FetchArtifact(b.value().key).ok());
   EXPECT_GE(svc.cache().stats().evictions, 1u);
+  // An outcome still being written out keeps its evicted artifact whole.
+  EXPECT_EQ(a.value().artifact->image_bytes,
+            OfflineRewrite(SynthImage(41), opts).image_bytes);
 }
 
 TEST(RewriteService, StatsReportLatencyPercentiles) {
@@ -576,6 +586,119 @@ TEST_F(DaemonFixture, MalformedFramesAreRejectedWithoutKillingTheDaemon) {
   EXPECT_TRUE(stats.ok()) << (stats.ok() ? "" : stats.error());
 }
 
+// The joined encoding of a kOk rewrite reply, field by field.
+std::vector<uint8_t> JoinedReplyBody(uint8_t flags, const CacheKey& key,
+                                     const OfflineResult& artifact) {
+  std::vector<uint8_t> body;
+  PutU8(&body, flags);
+  PutU64(&body, key.image_hash);
+  PutU64(&body, key.options_fp);
+  PutU64(&body, key.profile_fp);
+  PutBlob(&body, artifact.image_bytes);
+  PutBlob(&body, artifact.sitemap);
+  return body;
+}
+
+// Every reply type the daemon writes from its parts equals the joined
+// PutU8/PutU64/PutBlob encoding of its fields: a miss, a hit, a re-tier, a
+// fetch, an error and the stats line.
+TEST_F(DaemonFixture, RepliesEqualTheJoinedFieldEncoding) {
+  const BinaryImage img = SynthImage(80);
+  const std::vector<uint8_t> wire = img.Serialize();
+  const RedFatOptions opts;
+  const OfflineResult untiered = OfflineRewrite(img, opts);
+  Result<BinaryImage> hardened = BinaryImage::Deserialize(untiered.image_bytes);
+  ASSERT_TRUE(hardened.ok());
+  const std::string profile_json = ProfileJsonFromRun(hardened.value());
+  Result<TierProfile> profile = TierProfileFromSnapshotJson(profile_json);
+  ASSERT_TRUE(profile.ok()) << profile.error();
+  RedFatOptions tiered_opts = opts;
+  tiered_opts.tier_profile = &profile.value();
+  const OfflineResult tiered = OfflineRewrite(img, tiered_opts);
+
+  CacheKey key;
+  key.image_hash = Fnv1a64(wire);
+  key.options_fp = CacheOptionsFingerprint(opts);
+  CacheKey tiered_key = key;
+  tiered_key.profile_fp = TierProfileFingerprint(profile.value());
+
+  Result<int> fd = ConnectUnix(socket_path_);
+  ASSERT_TRUE(fd.ok()) << fd.error();
+  const auto exchange = [&](MsgType type, const std::vector<uint8_t>& request) {
+    EXPECT_TRUE(WriteFrame(fd.value(), type, request).ok());
+    Result<Frame> reply = ReadFrame(fd.value());
+    EXPECT_TRUE(reply.ok()) << (reply.ok() ? "" : reply.error());
+    return reply.ok() ? reply.value() : Frame{};
+  };
+  std::vector<uint8_t> rewrite;
+  PutBlob(&rewrite, CanonicalOptionsBlob(opts));
+  PutBlob(&rewrite, std::string());
+  rewrite.insert(rewrite.end(), wire.begin(), wire.end());
+  std::vector<uint8_t> upload;
+  PutU64(&upload, key.image_hash);
+  PutBlob(&upload, CanonicalOptionsBlob(opts));
+  PutBlob(&upload, profile_json);
+  std::vector<uint8_t> fetch;
+  PutU64(&fetch, tiered_key.image_hash);
+  PutU64(&fetch, tiered_key.options_fp);
+  PutU64(&fetch, tiered_key.profile_fp);
+
+  const Frame miss = exchange(MsgType::kRewrite, rewrite);
+  EXPECT_EQ(miss.type, MsgType::kOk);
+  EXPECT_EQ(miss.body, JoinedReplyBody(0, key, untiered));
+  const Frame hit = exchange(MsgType::kRewrite, rewrite);
+  EXPECT_EQ(hit.body, JoinedReplyBody(1, key, untiered));
+  const Frame retier = exchange(MsgType::kUploadProfile, upload);
+  EXPECT_EQ(retier.body, JoinedReplyBody(2, tiered_key, tiered));
+  const Frame fetched = exchange(MsgType::kFetchArtifact, fetch);
+  EXPECT_EQ(fetched.body, JoinedReplyBody(1, tiered_key, tiered));
+
+  std::vector<uint8_t> unknown;
+  PutU64(&unknown, 0xfeed);
+  PutU64(&unknown, 0);
+  PutU64(&unknown, 0);
+  const Frame error = exchange(MsgType::kFetchArtifact, unknown);
+  EXPECT_EQ(error.type, MsgType::kError);
+  CacheKey unknown_key;
+  unknown_key.image_hash = 0xfeed;
+  std::vector<uint8_t> error_body;
+  PutU32(&error_body, static_cast<uint32_t>(WireError::kNotFound));
+  PutBlob(&error_body, "no cached artifact for key " + unknown_key.ToString());
+  EXPECT_EQ(error.body, error_body);
+
+  const Frame stats = exchange(MsgType::kStats, {});
+  BodyReader r(stats.body);
+  Result<std::string> json = r.Str();
+  ASSERT_TRUE(json.ok()) << json.error();
+  EXPECT_TRUE(r.Done());
+  std::vector<uint8_t> stats_body;
+  PutBlob(&stats_body, json.value());
+  EXPECT_EQ(stats.body, stats_body);
+  close(fd.value());
+}
+
+// A client that hangs up before reading its reply costs only its own
+// connection: the daemon's reply write fails with EPIPE instead of raising
+// SIGPIPE, which would end the whole process.
+TEST_F(DaemonFixture, ClientThatHangsUpBeforeItsReplyLeavesTheDaemonUp) {
+  std::vector<uint8_t> rewrite;
+  PutBlob(&rewrite, CanonicalOptionsBlob(RedFatOptions{}));
+  PutBlob(&rewrite, std::string());
+  const std::vector<uint8_t> wire = SynthImage(85).Serialize();
+  rewrite.insert(rewrite.end(), wire.begin(), wire.end());
+  for (int round = 0; round < 2; ++round) {  // a miss, then a hit
+    Result<int> fd = ConnectUnix(socket_path_);
+    ASSERT_TRUE(fd.ok()) << fd.error();
+    ASSERT_TRUE(WriteFrame(fd.value(), MsgType::kRewrite, rewrite).ok());
+    close(fd.value());
+  }
+  DaemonClient client;
+  ASSERT_TRUE(client.Connect(socket_path_).ok());
+  Result<DaemonClient::RewriteReply> reply = client.Rewrite(wire, RedFatOptions{}, "");
+  ASSERT_TRUE(reply.ok()) << reply.error();
+  EXPECT_EQ(reply.value().image_bytes, OfflineRewrite(SynthImage(85), RedFatOptions{}).image_bytes);
+}
+
 // Mappings in this process: every live or unjoined thread holds a stack and
 // its guard page.
 size_t MappingCount() {
@@ -636,31 +759,76 @@ TEST(FrameProtocol, HostileDeclaredLengthAllocatesOnlyWhatArrives) {
   EXPECT_LT(grown_kb, 64 * 1024) << "max RSS grew by " << grown_kb << " KiB";
 }
 
-// Bodies on both sides of every growth step arrive intact.
+// Bodies on both sides of every growth step arrive intact, each written as
+// 1-4 parts and read back as the joined body. A blocking writev on a
+// stream socket only returns early when a signal interrupts it, so a
+// second thread keeps interrupting the writer with a no-op signal while a
+// small send buffer keeps it blocked: WriteFrame's short-write and EINTR
+// retries run.
 TEST(FrameProtocol, BodiesOfEverySizeRoundTrip) {
   int fds[2];
   ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  const int sndbuf = 4096;
+  ASSERT_EQ(setsockopt(fds[1], SOL_SOCKET, SO_SNDBUF, &sndbuf, sizeof(sndbuf)), 0);
+  struct sigaction nop {};
+  nop.sa_handler = [](int) {};
+  struct sigaction old_action {};
+  ASSERT_EQ(sigaction(SIGUSR1, &nop, &old_action), 0);  // no SA_RESTART
+
   const std::vector<size_t> sizes = {0, 1, (1 << 20) - 1, 1 << 20, (1 << 20) + 1,
                                      (3 << 20) + 3};
   std::vector<std::vector<uint8_t>> bodies;
   for (size_t n : sizes) {
-    std::vector<uint8_t> body(n);
-    for (size_t i = 0; i < n; ++i) {
-      body[i] = static_cast<uint8_t>(i * 131 + n);
+    for (size_t parts = 1; parts <= 4; ++parts) {
+      std::vector<uint8_t> body(n);
+      for (size_t i = 0; i < n; ++i) {
+        body[i] = static_cast<uint8_t>(i * 131 + n + parts);
+      }
+      bodies.push_back(std::move(body));
     }
-    bodies.push_back(std::move(body));
   }
+  std::atomic<bool> writing{true};
   std::thread writer([&] {
-    for (const std::vector<uint8_t>& body : bodies) {
-      EXPECT_TRUE(WriteFrame(fds[1], MsgType::kOk, body).ok());
+    for (size_t k = 0; k < bodies.size(); ++k) {
+      // Uneven cuts; the three-part form has an empty part.
+      const BodyPart whole(bodies[k]);
+      const size_t a = whole.size() / 3;
+      const size_t b = whole.size() / 2;
+      const size_t c = whole.size() - whole.size() / 7;
+      Status st;
+      switch (k % 4) {
+        case 0:
+          st = WriteFrame(fds[1], MsgType::kOk, {whole});
+          break;
+        case 1:
+          st = WriteFrame(fds[1], MsgType::kOk, {whole.first(a), whole.subspan(a)});
+          break;
+        case 2:
+          st = WriteFrame(fds[1], MsgType::kOk,
+                          {whole.first(a), whole.subspan(a, 0), whole.subspan(a)});
+          break;
+        default:
+          st = WriteFrame(fds[1], MsgType::kOk,
+                          {whole.first(a), whole.subspan(a, b - a), whole.subspan(b, c - b),
+                           whole.subspan(c)});
+          break;
+      }
+      EXPECT_TRUE(st.ok()) << (st.ok() ? "" : st.error());
     }
+    writing.store(false);
     close(fds[1]);
+  });
+  std::thread interrupter([&] {
+    while (writing.load()) {
+      pthread_kill(writer.native_handle(), SIGUSR1);
+      usleep(50);
+    }
   });
   bool ok = true;
   for (size_t k = 0; ok && k < bodies.size(); ++k) {
     Result<Frame> frame = ReadFrame(fds[0]);
     ok = frame.ok() && frame.value().type == MsgType::kOk && frame.value().body == bodies[k];
-    EXPECT_TRUE(ok) << bodies[k].size() << "-byte frame: "
+    EXPECT_TRUE(ok) << bodies[k].size() << "-byte frame in " << k % 4 + 1 << " parts: "
                     << (frame.ok() ? "wrong type or body" : frame.error());
   }
   if (ok) {
@@ -669,8 +837,191 @@ TEST(FrameProtocol, BodiesOfEverySizeRoundTrip) {
   uint8_t sink[4096];  // drain whatever is left so the writer always finishes
   while (read(fds[0], sink, sizeof(sink)) > 0) {
   }
+  interrupter.join();  // before the writer's join, which frees its handle
   writer.join();
   close(fds[0]);
+  sigaction(SIGUSR1, &old_action, nullptr);
+}
+
+// A one-connection stand-in for redfatd: accepts one client and, for each
+// canned reply, reads one request frame and answers with the reply's raw
+// bytes; then it closes the connection.
+class FakeDaemon {
+ public:
+  explicit FakeDaemon(std::vector<std::vector<uint8_t>> replies)
+      : path_(StrFormat("/tmp/redfatd_test_%d_fake.sock", getpid())) {
+    Result<int> fd = ListenUnix(path_);
+    EXPECT_TRUE(fd.ok()) << (fd.ok() ? "" : fd.error());
+    listen_fd_ = fd.ok() ? fd.value() : -1;
+    thread_ = std::thread([this, replies = std::move(replies)] {
+      const int conn = ::accept(listen_fd_, nullptr, nullptr);
+      for (const std::vector<uint8_t>& reply : replies) {
+        Result<Frame> request = ReadFrame(conn);
+        if (!request.ok()) {
+          break;
+        }
+        requests_.push_back(request.value());
+        if (write(conn, reply.data(), reply.size()) != static_cast<ssize_t>(reply.size())) {
+          break;
+        }
+      }
+      close(conn);
+    });
+  }
+  ~FakeDaemon() {
+    Join();
+    close(listen_fd_);
+    unlink(path_.c_str());
+  }
+  FakeDaemon(const FakeDaemon&) = delete;
+  FakeDaemon& operator=(const FakeDaemon&) = delete;
+
+  void Join() {
+    if (thread_.joinable()) {
+      thread_.join();
+    }
+  }
+  const std::string& path() const { return path_; }
+  // Valid after Join().
+  const std::vector<Frame>& requests() const { return requests_; }
+
+ private:
+  std::string path_;
+  int listen_fd_ = -1;
+  std::vector<Frame> requests_;
+  std::thread thread_;
+};
+
+// Raw frame bytes whose header declares `declared` payload bytes, whatever
+// the body holds.
+std::vector<uint8_t> RawFrame(MsgType type, const std::vector<uint8_t>& body,
+                              uint32_t declared) {
+  std::vector<uint8_t> out;
+  PutU32(&out, kFrameMagic);
+  PutU32(&out, declared);
+  PutU8(&out, static_cast<uint8_t>(type));
+  out.insert(out.end(), body.begin(), body.end());
+  return out;
+}
+
+std::vector<uint8_t> RawFrame(MsgType type, const std::vector<uint8_t>& body) {
+  return RawFrame(type, body, static_cast<uint32_t>(body.size() + 1));
+}
+
+// The client writes each request as the joined field encoding and decodes
+// a well-formed reply into every RewriteReply field.
+TEST(DaemonClientWire, RequestsAreTheJoinedFieldEncoding) {
+  const std::vector<uint8_t> wire = SynthImage(90).Serialize();
+  const RedFatOptions opts;
+  const std::string profile_json = "{\"counters\":{}}";
+  CacheKey key;
+  key.image_hash = 0x1111;
+  key.options_fp = 0x2222;
+  key.profile_fp = 0x3333;
+  const OfflineResult artifact{{1, 2, 3, 4, 5}, "# redfat site map: id addr rw kind\n"};
+  const std::vector<uint8_t> reply = RawFrame(MsgType::kOk, JoinedReplyBody(3, key, artifact));
+
+  FakeDaemon fake({reply, reply, reply});
+  DaemonClient client;
+  ASSERT_TRUE(client.Connect(fake.path()).ok());
+  Result<DaemonClient::RewriteReply> rewritten = client.Rewrite(wire, opts, profile_json);
+  Result<DaemonClient::RewriteReply> uploaded =
+      client.UploadProfile(key.image_hash, opts, profile_json);
+  Result<DaemonClient::RewriteReply> fetched = client.FetchArtifact(key);
+  fake.Join();
+  for (const Result<DaemonClient::RewriteReply>* r : {&rewritten, &uploaded, &fetched}) {
+    ASSERT_TRUE(r->ok()) << r->error();
+    EXPECT_EQ(r->value().key, key);
+    EXPECT_TRUE(r->value().cache_hit);
+    EXPECT_TRUE(r->value().incremental_retier);
+    EXPECT_EQ(r->value().image_bytes, artifact.image_bytes);
+    EXPECT_EQ(r->value().sitemap, artifact.sitemap);
+  }
+
+  ASSERT_EQ(fake.requests().size(), 3u);
+  std::vector<uint8_t> rewrite;
+  PutBlob(&rewrite, CanonicalOptionsBlob(opts));
+  PutBlob(&rewrite, profile_json);
+  rewrite.insert(rewrite.end(), wire.begin(), wire.end());
+  EXPECT_EQ(fake.requests()[0].type, MsgType::kRewrite);
+  EXPECT_EQ(fake.requests()[0].body, rewrite);
+  std::vector<uint8_t> upload;
+  PutU64(&upload, key.image_hash);
+  PutBlob(&upload, CanonicalOptionsBlob(opts));
+  PutBlob(&upload, profile_json);
+  EXPECT_EQ(fake.requests()[1].type, MsgType::kUploadProfile);
+  EXPECT_EQ(fake.requests()[1].body, upload);
+  std::vector<uint8_t> fetch;
+  PutU64(&fetch, key.image_hash);
+  PutU64(&fetch, key.options_fp);
+  PutU64(&fetch, key.profile_fp);
+  EXPECT_EQ(fake.requests()[2].type, MsgType::kFetchArtifact);
+  EXPECT_EQ(fake.requests()[2].body, fetch);
+}
+
+// Malformed replies get the errors that decoding the whole frame first
+// gave, and the client stays at a frame boundary: the next request on the
+// same connection still gets its reply.
+TEST(DaemonClientWire, MalformedRepliesGiveTypedErrors) {
+  CacheKey key;
+  key.image_hash = 7;
+  const OfflineResult artifact{std::vector<uint8_t>(100, 0x5a), "map\n"};
+  const std::vector<uint8_t> good = JoinedReplyBody(1, key, artifact);
+  std::vector<uint8_t> long_blob;  // declares 1000 image bytes, carries 10
+  PutU8(&long_blob, 1);
+  PutU64(&long_blob, 7);
+  PutU64(&long_blob, 0);
+  PutU64(&long_blob, 0);
+  PutU32(&long_blob, 1000);
+  long_blob.insert(long_blob.end(), 10, 0x5a);
+  std::vector<uint8_t> trailing = good;
+  trailing.insert(trailing.end(), {0xde, 0xad, 0xbe});
+  std::vector<uint8_t> wire_error;
+  PutU32(&wire_error, static_cast<uint32_t>(WireError::kNotFound));
+  PutBlob(&wire_error, std::string("no cached artifact"));
+  struct Case {
+    std::vector<uint8_t> reply;
+    std::string error;
+  };
+  const std::vector<Case> cases = {
+      {RawFrame(MsgType::kOk, long_blob), "frame body: truncated blob"},
+      {RawFrame(MsgType::kOk, trailing), "reply: trailing bytes"},
+      {RawFrame(MsgType::kOk, {1, 2}), "frame body: truncated u64"},
+      {RawFrame(MsgType::kError, wire_error), "daemon error 3: no cached artifact"},
+      {RawFrame(MsgType::kStats, good), "reply: unexpected frame type"},
+  };
+  for (const Case& c : cases) {
+    FakeDaemon fake({c.reply, RawFrame(MsgType::kOk, good)});
+    DaemonClient client;
+    ASSERT_TRUE(client.Connect(fake.path()).ok());
+    Result<DaemonClient::RewriteReply> bad = client.FetchArtifact(key);
+    ASSERT_FALSE(bad.ok()) << c.error;
+    EXPECT_EQ(bad.error(), c.error);
+    Result<DaemonClient::RewriteReply> next = client.FetchArtifact(key);
+    ASSERT_TRUE(next.ok()) << c.error << ", then: " << next.error();
+    EXPECT_EQ(next.value().image_bytes, artifact.image_bytes);
+  }
+}
+
+// A reply header that declares a 1 GiB image and then hangs up: the client
+// fails with a mid-frame EOF instead of first reserving the image buffer.
+TEST(DaemonClientWire, HostileDeclaredImageAllocatesOnlyWhatArrives) {
+  std::vector<uint8_t> head;
+  PutU8(&head, 1);
+  PutU64(&head, 1);
+  PutU64(&head, 2);
+  PutU64(&head, 3);
+  const uint32_t image_len = kMaxFramePayload - 1 - static_cast<uint32_t>(head.size()) - 8;
+  PutU32(&head, image_len);
+  FakeDaemon fake({RawFrame(MsgType::kOk, head, kMaxFramePayload)});
+  DaemonClient client;
+  ASSERT_TRUE(client.Connect(fake.path()).ok());
+  const long before_kb = MaxRssKb();
+  Result<DaemonClient::RewriteReply> reply = client.FetchArtifact(CacheKey{});
+  const long grown_kb = MaxRssKb() - before_kb;
+  ASSERT_FALSE(reply.ok());
+  EXPECT_NE(reply.error().find("EOF mid-frame"), std::string::npos) << reply.error();
+  EXPECT_LT(grown_kb, 64 * 1024) << "max RSS grew by " << grown_kb << " KiB";
 }
 
 TEST(DaemonClientFallback, ConnectFailsFastWhenNoDaemonListens) {

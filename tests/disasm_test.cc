@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <numeric>
+#include <vector>
 
 #include "src/rw/disasm.h"
 #include "src/rw/liveness.h"
 #include "src/support/parallel.h"
 #include "src/workloads/builder.h"
+#include "src/workloads/kraken.h"
+#include "src/workloads/spec.h"
 #include "src/workloads/synth.h"
 
 namespace redfat {
@@ -230,6 +234,81 @@ TEST(Liveness, ConservativeAtBlockEnd) {
   EXPECT_EQ(std::find(ci.dead_regs.begin(), ci.dead_regs.end(), Reg::kRbx),
             ci.dead_regs.end());
   EXPECT_FALSE(ci.flags_dead);
+}
+
+// The batch form's backward walk per block equals the per-leader forward
+// scan with every instruction of every Kraken and SPEC image, of two
+// filler-heavy synth programs and of a block that reads the flags between
+// two writers (pushf, which the workloads never emit) as a leader; then
+// once more with every third instruction as a leader, reversed and partly
+// repeated, which must come back in input order.
+TEST(Liveness, BatchEqualsPerLeaderScanAtEveryInstruction) {
+  std::vector<BinaryImage> images;
+  {
+    ProgramBuilder pb;
+    Assembler& as = pb.text();
+    as.CmpI(Reg::kRax, 0);
+    as.Store(Reg::kRax, MemAt(Reg::kRbx, 0));
+    as.Pushf();
+    as.Popf();
+    as.CmpI(Reg::kRcx, 1);
+    as.MovRI(Reg::kRdx, 2);
+    as.Store(Reg::kRdx, MemAt(Reg::kRbx, 8));
+    pb.EmitExit(0);
+    images.push_back(pb.Finish());
+  }
+  for (const KrakenBenchmark& b : KrakenSuite()) {
+    images.push_back(BuildKrakenBenchmark(b));
+  }
+  for (const SpecBenchmark& b : SpecSuite()) {
+    images.push_back(BuildSpecBenchmark(b));
+  }
+  for (const uint64_t seed : {0xdc0, 0xdc1}) {
+    SynthParams p;
+    p.seed = seed;
+    p.mem_pct = 35;
+    p.stream_pct = 6;
+    p.max_accesses_per_ptr = 4;
+    p.block_len = 120;
+    p.filler_funcs = 500;
+    p.filler_units_per_func = 10;
+    images.push_back(GenerateSynthProgram(p));
+  }
+  ThreadPool pool(3);
+  const auto same = [](const ClobberInfo& a, const ClobberInfo& b) {
+    return a.dead_regs == b.dead_regs && a.flags_dead == b.flags_dead;
+  };
+  size_t leaders = 0;
+  size_t mismatches = 0;
+  for (const BinaryImage& img : images) {
+    const Disassembly dis = DisassembleText(img).value();
+    const CfgInfo cfg = RecoverCfg(dis, img);
+    std::vector<size_t> all(dis.insns.size());
+    std::iota(all.begin(), all.end(), size_t{0});
+    const std::vector<ClobberInfo> batch = ComputeClobbersMany(dis, cfg, all, pool);
+    ASSERT_EQ(batch.size(), all.size());
+    for (size_t i = 0; i < all.size(); ++i) {
+      mismatches += !same(batch[i], ComputeClobbers(dis, cfg, i));
+    }
+    leaders += all.size();
+
+    std::vector<size_t> mixed;
+    for (size_t i = all.size(); i-- > 0;) {
+      if (i % 3 == 0) {
+        mixed.push_back(i);
+      }
+    }
+    for (size_t i = 0; i < all.size(); i += 7) {
+      mixed.push_back(i);
+    }
+    const std::vector<ClobberInfo> again = ComputeClobbersMany(dis, cfg, mixed, pool);
+    ASSERT_EQ(again.size(), mixed.size());
+    for (size_t k = 0; k < mixed.size(); ++k) {
+      mismatches += !same(again[k], batch[mixed[k]]);
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "over " << leaders << " leaders";
+  EXPECT_GT(leaders, 100000u);
 }
 
 }  // namespace
