@@ -106,11 +106,6 @@ void Assembler::MovLabelAddr(Reg r, Label label) {
   fixups_.push_back(Fixup{Fixup::Kind::kAbs64, start + 2, bytes_.size(), label});
 }
 
-void Assembler::Rebase(uint64_t new_base) {
-  REDFAT_CHECK(!finished_);
-  base_vaddr_ = new_base;
-}
-
 std::vector<uint8_t> Assembler::Finish() {
   REDFAT_CHECK(!finished_);
   finished_ = true;

@@ -4,15 +4,13 @@
 // Used by the workload generators (to build guest "binaries") and by the
 // RedFat check code generator (to build trampoline code).
 //
-// The code is relocatable until Finish(). A rel32 to a label does not
-// depend on the base and is patched as soon as both ends are known. Every
-// base-dependent field is recorded instead: imm64s holding a label's
-// address, and the PC-relative fields that point outside the code
-// (JmpAbs/JccAbs/CallAbs targets and EmitRipRelative displacements).
-// Finish() resolves those against the base in effect at that moment, so
-// code emitted at one base and Rebase()d to another is byte-identical to
-// code emitted at the second base directly, and the int32 range checks
-// apply to the final addresses.
+// A rel32 to a label does not depend on the base and is patched as soon as
+// both ends are known. Every base-dependent field is recorded instead:
+// imm64s holding a label's address, and the PC-relative fields that point
+// outside the code (JmpAbs/JccAbs/CallAbs targets and EmitRipRelative
+// displacements). Finish() resolves those against the base, so code
+// appended from elsewhere (a codegen stencil) can leave such fields as
+// holes that are filled in at the end.
 #ifndef REDFAT_SRC_ASM_ASSEMBLER_H_
 #define REDFAT_SRC_ASM_ASSEMBLER_H_
 
@@ -163,11 +161,6 @@ class Assembler {
   // `insn_end`, as pointing to `target` outside the code. Finish resolves it
   // against the final base, like the fields EmitRipRelative records.
   void ExternalRel32(size_t offset, size_t insn_end, uint64_t target);
-
-  // Moves the code to `new_base`: Finish resolves the base-dependent
-  // fields (label addresses and the fields that point outside the code)
-  // against it. Label branches are position-independent and do not change.
-  void Rebase(uint64_t new_base);
 
   // Finalizes: applies all fixups. CHECK-fails on unbound labels and on
   // rel32/disp32 fields whose final value does not fit in int32.

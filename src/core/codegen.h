@@ -45,8 +45,9 @@ namespace redfat {
 void EmitTrampolinePayload(Assembler& as, const PlannedTrampoline& tramp,
                            const ClobberInfo& clobbers, const RedFatOptions& opts);
 
-// The stencil table of one emission chunk, used by one thread (DESIGN.md
-// §4.7). Its bytes equal EmitTrampolinePayload's at any base.
+// The stencil table of one rewrite, shared by its trampoline and
+// inline-check blobs (DESIGN.md §4.7). Its bytes equal
+// EmitTrampolinePayload's at any base.
 class PayloadStencils {
  public:
   explicit PayloadStencils(const RedFatOptions& opts) : opts_(opts) {}

@@ -54,11 +54,6 @@ struct RedFatOptions {
   // Low-level: use dead registers/flags instead of save/restore pairs.
   bool clobber_analysis = true;
 
-  // Worker threads for the per-item pipeline passes (merge, liveness,
-  // trampoline emission). 0 = one per hardware thread. Output is
-  // byte-identical for any value.
-  unsigned jobs = 1;
-
   // Profiling mode emits the Fig. 5 step-1 instrumentation: every site gets
   // the full check, failures are recorded (not reported) and passes counted.
   enum class Mode { kProduction, kProfile };

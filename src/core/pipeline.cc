@@ -10,7 +10,6 @@
 #include "src/core/policy.h"
 #include "src/support/check.h"
 #include "src/support/json.h"
-#include "src/support/parallel.h"
 #include "src/support/str.h"
 #include "src/support/telemetry.h"
 #include "src/support/trace.h"
@@ -106,7 +105,7 @@ Status AnalysisCache::EnsureDisasm() {
   if (disasm_.has_value()) {
     return Status::Ok();
   }
-  Result<Disassembly> dis = DisassembleText(image_, pool_);
+  Result<Disassembly> dis = DisassembleText(image_);
   if (!dis.ok()) {
     return Error(dis.error());
   }
@@ -127,7 +126,7 @@ Status AnalysisCache::EnsureCfg() {
   if (!st.ok()) {
     return st;
   }
-  cfg_ = RecoverCfg(*disasm_, image_, pool_);
+  cfg_ = RecoverCfg(*disasm_, image_);
   return Status::Ok();
 }
 
@@ -151,10 +150,6 @@ const ClobberInfo& AnalysisCache::clobbers(size_t insn_index) {
   }
   REDFAT_CHECK(insn_index < clobbers_.size());
   if (!clobbers_[insn_index].has_value()) {
-    // Memoising on a miss mutates the cache, which is single-thread only:
-    // while the pool is running a region, misses must not happen (callers
-    // precompute instead). Cached entries stay readable concurrently.
-    REDFAT_CHECK(pool_ == nullptr || !pool_->InParallelRegion());
     clobbers_[insn_index] = ComputeClobbers(*disasm_, *cfg_, insn_index);
   }
   return *clobbers_[insn_index];
@@ -176,8 +171,7 @@ void AnalysisCache::PrecomputeClobbers(const std::vector<size_t>& indices) {
   if (missing.empty()) {
     return;
   }
-  REDFAT_CHECK(pool_ != nullptr);
-  std::vector<ClobberInfo> infos = ComputeClobbersMany(*disasm_, *cfg_, missing, *pool_);
+  std::vector<ClobberInfo> infos = ComputeClobbersMany(*disasm_, *cfg_, missing);
   for (size_t i = 0; i < missing.size(); ++i) {
     clobbers_[missing[i]] = std::move(infos[i]);
   }
@@ -223,7 +217,7 @@ class ClassifyPass : public Pass {
       return Error("classify: disasm pass has not run");
     }
     std::vector<OperandClass> classes =
-        ClassifyOperands(ctx.cache.disasm(), ctx.opts, &ctx.plan.stats, ctx.pool);
+        ClassifyOperands(ctx.cache.disasm(), ctx.opts, &ctx.plan.stats);
     const size_t considered = ctx.plan.stats.considered;
     ctx.cache.set_operand_classes(std::move(classes));
     return PassOutcome{.items = ctx.cache.disasm().insns.size(), .changed = considered};
@@ -243,39 +237,13 @@ class EliminatePass : public Pass {
     }
     ctx.drop_eliminable = true;
     PassOutcome out;
-    const size_t n = classes->size();
-    if (ctx.pool != nullptr && ctx.pool->jobs() > 1 && n >= 1024) {
-      // Range reduction: per-range partial counts summed in range order.
-      const size_t ranges = std::min<size_t>(ctx.pool->jobs() * 4, n);
-      std::vector<size_t> items(ranges, 0);
-      std::vector<size_t> changed(ranges, 0);
-      ctx.pool->ParallelFor(ranges, [&](size_t r) {
-        const size_t begin = r * n / ranges;
-        const size_t end = (r + 1) * n / ranges;
-        for (size_t i = begin; i < end; ++i) {
-          const OperandClass c = (*classes)[i];
-          if (c == OperandClass::kFiltered || c == OperandClass::kNone) {
-            continue;
-          }
-          ++items[r];
-          if (c == OperandClass::kEliminable) {
-            ++changed[r];
-          }
-        }
-      });
-      for (size_t r = 0; r < ranges; ++r) {
-        out.items += items[r];
-        out.changed += changed[r];
+    for (OperandClass c : *classes) {
+      if (c == OperandClass::kFiltered || c == OperandClass::kNone) {
+        continue;
       }
-    } else {
-      for (OperandClass c : *classes) {
-        if (c == OperandClass::kFiltered || c == OperandClass::kNone) {
-          continue;
-        }
-        ++out.items;
-        if (c == OperandClass::kEliminable) {
-          ++out.changed;
-        }
+      ++out.items;
+      if (c == OperandClass::kEliminable) {
+        ++out.changed;
       }
     }
     // An eliminated site saves its whole trampoline on every visit.
@@ -294,10 +262,9 @@ class GroupPass : public Pass {
     }
     std::vector<SiteCandidate> candidates =
         SelectSites(ctx.cache.disasm(), *classes, ctx.opts, ctx.allow, ctx.drop_eliminable,
-                    &ctx.plan.stats, &ctx.plan.sites, ctx.pool);
+                    &ctx.plan.stats, &ctx.plan.sites);
     const size_t n = candidates.size();
-    ctx.plan.trampolines =
-        SingletonTrampolines(ctx.cache.disasm(), std::move(candidates), ctx.pool);
+    ctx.plan.trampolines = SingletonTrampolines(ctx.cache.disasm(), std::move(candidates));
     return PassOutcome{.items = n, .changed = ctx.plan.trampolines.size()};
   }
 };
@@ -338,7 +305,7 @@ class BatchPass : public Pass {
     }
     const size_t before = ctx.plan.trampolines.size();
     ctx.plan.trampolines = BatchTrampolines(ctx.cache.disasm(), ctx.cache.cfg(),
-                                            std::move(ctx.plan.trampolines), ctx.pool);
+                                            std::move(ctx.plan.trampolines));
     const size_t removed = before - ctx.plan.trampolines.size();
     // Each coalesced site drops one trampoline round-trip per visit.
     return PassOutcome{.items = before,
@@ -356,9 +323,9 @@ class MergePass : public Pass {
     for (const PlannedTrampoline& t : tramps) {
       before += t.checks.size();
     }
-    // Merging is independent per trampoline; run it across the pool.
-    ctx.pool->ParallelFor(tramps.size(),
-                          [&](size_t i) { MergeTrampolineChecks(&tramps[i]); });
+    for (PlannedTrampoline& t : tramps) {
+      MergeTrampolineChecks(&t);
+    }
     size_t after = 0;
     for (const PlannedTrampoline& t : tramps) {
       after += t.checks.size();
@@ -401,10 +368,9 @@ class CodegenPass : public Pass {
       plan.stats.checks_emitted += t.checks.size();
     }
 
-    // Resolve all leader clobbers through the pool up front (a no-op for
-    // entries the liveness pass already cached). The lazy clobbers()
-    // accessor would compute misses one by one on this thread — and it
-    // CHECK-fails on a miss once the emission region is running.
+    // Resolve all leader clobbers up front (a no-op for entries the
+    // liveness pass already cached): the batch form walks each block once,
+    // where the lazy clobbers() accessor would scan forward per leader.
     std::vector<size_t> leader_indices;
     std::vector<uint64_t> addrs;  // request r is plan.trampolines[r]
     leader_indices.reserve(plan.trampolines.size());
@@ -415,14 +381,11 @@ class CodegenPass : public Pass {
     }
     ctx.cache.PrecomputeClobbers(leader_indices);
 
-    // Each emission chunk instantiates its payloads from a stencil table of
-    // its own; the emission phase only reads the clobber cache.
-    const ChunkEmitterFactory payloads = [&] {
-      return [&, stencils = std::make_shared<PayloadStencils>(ctx.opts)](Assembler& as,
-                                                                        size_t r) {
-        const PlannedTrampoline& tramp = plan.trampolines[r];
-        stencils->Emit(as, tramp, ctx.cache.clobbers(tramp.insn_index));
-      };
+    // Both blobs instantiate their payloads from one stencil table.
+    PayloadStencils stencils(ctx.opts);
+    const auto payloads = [&](Assembler& as, size_t r) {
+      const PlannedTrampoline& tramp = plan.trampolines[r];
+      stencils.Emit(as, tramp, ctx.cache.clobbers(tramp.insn_index));
     };
 
     Result<std::vector<SpanPlan>> planned =
@@ -444,10 +407,10 @@ class CodegenPass : public Pass {
     const std::span<const SpanPlan> spans(ctx.spans);
     const size_t num_rest = static_cast<size_t>(rest_end - ctx.spans.begin());
     ctx.tramp_code = EmitTrampolines(ctx.cache.disasm(), spans.first(num_rest), payloads,
-                                     ctx.opts.trampoline_base, ctx.pool, &ctx.rewrite_stats);
+                                     ctx.opts.trampoline_base, &ctx.rewrite_stats);
     RewriteStats inline_stats;
     ctx.inline_code = EmitTrampolines(ctx.cache.disasm(), spans.subspan(num_rest), payloads,
-                                      ctx.opts.trampoline_base + kInlineCheckOffset, ctx.pool,
+                                      ctx.opts.trampoline_base + kInlineCheckOffset,
                                       &inline_stats);
     ctx.rewrite_stats.applied += inline_stats.applied;
     ctx.rewrite_stats.inline_trampolines = inline_stats.trampolines;
@@ -467,7 +430,7 @@ class PatchPass : public Pass {
     if (text == nullptr) {
       return Error("patch: image has no text section");
     }
-    PatchSpans(text, ctx.spans, ctx.tramp_code.starts, ctx.pool);
+    PatchSpans(text, ctx.spans, ctx.tramp_code.starts);
     if (!ctx.tramp_code.bytes.empty()) {
       Section ts;
       ts.kind = Section::Kind::kTrampoline;
@@ -582,22 +545,6 @@ Status Pipeline::RunFrom(PipelineContext& ctx, const std::string& first_pass) {
 
 Status Pipeline::RunRange(PipelineContext& ctx, size_t first_index) {
   stats_ = PipelineStats{};
-  // One pool serves every pass of the run (no per-pass spawn/join). A batch
-  // driver may inject a shared pool via ctx.pool; otherwise a scoped pool of
-  // opts.jobs workers is created here and detached again on every exit path
-  // (the cache must not keep a dangling pointer past the run).
-  std::optional<ThreadPool> scoped_pool;
-  ThreadPool* const prior_pool = ctx.pool;
-  if (ctx.pool == nullptr) {
-    scoped_pool.emplace(ctx.opts.jobs);
-    ctx.pool = &*scoped_pool;
-  }
-  ctx.cache.set_pool(ctx.pool);
-  stats_.jobs = ctx.pool->jobs();
-  const auto detach_pool = [&] {
-    ctx.cache.set_pool(nullptr);
-    ctx.pool = prior_pool;
-  };
   const auto run_start = std::chrono::steady_clock::now();
   for (size_t i = first_index; i < passes_.size(); ++i) {
     Entry& e = passes_[i];
@@ -608,7 +555,6 @@ Status Pipeline::RunRange(PipelineContext& ctx, size_t first_index) {
     const double start_ms = MsSince(run_start);
     Result<PassOutcome> out = e.pass->Run(ctx);
     if (!out.ok()) {
-      detach_pool();
       return Error(StrFormat("pass '%s': %s", e.pass->name(), out.error().c_str()));
     }
     PassStats ps;
@@ -626,7 +572,6 @@ Status Pipeline::RunRange(PipelineContext& ctx, size_t first_index) {
     }
   }
   stats_.total_ms = MsSince(run_start);
-  detach_pool();
   return Status::Ok();
 }
 

@@ -1,6 +1,6 @@
-// The hardening pass pipeline: an explicit, observable, parallel pass
-// manager for the disassemble → analyze → plan → codegen → patch sequence
-// that RedFatTool used to hard-wire.
+// The hardening pass pipeline: an explicit, observable pass manager for the
+// disassemble → analyze → plan → codegen → patch sequence that RedFatTool
+// used to hard-wire.
 //
 // Every stage is a named Pass over a shared PipelineContext:
 //
@@ -19,9 +19,10 @@
 // A paper ablation column is a pipeline with a pass disabled
 // (Pipeline::SetEnabled), not a flag threaded through the driver. Each
 // executed pass records a PassStats block (items, changed, wall time, and a
-// static cycles-saved estimate for the optimization passes); the per-item
-// passes (merge, liveness, codegen) run across a work-queue thread pool of
-// `RedFatOptions::jobs` workers with deterministic, byte-identical output.
+// static cycles-saved estimate for the optimization passes). A run is
+// serial, on the calling thread; concurrent runs on distinct contexts share
+// nothing, which is how batch mode and redfatd rewrite several images at
+// once.
 //
 // Analyses (decoded instructions, CFG, operand classes, per-instruction
 // clobber info) live in an AnalysisCache so later passes and external
@@ -39,7 +40,6 @@
 #include "src/core/plan.h"
 #include "src/rw/liveness.h"
 #include "src/rw/rewriter.h"
-#include "src/support/parallel.h"
 #include "src/support/result.h"
 
 namespace redfat {
@@ -65,7 +65,9 @@ struct PassStats {
 };
 
 struct PipelineStats {
-  unsigned jobs = 1;           // resolved worker count the pipeline ran with
+  // Threads the run used: always 1, as every pass is serial. Kept so the
+  // `--stats` JSON and the `pipeline.jobs` gauge keep their keys.
+  unsigned jobs = 1;
   double total_ms = 0.0;
   std::vector<PassStats> passes;  // executed passes, in run order
 
@@ -98,19 +100,12 @@ void AppendPipelineTrace(const PipelineStats& stats, TraceWriter* trace);
 // Shared per-image analysis results. Disassembly/CFG are computed on demand
 // and cached; operand classes are deposited by the classify pass; clobber
 // info is memoised per instruction index (PrecomputeClobbers fills many
-// entries across the thread pool; the lazy accessor is single-thread only).
+// entries with one backward walk per basic block).
 class AnalysisCache {
  public:
   explicit AnalysisCache(const BinaryImage& image) : image_(image) {}
 
   const BinaryImage& image() const { return image_; }
-
-  // Pool used by EnsureDisasm/EnsureCfg/PrecomputeClobbers, and consulted by
-  // the lazy clobbers() accessor to reject unsynchronized memoisation while
-  // a parallel region is running. Set by Pipeline::Run for the duration of a
-  // run; nullptr means serial.
-  void set_pool(ThreadPool* pool) { pool_ = pool; }
-  ThreadPool* pool() const { return pool_; }
 
   Status EnsureDisasm();
   bool has_disasm() const { return disasm_.has_value(); }
@@ -125,17 +120,13 @@ class AnalysisCache {
 
   // Clobber info for the instruction at `insn_index`; computed and memoised
   // on first use. The returned reference stays valid for the cache's
-  // lifetime. Single-thread only on a miss: CHECK-fails if an uncached
-  // entry is requested while the pool is inside a parallel region (callers
-  // must PrecomputeClobbers first).
+  // lifetime.
   const ClobberInfo& clobbers(size_t insn_index);
-  // Fills the cache for every listed index that is not already cached, in
-  // parallel on the attached pool (a pipeline run always attaches one).
+  // Fills the cache for every listed index that is not already cached.
   void PrecomputeClobbers(const std::vector<size_t>& indices);
 
  private:
   const BinaryImage& image_;
-  ThreadPool* pool_ = nullptr;
   std::optional<Disassembly> disasm_;
   std::optional<CfgInfo> cfg_;
   std::optional<std::vector<OperandClass>> classes_;
@@ -155,12 +146,6 @@ struct PipelineContext {
   RedFatOptions opts;
   const AllowList* allow = nullptr;
   AnalysisCache cache;
-
-  // Worker pool the passes shard on. Usually owned by Pipeline::Run (which
-  // creates a scoped pool of opts.jobs workers when this is null); a batch
-  // driver instrumenting several images concurrently injects one shared
-  // pool here so the images do not oversubscribe the machine.
-  ThreadPool* pool = nullptr;
 
   // Planning state.
   bool drop_eliminable = false;       // set by the eliminate pass

@@ -4,7 +4,6 @@
 #include <tuple>
 
 #include "src/support/check.h"
-#include "src/support/parallel.h"
 
 namespace redfat {
 
@@ -133,14 +132,6 @@ bool IsBatchBarrier(Op op) {
   return IsControlFlow(op) || op == Op::kHostCall || op == Op::kTrap;
 }
 
-// How many ranges to shard a per-instruction scan into. A few per worker
-// balances skewed per-range costs; the range boundaries depend only on
-// (n, jobs), and every sharded algorithm below is a prefix-sum or
-// order-insensitive reduction, so results never depend on the schedule.
-size_t ShardRanges(size_t n, const ThreadPool& pool) {
-  return std::min<size_t>(static_cast<size_t>(pool.jobs()) * 4, n);
-}
-
 OperandClass ClassifyOne(const DisasmInsn& di, const RedFatOptions& opts,
                          size_t* mem_operands, size_t* considered) {
   if (!IsMemAccess(di.insn.op)) {
@@ -162,58 +153,30 @@ OperandClass ClassifyOne(const DisasmInsn& di, const RedFatOptions& opts,
 }  // namespace
 
 std::vector<OperandClass> ClassifyOperands(const Disassembly& dis, const RedFatOptions& opts,
-                                           PlanStats* stats, ThreadPool* pool) {
+                                           PlanStats* stats) {
   const size_t n = dis.insns.size();
   std::vector<OperandClass> classes(n, OperandClass::kNone);
-  if (pool != nullptr && pool->jobs() > 1 && n >= 1024) {
-    const size_t ranges = ShardRanges(n, *pool);
-    std::vector<size_t> mem_operands(ranges, 0);
-    std::vector<size_t> considered(ranges, 0);
-    pool->ParallelFor(ranges, [&](size_t r) {
-      const size_t begin = r * n / ranges;
-      const size_t end = (r + 1) * n / ranges;
-      // Counted in locals: neighbouring ranges' totals share a cache line.
-      size_t range_mem_operands = 0;
-      size_t range_considered = 0;
-      for (size_t i = begin; i < end; ++i) {
-        classes[i] = ClassifyOne(dis.insns[i], opts, &range_mem_operands, &range_considered);
-      }
-      mem_operands[r] = range_mem_operands;
-      considered[r] = range_considered;
-    });
-    for (size_t r = 0; r < ranges; ++r) {
-      stats->mem_operands += mem_operands[r];
-      stats->considered += considered[r];
-    }
-    return classes;
-  }
   for (size_t i = 0; i < n; ++i) {
     classes[i] = ClassifyOne(dis.insns[i], opts, &stats->mem_operands, &stats->considered);
   }
   return classes;
 }
 
-namespace {
-
-// Phase-1 output of SelectSites for one instruction range: candidates with
-// their check kinds decided but site ids unassigned.
-struct RangeSelection {
+std::vector<SiteCandidate> SelectSites(const Disassembly& dis,
+                                       const std::vector<OperandClass>& classes,
+                                       const RedFatOptions& opts, const AllowList* allow,
+                                       bool apply_elim, PlanStats* stats,
+                                       std::vector<SiteRecord>* sites) {
+  REDFAT_CHECK(classes.size() == dis.insns.size());
   std::vector<SiteCandidate> candidates;
-  size_t eliminated = 0;
-  size_t redzone_dropped = 0;
-};
-
-void SelectSitesInRange(const Disassembly& dis, const std::vector<OperandClass>& classes,
-                        const RedFatOptions& opts, const AllowList* allow, bool apply_elim,
-                        size_t begin, size_t end, RangeSelection* out) {
-  for (size_t i = begin; i < end; ++i) {
+  for (size_t i = 0; i < dis.insns.size(); ++i) {
     switch (classes[i]) {
       case OperandClass::kNone:
       case OperandClass::kFiltered:
         continue;
       case OperandClass::kEliminable:
         if (apply_elim) {
-          ++out->eliminated;
+          ++stats->eliminated;
           continue;
         }
         break;
@@ -238,8 +201,16 @@ void SelectSitesInRange(const Disassembly& dis, const std::vector<OperandClass>&
     // The fast hardening tier (core/policy.h) leaves ambiguous sites bare:
     // only the (LowFat)-checkable population is instrumented.
     if (kind == CheckKind::kRedzoneOnly && !opts.redzone_only_sites) {
-      ++out->redzone_dropped;
+      ++stats->redzone_dropped;
       continue;
+    }
+    // Site ids are sequential in address order.
+    const uint32_t site_id = static_cast<uint32_t>(sites->size());
+    sites->push_back(SiteRecord{site_id, di.addr, is_write, kind});
+    if (kind == CheckKind::kFull) {
+      ++stats->full_sites;
+    } else {
+      ++stats->redzone_sites;
     }
     SiteCandidate cand;
     cand.insn_index = i;
@@ -248,94 +219,29 @@ void SelectSitesInRange(const Disassembly& dis, const std::vector<OperandClass>&
     cand.check.kind = kind;
     cand.check.is_write = is_write;
     cand.check.anchor_next = di.end();
-    out->candidates.push_back(std::move(cand));
-  }
-}
-
-}  // namespace
-
-std::vector<SiteCandidate> SelectSites(const Disassembly& dis,
-                                       const std::vector<OperandClass>& classes,
-                                       const RedFatOptions& opts, const AllowList* allow,
-                                       bool apply_elim, PlanStats* stats,
-                                       std::vector<SiteRecord>* sites, ThreadPool* pool) {
-  REDFAT_CHECK(classes.size() == dis.insns.size());
-  const size_t n = dis.insns.size();
-  // Phase 1: discover candidates and decide kinds per instruction range.
-  // The kind depends only on the instruction itself, not on the site id.
-  std::vector<RangeSelection> selected(1);
-  if (pool != nullptr && pool->jobs() > 1 && n >= 1024) {
-    const size_t ranges = ShardRanges(n, *pool);
-    selected.resize(ranges);
-    pool->ParallelFor(ranges, [&](size_t r) {
-      SelectSitesInRange(dis, classes, opts, allow, apply_elim, r * n / ranges,
-                         (r + 1) * n / ranges, &selected[r]);
-    });
-  } else {
-    SelectSitesInRange(dis, classes, opts, allow, apply_elim, 0, n, &selected[0]);
-  }
-  // Phase 2 (serial): assign sequential site ids in address order — ranges
-  // are address-ordered, so concatenation numbers sites exactly like the
-  // serial scan.
-  std::vector<SiteCandidate> candidates;
-  size_t total = 0;
-  for (const RangeSelection& sel : selected) {
-    total += sel.candidates.size();
-  }
-  candidates.reserve(total);
-  sites->reserve(sites->size() + total);
-  for (RangeSelection& sel : selected) {
-    stats->eliminated += sel.eliminated;
-    stats->redzone_dropped += sel.redzone_dropped;
-    for (SiteCandidate& cand : sel.candidates) {
-      const uint32_t site_id = static_cast<uint32_t>(sites->size());
-      sites->push_back(SiteRecord{site_id, dis.insns[cand.insn_index].addr,
-                                  cand.check.is_write, cand.check.kind});
-      if (cand.check.kind == CheckKind::kFull) {
-        ++stats->full_sites;
-      } else {
-        ++stats->redzone_sites;
-      }
-      cand.check.member_sites.push_back(site_id);
-      candidates.push_back(std::move(cand));
-    }
+    cand.check.member_sites.push_back(site_id);
+    candidates.push_back(std::move(cand));
   }
   return candidates;
 }
 
 std::vector<PlannedTrampoline> SingletonTrampolines(const Disassembly& dis,
-                                                    std::vector<SiteCandidate> candidates,
-                                                    ThreadPool* pool) {
+                                                    std::vector<SiteCandidate> candidates) {
   std::vector<PlannedTrampoline> out(candidates.size());
-  const auto fill_one = [&](size_t i) {
+  for (size_t i = 0; i < candidates.size(); ++i) {
     SiteCandidate& cand = candidates[i];
     PlannedTrampoline& tramp = out[i];
     tramp.addr = dis.insns[cand.insn_index].addr;
     tramp.insn_index = cand.insn_index;
     tramp.checks.push_back(std::move(cand.check));
-  };
-  if (pool != nullptr && pool->jobs() > 1 && candidates.size() >= 1024) {
-    pool->ParallelFor(candidates.size(), fill_one);
-  } else {
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      fill_one(i);
-    }
   }
   return out;
 }
 
-namespace {
-
-// The serial batching scan over the candidate sub-range [c_begin, c_end),
-// starting the instruction walk at the first candidate's index. Batches
-// never cross basic blocks and `written` only matters while a batch is
-// open, so a scan started at a block-aligned candidate partition reproduces
-// the corresponding slice of the full serial scan exactly.
-std::vector<PlannedTrampoline> BatchCandidateRange(const Disassembly& dis, const CfgInfo& cfg,
-                                                   std::vector<PlannedTrampoline>& singles,
-                                                   size_t c_begin, size_t c_end) {
+std::vector<PlannedTrampoline> BatchTrampolines(const Disassembly& dis, const CfgInfo& cfg,
+                                                std::vector<PlannedTrampoline> singles) {
   std::vector<PlannedTrampoline> out;
-  if (c_begin >= c_end) {
+  if (singles.empty()) {
     return out;
   }
   PlannedTrampoline current;
@@ -392,10 +298,10 @@ std::vector<PlannedTrampoline> BatchCandidateRange(const Disassembly& dis, const
     return true;
   };
 
-  size_t next = c_begin;
-  const size_t first_insn = singles[c_begin].insn_index;
+  size_t next = 0;
+  const size_t first_insn = singles.front().insn_index;
   for (size_t i = first_insn; i < dis.insns.size(); ++i) {
-    if (next == c_end) {
+    if (next == singles.size()) {
       break;  // no candidates left; membership of the open batch is fixed
     }
     const DisasmInsn& di = dis.insns[i];
@@ -404,7 +310,7 @@ std::vector<PlannedTrampoline> BatchCandidateRange(const Disassembly& dis, const
       current_block = cfg.block_id[i];
     }
 
-    if (next < c_end && singles[next].insn_index == i) {
+    if (singles[next].insn_index == i) {
       const Tier cand_tier = singles[next].tier;
       PlannedCheck check = std::move(singles[next].checks.front());
       ++next;
@@ -445,53 +351,6 @@ std::vector<PlannedTrampoline> BatchCandidateRange(const Disassembly& dis, const
     }
   }
   close();
-  return out;
-}
-
-}  // namespace
-
-std::vector<PlannedTrampoline> BatchTrampolines(const Disassembly& dis, const CfgInfo& cfg,
-                                                std::vector<PlannedTrampoline> singles,
-                                                ThreadPool* pool) {
-  if (pool == nullptr || pool->jobs() <= 1 || singles.size() < 1024) {
-    return BatchCandidateRange(dis, cfg, singles, 0, singles.size());
-  }
-  // Partition the candidate list at basic-block changes: a batch never
-  // crosses a block boundary, so batching each partition independently and
-  // concatenating is byte-identical to the full serial scan. Partition
-  // boundaries are derived from (candidate count, jobs) and the block ids —
-  // never from the schedule.
-  const size_t parts_target = ShardRanges(singles.size(), *pool);
-  std::vector<size_t> bounds;
-  bounds.push_back(0);
-  for (size_t p = 1; p < parts_target; ++p) {
-    size_t idx = p * singles.size() / parts_target;
-    while (idx < singles.size() &&
-           cfg.block_id[singles[idx].insn_index] ==
-               cfg.block_id[singles[idx - 1].insn_index]) {
-      ++idx;
-    }
-    if (idx > bounds.back() && idx < singles.size()) {
-      bounds.push_back(idx);
-    }
-  }
-  bounds.push_back(singles.size());
-  const size_t parts = bounds.size() - 1;
-  std::vector<std::vector<PlannedTrampoline>> shards(parts);
-  pool->ParallelFor(parts, [&](size_t p) {
-    shards[p] = BatchCandidateRange(dis, cfg, singles, bounds[p], bounds[p + 1]);
-  });
-  std::vector<PlannedTrampoline> out;
-  size_t total = 0;
-  for (const std::vector<PlannedTrampoline>& shard : shards) {
-    total += shard.size();
-  }
-  out.reserve(total);
-  for (std::vector<PlannedTrampoline>& shard : shards) {
-    for (PlannedTrampoline& tramp : shard) {
-      out.push_back(std::move(tramp));
-    }
-  }
   return out;
 }
 

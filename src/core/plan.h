@@ -152,11 +152,9 @@ enum class OperandClass : uint8_t {
 };
 
 // One entry per instruction in `dis`. Fills stats->mem_operands and
-// stats->considered. With a pool, instruction ranges classify in parallel
-// (each index writes only its own slot; counters are per-range partials
-// summed at the end).
+// stats->considered.
 std::vector<OperandClass> ClassifyOperands(const Disassembly& dis, const RedFatOptions& opts,
-                                           PlanStats* stats, ThreadPool* pool = nullptr);
+                                           PlanStats* stats);
 
 // A classified check candidate for one instruction, before trampoline
 // formation. The check's member_sites holds its (single) site id.
@@ -169,22 +167,15 @@ struct SiteCandidate {
 // (filling stats->eliminated), decides each surviving site's CheckKind
 // against the allow-list/options, assigns sequential site ids in address
 // order, and appends the SiteRecords to `sites`.
-// With a pool, candidate discovery and kind decisions run over instruction
-// ranges in parallel; site ids are then assigned serially in address order,
-// so numbering is identical for every job count.
 std::vector<SiteCandidate> SelectSites(const Disassembly& dis,
                                        const std::vector<OperandClass>& classes,
                                        const RedFatOptions& opts, const AllowList* allow,
                                        bool apply_elim, PlanStats* stats,
-                                       std::vector<SiteRecord>* sites,
-                                       ThreadPool* pool = nullptr);
+                                       std::vector<SiteRecord>* sites);
 
-// Stage 4a: one trampoline per candidate (the unbatched layout). Each
-// candidate maps to its own output slot, so the pool form is trivially
-// deterministic.
+// Stage 4a: one trampoline per candidate (the unbatched layout).
 std::vector<PlannedTrampoline> SingletonTrampolines(const Disassembly& dis,
-                                                    std::vector<SiteCandidate> candidates,
-                                                    ThreadPool* pool = nullptr);
+                                                    std::vector<SiteCandidate> candidates);
 
 // Stage 4b: check batching (§6). Coalesces consecutive singleton
 // trampolines within a basic block when the later operand's registers are
@@ -197,16 +188,10 @@ std::vector<PlannedTrampoline> SingletonTrampolines(const Disassembly& dis,
 // delta — the folded check evaluates the same effective address at the
 // leader. With every tier kWarm the scan is bit-for-bit the untiered
 // algorithm.
-// Batches never cross basic-block boundaries, so with a pool the candidate
-// list is partitioned at block changes, each partition batched
-// independently, and the results concatenated — byte-identical to the
-// serial scan.
 std::vector<PlannedTrampoline> BatchTrampolines(const Disassembly& dis, const CfgInfo& cfg,
-                                                std::vector<PlannedTrampoline> singles,
-                                                ThreadPool* pool = nullptr);
+                                                std::vector<PlannedTrampoline> singles);
 
-// Stage 5: check merging (§6) within one trampoline. Independent per
-// trampoline (safe to run across the pipeline's thread pool).
+// Stage 5: check merging (§6) within one trampoline.
 void MergeTrampolineChecks(PlannedTrampoline* tramp);
 
 InstrumentPlan BuildPlan(const Disassembly& dis, const CfgInfo& cfg, const RedFatOptions& opts,

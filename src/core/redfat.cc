@@ -23,11 +23,9 @@ RedFatTool::RedFatTool(const ResolvedPolicy& policy) : RedFatTool(policy.rewrite
 }
 
 Result<InstrumentResult> RedFatTool::Instrument(const BinaryImage& input,
-                                                const AllowList* allow,
-                                                ThreadPool* pool) const {
+                                                const AllowList* allow) const {
   Pipeline pipeline = Pipeline::Hardening(opts_);
   PipelineContext ctx(input, opts_, allow);
-  ctx.pool = pool;
   Status st = pipeline.Run(ctx);
   if (!st.ok()) {
     return Error(st.error());

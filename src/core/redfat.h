@@ -57,12 +57,10 @@ class RedFatTool {
 
   // Instruments `input`. With an allow-list, only listed sites receive the
   // full (Redzone)+(LowFat) check; without one, every eligible site does
-  // ("full-on" mode, used to measure false positives). With a pool, the
-  // pipeline shards on it instead of spawning its own workers (the batch
-  // driver shares one pool across concurrent images).
+  // ("full-on" mode, used to measure false positives). Runs on the calling
+  // thread; calls on distinct images may run concurrently.
   Result<InstrumentResult> Instrument(const BinaryImage& input,
-                                      const AllowList* allow = nullptr,
-                                      ThreadPool* pool = nullptr) const;
+                                      const AllowList* allow = nullptr) const;
 
   const RedFatOptions& options() const { return opts_; }
   HardenTier harden() const { return harden_; }

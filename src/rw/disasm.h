@@ -22,8 +22,6 @@
 
 namespace redfat {
 
-class ThreadPool;
-
 struct DisasmInsn {
   uint64_t addr = 0;
   unsigned length = 0;
@@ -42,12 +40,8 @@ struct Disassembly {
   size_t IndexAt(uint64_t addr) const;
 };
 
-// Linear-sweep disassembly of the text section. With a pool, fixed-size
-// address chunks are decoded speculatively in parallel and stitched back
-// together with a deterministic serial cursor walk; the result (and any
-// decode error) is byte-identical to the serial sweep.
-Result<Disassembly> DisassembleText(const BinaryImage& image,
-                                    ThreadPool* pool = nullptr);
+// Linear-sweep disassembly of the text section.
+Result<Disassembly> DisassembleText(const BinaryImage& image);
 
 struct CfgInfo {
   // Addresses that some (recovered, over-approximated) control transfer may
@@ -61,11 +55,7 @@ struct CfgInfo {
   uint32_t num_blocks = 0;
 };
 
-// With a pool, target collection runs over instruction ranges (set-union is
-// order-insensitive) and block ids are assigned by a leader-count prefix sum;
-// both are independent of the job count.
-CfgInfo RecoverCfg(const Disassembly& dis, const BinaryImage& image,
-                   ThreadPool* pool = nullptr);
+CfgInfo RecoverCfg(const Disassembly& dis, const BinaryImage& image);
 
 }  // namespace redfat
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/support/check.h"
-#include "src/support/parallel.h"
 
 namespace redfat {
 
@@ -50,8 +49,7 @@ ClobberInfo ComputeClobbers(const Disassembly& dis, const CfgInfo& cfg, size_t i
 }
 
 std::vector<ClobberInfo> ComputeClobbersMany(const Disassembly& dis, const CfgInfo& cfg,
-                                             const std::vector<size_t>& indices,
-                                             ThreadPool& pool) {
+                                             const std::vector<size_t>& indices) {
   // The leaders in instruction order (slots into `indices`), then split into
   // runs that share a basic block: each run is one backward walk.
   std::vector<size_t> order(indices.size());
@@ -70,7 +68,7 @@ std::vector<ClobberInfo> ComputeClobbersMany(const Disassembly& dis, const CfgIn
   runs.push_back(order.size());
 
   std::vector<ClobberInfo> out(indices.size());
-  pool.ParallelFor(runs.size() - 1, [&](size_t g) {
+  for (size_t g = 0; g + 1 < runs.size(); ++g) {
     const size_t first = indices[order[runs[g]]];
     const size_t last = indices[order[runs[g + 1] - 1]];
     const uint32_t block = cfg.block_id[first];
@@ -98,7 +96,7 @@ std::vector<ClobberInfo> ComputeClobbersMany(const Disassembly& dis, const CfgIn
         out[order[k - 1]] = MakeClobberInfo(dead, flags_dead);
       }
     }
-  });
+  }
   return out;
 }
 

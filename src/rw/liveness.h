@@ -15,8 +15,6 @@
 
 namespace redfat {
 
-class ThreadPool;
-
 struct ClobberInfo {
   // Registers proven dead immediately *before* the instrumented instruction
   // executes (the check runs first, then the displaced instruction).
@@ -33,11 +31,10 @@ ClobberInfo ComputeClobbers(const Disassembly& dis, const CfgInfo& cfg, size_t i
 
 // Batch form, equal to ComputeClobbers at every index: the indices are
 // grouped by basic block, and each block that holds one is walked once,
-// backwards from its end, on the pool's workers. Returns one entry per
-// input index (any order, repeats allowed), in input order.
+// backwards from its end. Returns one entry per input index (any order,
+// repeats allowed), in input order.
 std::vector<ClobberInfo> ComputeClobbersMany(const Disassembly& dis, const CfgInfo& cfg,
-                                             const std::vector<size_t>& indices,
-                                             ThreadPool& pool);
+                                             const std::vector<size_t>& indices);
 
 }  // namespace redfat
 

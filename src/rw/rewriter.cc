@@ -1,9 +1,8 @@
 #include "src/rw/rewriter.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "src/support/check.h"
-#include "src/support/parallel.h"
 #include "src/support/str.h"
 
 namespace redfat {
@@ -11,17 +10,6 @@ namespace redfat {
 namespace {
 
 constexpr unsigned kJmpLen = 5;  // EncodedLength(Op::kJmp)
-
-// Invokes fn(i) for every i in [0, n): on the pool, or inline without one.
-void ForEach(ThreadPool* pool, size_t n, const std::function<void(size_t)>& fn) {
-  if (pool != nullptr) {
-    pool->ParallelFor(n, fn);
-    return;
-  }
-  for (size_t i = 0; i < n; ++i) {
-    fn(i);
-  }
-}
 
 // Re-emits a displaced instruction at the assembler's current position,
 // fixing up position-dependent fields. `old_next` is the address of the
@@ -66,7 +54,7 @@ void RelocateInsn(Assembler& as, const DisasmInsn& di) {
 // Emits one span's trampoline (payloads, relocated instructions, jump back)
 // at the assembler's current position; returns the payloads applied.
 size_t EmitSpanTrampoline(const Disassembly& dis, Assembler& as, const SpanPlan& span,
-                          const ChunkEmitter& payloads) {
+                          const RequestEmitter& payloads) {
   size_t applied = 0;
   for (size_t slot = 0; slot < span.num_insns; ++slot) {
     if (span.payloads[slot] != SIZE_MAX) {
@@ -167,60 +155,28 @@ Result<std::vector<SpanPlan>> PlanSpans(const Disassembly& dis, const CfgInfo& c
 }
 
 TrampolineCode EmitTrampolines(const Disassembly& dis, std::span<const SpanPlan> spans,
-                               const ChunkEmitterFactory& payloads,
-                               uint64_t trampoline_base, ThreadPool* pool,
+                               const RequestEmitter& payloads, uint64_t trampoline_base,
                                RewriteStats* stats) {
   RewriteStats local;
   RewriteStats& st = stats != nullptr ? *stats : local;
-  // One contiguous chunk of spans per worker, each emitted once at the
-  // blob's base. Chunk 0 stays in place; the others are rebased behind it.
-  const size_t num_chunks =
-      std::max<size_t>(1, std::min<size_t>(pool != nullptr ? pool->jobs() : 1, spans.size()));
-  const auto first_span = [&](size_t c) { return spans.size() * c / num_chunks; };
-  std::vector<Assembler> chunks(num_chunks, Assembler(trampoline_base));
-  std::vector<size_t> applied(num_chunks, 0);
+  Assembler as(trampoline_base);
   TrampolineCode code;
-  code.starts.resize(spans.size());
-  ForEach(pool, num_chunks, [&](size_t c) {
-    // Built in a local: neighbouring elements of `chunks` share cache lines.
-    Assembler as(trampoline_base);
-    const ChunkEmitter emit = payloads();
-    size_t chunk_applied = 0;
-    for (size_t i = first_span(c); i < first_span(c + 1); ++i) {
-      code.starts[i] = as.Here();
-      chunk_applied += EmitSpanTrampoline(dis, as, spans[i], emit);
-    }
-    chunks[c] = std::move(as);
-    applied[c] = chunk_applied;
-  });
-  std::vector<uint64_t> offsets(num_chunks + 1, 0);  // prefix sums of chunk sizes
-  for (size_t c = 0; c < num_chunks; ++c) {
-    offsets[c + 1] = offsets[c] + chunks[c].SizeBytes();
-    st.applied += applied[c];
+  code.starts.reserve(spans.size());
+  for (const SpanPlan& span : spans) {
+    code.starts.push_back(as.Here());
+    st.applied += EmitSpanTrampoline(dis, as, span, payloads);
   }
-  code.bytes = chunks[0].Finish();
-  code.bytes.resize(offsets.back());
-  ForEach(pool, num_chunks - 1, [&](size_t k) {
-    const size_t c = k + 1;
-    chunks[c].Rebase(trampoline_base + offsets[c]);
-    for (size_t i = first_span(c); i < first_span(c + 1); ++i) {
-      code.starts[i] += offsets[c];
-    }
-    const std::vector<uint8_t> bytes = chunks[c].Finish();
-    std::copy(bytes.begin(), bytes.end(), code.bytes.begin() + offsets[c]);
-  });
+  code.bytes = as.Finish();
   st.trampolines = spans.size();
   st.trampoline_bytes = code.bytes.size();
   return code;
 }
 
 void PatchSpans(Section* text, const std::vector<SpanPlan>& spans,
-                const std::vector<uint64_t>& tramp_starts, ThreadPool* pool) {
+                const std::vector<uint64_t>& tramp_starts) {
   REDFAT_CHECK(text != nullptr);
   REDFAT_CHECK(spans.size() == tramp_starts.size());
-  // Each span overwrites its own disjoint byte range, so the per-span body
-  // is schedule-independent.
-  const auto patch_one = [&](size_t i) {
+  for (size_t i = 0; i < spans.size(); ++i) {
     const SpanPlan& span = spans[i];
     const uint64_t patch_off = span.addr - text->vaddr;
     const int64_t rel = static_cast<int64_t>(tramp_starts[i]) -
@@ -231,8 +187,7 @@ void PatchSpans(Section* text, const std::vector<SpanPlan>& spans,
     for (unsigned f = kJmpLen; f < span.span_len; ++f) {
       text->bytes[patch_off + f] = static_cast<uint8_t>(Op::kUd2);
     }
-  };
-  ForEach(pool, spans.size(), patch_one);
+  }
 }
 
 Rewriter::Rewriter(const BinaryImage& image) : image_(image) {
@@ -251,8 +206,7 @@ Rewriter::Rewriter(const BinaryImage& image) : image_(image) {
 }
 
 Result<BinaryImage> Rewriter::Apply(const std::vector<PatchRequest>& requests,
-                                    RewriteStats* stats, uint64_t trampoline_base,
-                                    unsigned jobs) {
+                                    RewriteStats* stats, uint64_t trampoline_base) {
   REDFAT_CHECK(ok_);
   RewriteStats local;
   RewriteStats& st = stats != nullptr ? *stats : local;
@@ -269,11 +223,8 @@ Result<BinaryImage> Rewriter::Apply(const std::vector<PatchRequest>& requests,
   }
   const std::vector<SpanPlan>& spans = planned.value();
   // The requests carry their own payload emitters.
-  const auto payloads = [&requests] {
-    return [&requests](Assembler& as, size_t r) { requests[r].emit_payload(as); };
-  };
-  ThreadPool pool(jobs);
-  const TrampolineCode code = EmitTrampolines(disasm_, spans, payloads, trampoline_base, &pool, &st);
+  const auto payloads = [&requests](Assembler& as, size_t r) { requests[r].emit_payload(as); };
+  const TrampolineCode code = EmitTrampolines(disasm_, spans, payloads, trampoline_base, &st);
 
   BinaryImage out = image_;
   Section* text = out.FindSection(Section::Kind::kText);

@@ -20,18 +20,11 @@
 // emulated as push-return-address + jmp.
 //
 // Rewriting is exposed as three free-function stages over a shared
-// disassembly (so the pass pipeline can reuse cached analyses, and time and
-// parallelize each stage independently):
-//   PlanSpans        — serial: overwrite-span construction + conflicts;
+// disassembly (so the pass pipeline can reuse cached analyses, and time
+// each stage on its own):
+//   PlanSpans        — overwrite-span construction + conflicts;
 //   EmitTrampolines  — per-span code emission (payloads + relocations +
-//                      jump back), in one pass: the spans are split into
-//                      one contiguous chunk per worker, each chunk is
-//                      emitted once by a relocatable Assembler at the
-//                      blob's base (its payloads by an emitter made for
-//                      that chunk), the chunks are laid out by prefix sum,
-//                      and each is rebased to its final address and written
-//                      into the blob — byte-identical to emitting every
-//                      span in order at its final address;
+//                      jump back), every span in order into one blob;
 //   PatchSpans       — overwrite the original text bytes.
 // The Rewriter class composes the three over its own disassembly.
 #ifndef REDFAT_SRC_RW_REWRITER_H_
@@ -52,12 +45,7 @@ namespace redfat {
 
 // Emits payload code into the trampoline assembler. The payload must
 // preserve all guest-visible state it does not own (the caller decides
-// which registers/flags are dead via its own clobber analysis). Payload
-// emitters run once per span and must be safe to invoke concurrently from
-// the parallel emission stage. Position-dependent fields must go through
-// the Assembler's recorded forms (labels, JmpAbs/JccAbs/CallAbs,
-// EmitRipRelative), never through Here(): the code is rebased after
-// emission.
+// which registers/flags are dead via its own clobber analysis).
 using PayloadEmitter = std::function<void(Assembler&)>;
 
 struct PatchRequest {
@@ -65,13 +53,9 @@ struct PatchRequest {
   PayloadEmitter emit_payload;
 };
 
-// The payload emitter of one emission chunk: emits request `r`'s payload at
-// the assembler's position, under the PayloadEmitter rules.
-using ChunkEmitter = std::function<void(Assembler& as, size_t r)>;
-// Makes a chunk's emitter. EmitTrampolines calls it on the thread that
-// emits the chunk and drops the emitter with the chunk, so state kept in it
-// (codegen's stencil table) needs no lock and does not outlive the rewrite.
-using ChunkEmitterFactory = std::function<ChunkEmitter()>;
+// Emits request `r`'s payload at the assembler's position, under the
+// PayloadEmitter rules.
+using RequestEmitter = std::function<void(Assembler& as, size_t r)>;
 
 struct RewriteStats {
   size_t requested = 0;
@@ -108,27 +92,22 @@ Result<std::vector<SpanPlan>> PlanSpans(const Disassembly& dis, const CfgInfo& c
                                         const std::vector<uint64_t>& addrs,
                                         RewriteStats* stats);
 
-// Stage 2: emits all span trampolines as one code blob based at
-// `trampoline_base`, recording each span's start address. Every span is
-// emitted exactly once: in one chunk serially, or in one chunk per worker
-// that is rebased into place afterwards. The blob is byte-identical for
-// every job count. Fills stats->applied/trampolines/trampoline_bytes.
+// Stage 2: emits all span trampolines, in span order, as one code blob
+// based at `trampoline_base`, recording each span's start address. Fills
+// stats->applied/trampolines/trampoline_bytes.
 struct TrampolineCode {
   std::vector<uint8_t> bytes;
   std::vector<uint64_t> starts;  // parallel to the span vector
 };
-// Chunks run on the pool's workers (nullptr = one chunk, serial).
 TrampolineCode EmitTrampolines(const Disassembly& dis, std::span<const SpanPlan> spans,
-                               const ChunkEmitterFactory& payloads,
-                               uint64_t trampoline_base, ThreadPool* pool,
+                               const RequestEmitter& payloads, uint64_t trampoline_base,
                                RewriteStats* stats);
 
 // Stage 3: overwrites each span's original bytes with `jmp rel32` into its
 // trampoline plus 1-byte ud2 filler. Spans never overlap (PlanSpans merges
-// or skips colliding sites), so with a pool each span patches its own
-// disjoint text range in parallel.
+// or skips colliding sites).
 void PatchSpans(Section* text, const std::vector<SpanPlan>& spans,
-                const std::vector<uint64_t>& tramp_starts, ThreadPool* pool = nullptr);
+                const std::vector<uint64_t>& tramp_starts);
 
 class Rewriter {
  public:
@@ -143,11 +122,9 @@ class Rewriter {
 
   // Applies all requests and returns the rewritten image. `trampoline_base`
   // places the new section (shared objects instrumented separately need
-  // distinct, non-overlapping bases — §7.4). With `jobs > 1` the span
-  // trampolines are emitted across a thread pool; the output is
-  // byte-identical to `jobs == 1`.
+  // distinct, non-overlapping bases — §7.4).
   Result<BinaryImage> Apply(const std::vector<PatchRequest>& requests, RewriteStats* stats,
-                            uint64_t trampoline_base = kTrampolineBase, unsigned jobs = 1);
+                            uint64_t trampoline_base = kTrampolineBase);
 
  private:
   BinaryImage image_;

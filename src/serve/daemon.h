@@ -1,9 +1,9 @@
 // redfatd's transport: a Unix-domain stream-socket server in front of a
 // RewriteService. One handler thread per accepted connection, joined by the
 // accept loop once it finishes; a connection carries any number of framed
-// requests (serve/protocol.h). The service layer owns all heavy state (warm
-// pool, caches, telemetry); the daemon only frames/unframes and maps service
-// errors onto wire error codes.
+// requests (serve/protocol.h). The service layer owns all heavy state
+// (pipeline slots, caches, telemetry); the daemon only frames/unframes and
+// maps service errors onto wire error codes.
 #ifndef REDFAT_SRC_SERVE_DAEMON_H_
 #define REDFAT_SRC_SERVE_DAEMON_H_
 

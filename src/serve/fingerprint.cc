@@ -54,7 +54,9 @@ std::vector<uint8_t> CanonicalOptionsBlob(const RedFatOptions& o) {
   PutU8(&b, o.batch ? 1 : 0);
   PutU8(&b, o.merge ? 1 : 0);
   PutU8(&b, o.clobber_analysis ? 1 : 0);
-  PutU32(&b, o.jobs);
+  // Bytes 12-15 once held a per-rewrite thread count; they stay, always 0,
+  // so the blob keeps its version and every cache key stays put.
+  PutU32(&b, 0);
   PutU8(&b, static_cast<uint8_t>(o.mode));
   PutU64(&b, o.trampoline_base);
   PutU8(&b, o.tier_profile != nullptr ? 1 : 0);
@@ -63,7 +65,7 @@ std::vector<uint8_t> CanonicalOptionsBlob(const RedFatOptions& o) {
 }
 
 Result<RedFatOptions> OptionsFromBlob(const std::vector<uint8_t>& b) {
-  // 1 version + 11 flag bytes + 4 jobs + 1 mode + 8 base + 1 profile flag +
+  // 1 version + 11 flag bytes + 4 unused + 1 mode + 8 base + 1 profile flag +
   // 8 threshold.
   constexpr size_t kBlobLen = 34;
   if (b.size() != kBlobLen) {
@@ -73,13 +75,6 @@ Result<RedFatOptions> OptionsFromBlob(const std::vector<uint8_t>& b) {
   if (b[0] != kOptionsBlobVersion) {
     return Error(StrFormat("options blob: unknown version %u", b[0]));
   }
-  const auto u32_at = [&](size_t at) {
-    uint32_t v = 0;
-    for (int i = 3; i >= 0; --i) {
-      v = (v << 8) | b[at + static_cast<size_t>(i)];
-    }
-    return v;
-  };
   const auto u64_at = [&](size_t at) {
     uint64_t v = 0;
     for (int i = 7; i >= 0; --i) {
@@ -102,7 +97,7 @@ Result<RedFatOptions> OptionsFromBlob(const std::vector<uint8_t>& b) {
   o.batch = b[9] != 0;
   o.merge = b[10] != 0;
   o.clobber_analysis = b[11] != 0;
-  o.jobs = u32_at(12);
+  // b[12..15]: unused, ignored.
   if (b[16] > static_cast<uint8_t>(RedFatOptions::Mode::kProfile)) {
     return Error("options blob: bad mode");
   }

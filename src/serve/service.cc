@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "src/core/sitemap.h"
+#include "src/support/parallel.h"
 #include "src/support/str.h"
 
 namespace redfat {
@@ -33,14 +34,11 @@ Result<TierProfile> TierProfileFromSnapshotJson(const std::string& json) {
   return profile;
 }
 
-// The key never includes transport-only knobs: the client's --jobs value
-// changes nothing about the output bytes (byte-identical by contract), and
-// the profile pointee is fingerprinted separately into CacheKey::profile_fp.
+// The profile pointee is fingerprinted separately into CacheKey::profile_fp.
 // Everything else — including hot_threshold, which steers the tier pass —
 // stays in the fingerprint.
 uint64_t CacheOptionsFingerprint(const RedFatOptions& opts) {
   RedFatOptions normalized = opts;
-  normalized.jobs = 0;
   normalized.tier_profile = nullptr;
   return OptionsFingerprint(normalized);
 }
@@ -100,8 +98,29 @@ class RewriteService::RequestScope {
   uint64_t start_;
 };
 
+class RewriteService::PipelineSlot {
+ public:
+  explicit PipelineSlot(RewriteService* svc) : svc_(svc) {
+    std::unique_lock<std::mutex> lock(svc_->slots_mu_);
+    svc_->slot_freed_.wait(lock, [this] { return svc_->free_slots_ != 0; });
+    --svc_->free_slots_;
+  }
+  ~PipelineSlot() {
+    {
+      std::lock_guard<std::mutex> lock(svc_->slots_mu_);
+      ++svc_->free_slots_;
+    }
+    svc_->slot_freed_.notify_one();
+  }
+  PipelineSlot(const PipelineSlot&) = delete;
+  PipelineSlot& operator=(const PipelineSlot&) = delete;
+
+ private:
+  RewriteService* svc_;
+};
+
 RewriteService::RewriteService(const Config& config)
-    : pool_(config.jobs), cache_(config.cache_bytes) {}
+    : free_slots_(ResolveJobs(config.jobs)), cache_(config.cache_bytes) {}
 
 RewriteService::~RewriteService() = default;
 
@@ -203,11 +222,13 @@ Result<RewriteService::Outcome> RewriteService::RewriteMiss(
   RedFatOptions run_opts = opts;
   run_opts.tier_profile = profile;
   entry->ctx = std::make_unique<PipelineContext>(entry->input, run_opts, nullptr);
-  entry->ctx->pool = &pool_;
 
   Pipeline pipeline = Pipeline::Hardening(run_opts);
   pipeline.CaptureAfter("group", &entry->checkpoint);
-  Status st = pipeline.Run(*entry->ctx);
+  Status st = [&] {
+    PipelineSlot slot(this);
+    return pipeline.Run(*entry->ctx);
+  }();
   // The profile lives on the caller's stack: never leave a dangling pointer
   // in the retained context.
   entry->ctx->opts.tier_profile = nullptr;
@@ -245,10 +266,12 @@ Result<RewriteService::Outcome> RewriteService::Retier(
   RestoreCheckpoint(entry->checkpoint, ctx);
   ctx.opts.tier_profile = &profile;
   ctx.opts.hot_threshold = opts.hot_threshold;
-  ctx.pool = &pool_;
 
   Pipeline pipeline = Pipeline::Hardening(ctx.opts);
-  Status st = pipeline.RunFrom(ctx, "tier");
+  Status st = [&] {
+    PipelineSlot slot(this);
+    return pipeline.RunFrom(ctx, "tier");
+  }();
   ctx.opts.tier_profile = nullptr;
   if (!st.ok()) {
     errors_.fetch_add(1, std::memory_order_relaxed);

@@ -1,8 +1,9 @@
 // RewriteService: the daemon's engine, independent of any transport.
 //
 // One service instance owns
-//   * a warm ThreadPool shared by every request's pipeline run (no
-//     per-request pool respawn: Pipeline::Run uses the injected pool),
+//   * `Config::jobs` pipeline slots: a miss or re-tier runs the pipeline,
+//     on its own request thread, only while it holds one, so at most that
+//     many rewrites run at once; hits and fetches never wait for a slot,
 //   * the content-addressed artifact cache (serve/cache.h), and
 //   * a TelemetryRegistry receiving per-request latency and queue-depth
 //     distributions (`serve.request_latency_cycles`, `serve.queue_depth` —
@@ -42,6 +43,7 @@
 #define REDFAT_SRC_SERVE_SERVICE_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -53,7 +55,6 @@
 #include "src/core/pipeline.h"
 #include "src/serve/cache.h"
 #include "src/serve/fingerprint.h"
-#include "src/support/parallel.h"
 #include "src/support/telemetry.h"
 
 namespace redfat {
@@ -68,15 +69,16 @@ uint64_t HostCycleNow();
 // upload tier the same profile identically.
 Result<TierProfile> TierProfileFromSnapshotJson(const std::string& json);
 
-// The fingerprint the service actually keys its cache with: transport-only
-// knobs (--jobs, the profile pointer) normalized away so they never split
-// entries for byte-identical outputs. `redfat --print-cache-key` prints this.
+// The fingerprint the service actually keys its cache with: the profile
+// pointer is normalized away (the profile's content is keyed separately),
+// so it never splits entries for byte-identical outputs. `redfat
+// --print-cache-key` prints this.
 uint64_t CacheOptionsFingerprint(const RedFatOptions& opts);
 
 class RewriteService {
  public:
   struct Config {
-    unsigned jobs = 1;            // warm pool width (0 = hardware threads)
+    unsigned jobs = 1;  // pipelines run at once (0 = hardware threads)
     uint64_t cache_bytes = 256ull << 20;  // LRU budget; 0 = unbounded
   };
 
@@ -111,7 +113,6 @@ class RewriteService {
   // "telemetry".
   std::string StatsJson() const;
 
-  ThreadPool& pool() { return pool_; }
   TelemetryRegistry& telemetry() { return telemetry_; }
   const ArtifactCache& cache() const { return cache_; }
 
@@ -128,13 +129,16 @@ class RewriteService {
   };
 
   class RequestScope;  // RAII latency/queue-depth recorder
+  class PipelineSlot;  // RAII: waits for a free pipeline slot, frees it
 
   Result<Outcome> RewriteMiss(const CacheKey& key, std::span<const uint8_t> image_bytes,
                               const RedFatOptions& opts, const TierProfile* profile);
   Result<Outcome> Retier(const CacheKey& key, const std::shared_ptr<AnalysisEntry>& entry,
                          const RedFatOptions& opts, const TierProfile& profile);
 
-  ThreadPool pool_;
+  std::mutex slots_mu_;
+  std::condition_variable slot_freed_;
+  unsigned free_slots_;  // guarded by slots_mu_
   ArtifactCache cache_;
   TelemetryRegistry telemetry_;
 

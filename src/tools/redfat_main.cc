@@ -3,9 +3,9 @@
 //   redfat [options] input.rfbin output.rfbin
 //   redfat [options] --output-dir DIR input.rfbin [input2.rfbin ...]
 //
-// The second form is batch mode: every input is instrumented concurrently
-// on one shared worker pool (--jobs bounds the total parallelism across
-// images and passes) and written to DIR under its own basename. An input
+// The second form is batch mode: every input is instrumented, up to --jobs
+// images at once (each on one thread), and written to DIR under its own
+// basename. Outputs do not depend on --jobs. An input
 // may carry a per-image trampoline base as `path:0xADDR` so separately
 // instrumented shared objects (§7.4) land at non-overlapping addresses.
 // --stats/--metrics/--trace/--sitemap emit one file per image with the
@@ -44,8 +44,8 @@
 //                          profile site ids by address so a profile from a
 //                          differently-planned build is ignored rather
 //                          than mis-applied
-//   --hot-threshold=F      fraction of profiled trampoline cycles the hot
-//                          tier must cover (default 0.9)
+//   --hot-threshold=F      fraction in [0, 1] of profiled trampoline cycles
+//                          the hot tier must cover (default 0.9)
 //   --allowlist FILE       allow-list file: one hex site address per line;
 //                          entries that name no check site of the input
 //                          are counted on stderr
@@ -56,9 +56,9 @@
 //   --no-elim --no-batch --no-merge             optimization toggles
 //   --shadow               ASAN-style shadow redzones (ablation; run the
 //                          output under `rfrun --runtime=redfat-shadow`)
-//   --jobs=N               run the per-item pipeline passes on N worker
-//                          threads (0 = one per hardware thread); the
-//                          output is byte-identical for any N
+//   --jobs=N               batch mode: rewrite up to N images at once (0 =
+//                          one per hardware thread; default 1). A single
+//                          rewrite always runs on one thread.
 //   --time-passes          per-pass wall-time report on stderr
 //   --stats FILE           machine-readable pipeline stats JSON ('-' =
 //                          stdout)
@@ -78,6 +78,7 @@
 //                          (image-hash, options-fp, profile-fp hex triple)
 //                          this invocation would be served under, and exit
 //   -v                     verbose plan/rewrite statistics
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -171,6 +172,21 @@ std::string PerImagePath(const std::string& base, const std::string& stem) {
     return base + "." + stem;
   }
   return base.substr(0, dot) + "." + stem + base.substr(dot);
+}
+
+// Reads all of `text` as a number in [0, 1] into *out. Otherwise prints
+// why to stderr and returns false (redfat then exits 2, like a bad --jobs).
+bool ParseFraction(const std::string& text, double* out) {
+  char* end = nullptr;
+  const double f = std::strtod(text.c_str(), &end);
+  // Written so that NaN, which compares false with everything, fails too.
+  if (text.empty() || *end != '\0' || !(f >= 0.0 && f <= 1.0)) {
+    std::fprintf(stderr, "redfat: --hot-threshold must be a number in [0, 1], got '%s'\n",
+                 text.c_str());
+    return false;
+  }
+  *out = f;
+  return true;
 }
 
 Result<std::string> ReadWholeFile(const std::string& path) {
@@ -355,7 +371,7 @@ int Main(int argc, char** argv) {
   // knobs (mode, jobs, profiles, paths) stay plain locals.
   HardeningPolicy policy;
   RedFatOptions::Mode mode = RedFatOptions::Mode::kProduction;
-  unsigned jobs = 1;
+  uint64_t jobs = 1;
   std::string allow_path;
   std::string profile_data_path;
   std::string tier_profile_path;
@@ -399,15 +415,14 @@ int Main(int argc, char** argv) {
       profile_sitemap_path = argv[++i];
     } else if (arg.rfind("--profile-sitemap=", 0) == 0) {
       profile_sitemap_path = arg.substr(18);
-    } else if (arg.rfind("--hot-threshold=", 0) == 0) {
-      char* end = nullptr;
-      const double f = std::strtod(arg.c_str() + 16, &end);
-      if (end == arg.c_str() + 16 || *end != '\0' || f < 0.0 || f > 1.0) {
-        return Usage();
+    } else if (arg.rfind("--hot-threshold=", 0) == 0 ||
+               (arg == "--hot-threshold" && i + 1 < argc)) {
+      const std::string text = arg == "--hot-threshold" ? argv[++i] : arg.substr(16);
+      double f = 0;
+      if (!ParseFraction(text, &f)) {
+        return 2;
       }
       policy.hot_threshold = f;
-    } else if (arg == "--hot-threshold" && i + 1 < argc) {
-      policy.hot_threshold = std::strtod(argv[++i], nullptr);
     } else if (arg == "--merge-metrics") {
       merge_metrics = true;
     } else if (arg == "--no-reads") {
@@ -424,15 +439,11 @@ int Main(int argc, char** argv) {
       policy.merge = false;
     } else if (arg == "--shadow") {
       policy.shadow_impl = true;
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      char* end = nullptr;
-      const unsigned long n = std::strtoul(arg.c_str() + 7, &end, 10);
-      if (end == arg.c_str() + 7 || *end != '\0') {
-        return Usage();  // empty or non-numeric value
+    } else if (arg.rfind("--jobs=", 0) == 0 || (arg == "--jobs" && i + 1 < argc)) {
+      const std::string text = arg == "--jobs" ? argv[++i] : arg.substr(7);
+      if (!ParseUnsignedArg("redfat", "--jobs", text, &jobs)) {
+        return 2;
       }
-      jobs = static_cast<unsigned>(n);
-    } else if (arg == "--jobs" && i + 1 < argc) {
-      jobs = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
     } else if (arg == "--time-passes") {
       time_passes = true;
     } else if (arg == "--stats" && i + 1 < argc) {
@@ -486,7 +497,6 @@ int Main(int argc, char** argv) {
   resolved.explicit_tier = harden_given;
   // Mechanical knobs ride on the resolved rewrite options.
   resolved.rewrite.mode = mode;
-  resolved.rewrite.jobs = jobs;
   RedFatOptions& opts = resolved.rewrite;
 
   if (print_cache_key) {
@@ -608,19 +618,18 @@ int Main(int argc, char** argv) {
       inputs[i] = std::move(img).value();
     }
 
-    // One pool shared by the image loop and every image's pipeline: a worker
-    // that enters an image runs that image's passes inline (nested regions
-    // serialize), so total threads never exceed --jobs.
-    ThreadPool pool(opts.jobs);
+    // Whole images run concurrently, each rewrite on one worker thread.
+    const unsigned workers = static_cast<unsigned>(
+        std::min<uint64_t>(jobs == 0 ? HardwareJobs() : jobs, n));
     std::vector<std::optional<InstrumentResult>> results(n);
     std::vector<std::string> errors(n);
-    pool.ParallelFor(n, [&](size_t i) {
+    ParallelFor(n, workers, [&](size_t i) {
       ResolvedPolicy image_policy = resolved;
       if (specs[i].trampoline_base != 0) {
         image_policy.rewrite.trampoline_base = specs[i].trampoline_base;
       }
       RedFatTool tool(image_policy);
-      Result<InstrumentResult> r = tool.Instrument(inputs[i], nullptr, &pool);
+      Result<InstrumentResult> r = tool.Instrument(inputs[i]);
       if (r.ok()) {
         results[i] = std::move(r).value();
       } else {

@@ -3,9 +3,9 @@
 //   redfatd --socket=PATH [--jobs=N] [--cache-bytes=N]
 //
 // Listens on a Unix-domain socket and serves framed rewrite requests (see
-// src/serve/protocol.h) with a warm pipeline: one persistent worker pool,
-// per-image analysis retained across requests, and a content-addressed
-// artifact cache in front of the pipeline. Clients use
+// src/serve/protocol.h) with a warm pipeline: per-image analysis retained
+// across requests, and a content-addressed artifact cache in front of the
+// pipeline. Each connection has its own thread. Clients use
 // `redfat --connect=PATH ...`, which transparently falls back to in-process
 // rewriting when no daemon answers.
 //
@@ -13,18 +13,23 @@
 //   --socket=PATH       socket to listen on (required). An existing live
 //                       daemon on PATH is an error; a stale socket file is
 //                       replaced.
-//   --jobs=N            warm pool width shared by every request's pipeline
-//                       (default 1; 0 = one per hardware thread)
+//   --jobs=N            how many requests may run the pipeline at once
+//                       (default 1; 0 = one per hardware thread). Each
+//                       rewrite is serial; cache hits never wait.
 //   --cache-bytes=N     LRU byte budget of the artifact cache (default
 //                       256 MiB; 0 = unbounded). Suffixes K/M/G accepted.
 //   --stats-on-exit     print the final stats JSON to stdout after the
 //                       shutdown request drains
+#include <algorithm>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "src/serve/daemon.h"
+#include "src/tools/tool_io.h"
 
 namespace redfat {
 namespace {
@@ -72,12 +77,11 @@ int Main(int argc, char** argv) {
     } else if (arg == "--socket" && i + 1 < argc) {
       config.socket_path = argv[++i];
     } else if (arg.rfind("--jobs=", 0) == 0) {
-      char* end = nullptr;
-      const unsigned long n = std::strtoul(arg.c_str() + 7, &end, 10);
-      if (end == arg.c_str() + 7 || *end != '\0') {
-        return Usage();
+      uint64_t n = 0;
+      if (!ParseUnsignedArg("redfatd", "--jobs", arg.substr(7), &n)) {
+        return 2;
       }
-      config.service.jobs = static_cast<unsigned>(n);
+      config.service.jobs = static_cast<unsigned>(std::min<uint64_t>(n, UINT_MAX));
     } else if (arg.rfind("--cache-bytes=", 0) == 0) {
       if (!ParseByteSize(arg.substr(14), &config.service.cache_bytes)) {
         return Usage();

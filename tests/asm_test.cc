@@ -110,28 +110,12 @@ void EmitRelocatableSample(Assembler& as) {
   as.Ret();
 }
 
-TEST(AssemblerRebase, MatchesEmittingAtTheFinalBase) {
-  const uint64_t bases[] = {0x10400000, 0x10400000 + 0x1234567, 0x14400000};
-  for (const uint64_t from : bases) {
-    for (const uint64_t to : bases) {
-      Assembler moved(from);
-      EmitRelocatableSample(moved);
-      moved.Rebase(to);
-      Assembler direct(to);
-      EmitRelocatableSample(direct);
-      EXPECT_EQ(moved.Finish(), direct.Finish())
-          << std::hex << "0x" << from << " -> 0x" << to;
-    }
-  }
-}
-
-TEST(AssemblerRebase, ExternalFieldsResolveAtTheFinalBase) {
+TEST(Assembler, ExternalFieldsResolveAgainstTheBase) {
   constexpr uint64_t kFinal = 0x14400000;
-  Assembler as(0x10400000);
+  Assembler as(kFinal);
   EmitRelocatableSample(as);
-  as.Rebase(kFinal);
   const std::vector<uint8_t> bytes = as.Finish();
-  // Walk the code, resolving each PC-relative field against the final base.
+  // Walk the code, resolving each PC-relative field against the base.
   std::vector<uint64_t> branch_targets;
   std::vector<uint64_t> mem_targets;
   uint64_t label_addr = 0;
@@ -170,7 +154,7 @@ void EmitStencilSample(Assembler& as, uint32_t id, uint64_t lea_target) {
   as.Bind(skip);
 }
 
-TEST(AssemblerRebase, AppendedStencilFieldsResolveAtTheFinalBase) {
+TEST(Assembler, AppendedStencilFieldsResolveAgainstTheBase) {
   Assembler stencil(0x10400000);
   EmitStencilSample(stencil, 0, kLeaTarget);
   const size_t id_field = 1;                             // [op][imm32]
@@ -180,7 +164,7 @@ TEST(AssemblerRebase, AppendedStencilFieldsResolveAtTheFinalBase) {
 
   constexpr uint64_t kFinal = 0x14400000;
   const uint64_t targets[] = {kLeaTarget, kLoadTarget, kStoreTarget};
-  Assembler as(0x10400000);
+  Assembler as(kFinal);
   Assembler direct(kFinal);
   as.Nop();
   direct.Nop();
@@ -190,10 +174,9 @@ TEST(AssemblerRebase, AppendedStencilFieldsResolveAtTheFinalBase) {
     as.ExternalRel32(at + lea_field, at + lea_end, target);
     EmitStencilSample(direct, static_cast<uint32_t>(target), target);
   }
-  as.Rebase(kFinal);
   const std::vector<uint8_t> bytes = as.Finish();
   EXPECT_EQ(bytes, direct.Finish());
-  // Each copy's lea addresses its own target from the final base.
+  // Each copy's lea addresses its own target from where it was placed.
   std::vector<uint64_t> lea_targets;
   std::vector<uint64_t> ids;
   for (size_t off = 0; off < bytes.size();) {
@@ -212,27 +195,14 @@ TEST(AssemblerRebase, AppendedStencilFieldsResolveAtTheFinalBase) {
   EXPECT_EQ(ids, lea_targets);
 }
 
-TEST(AssemblerRebase, RangeChecksApplyToTheFinalBase) {
-  // 4 GiB away from the target, the jmp cannot be encoded; moved back in
-  // range before Finish, it can.
-  Assembler as(kJmpTarget + (1ull << 32));
-  as.JmpAbs(kJmpTarget);
-  as.Rebase(0x10400000);
-  const std::vector<uint8_t> bytes = as.Finish();
-  EXPECT_EQ(Decode(bytes.data(), bytes.size()).value().insn.imm,
-            static_cast<int64_t>(kJmpTarget) - (0x10400000 + 5));
-}
-
-TEST(AssemblerDeath, RebaseOutOfRel32RangeChecks) {
-  Assembler jmp(0x10400000);
+TEST(AssemblerDeath, OutOfRel32RangeChecks) {
+  Assembler jmp(kJmpTarget + (1ull << 31) + 16);
   jmp.JmpAbs(kJmpTarget);
-  jmp.Rebase(kJmpTarget + (1ull << 31) + 16);
   EXPECT_DEATH(jmp.Finish(), "CHECK failed");
 
-  Assembler lea(0x10400000);
+  Assembler lea(kLeaTarget + (1ull << 31) + 16);
   lea.EmitRipRelative({.op = Op::kLea, .r0 = Reg::kRax, .mem = MemAt(Reg::kRip, 0)},
                       kLeaTarget);
-  lea.Rebase(kLeaTarget + (1ull << 31) + 16);
   EXPECT_DEATH(lea.Finish(), "CHECK failed");
 }
 

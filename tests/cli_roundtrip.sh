@@ -207,7 +207,9 @@ done
 # A malformed number on rfrun's or rfgen's command line exits 2 and names
 # the argument; a well-formed decimal input runs as its hex spelling does.
 for bad in "rfrun mcf.rfbin 5x 0x3f:an input word" "rfrun --limit abc mcf.rfbin 5 0x3f:--limit" \
-    "rfrun --sample-period=zz mcf.rfbin 5 0x3f:--sample-period" "rfgen server 7x bad.rfbin:SEED"; do
+    "rfrun --sample-period=zz mcf.rfbin 5 0x3f:--sample-period" "rfgen server 7x bad.rfbin:SEED" \
+    "redfat --jobs abc mcf.rfbin bad.rfbin:--jobs" "redfat --jobs=-1 mcf.rfbin bad.rfbin:--jobs" \
+    "redfat --jobs=1x mcf.rfbin bad.rfbin:--jobs" "redfatd --socket=bad.sock --jobs=-1:--jobs"; do
   status=0
   # shellcheck disable=SC2086  # the command is a word list on purpose
   "$TOOLS/"${bad%%:*} > /dev/null 2> num_err.txt || status=$?
@@ -215,9 +217,56 @@ for bad in "rfrun mcf.rfbin 5x 0x3f:an input word" "rfrun --limit abc mcf.rfbin 
   grep -q -e "${bad#*:} must be an unsigned integer" num_err.txt \
       || fail "${bad%%:*} did not name the argument"
 done
-[ ! -e bad.rfbin ] || fail "rfgen wrote an image for a malformed SEED"
+[ ! -e bad.rfbin ] || fail "a malformed number still wrote an image"
+[ ! -e bad.sock ] || fail "redfatd listened despite a malformed --jobs"
 "$TOOLS/rfrun" mcf.rfbin 50 63 > dec_out.txt || fail "decimal-input run"
 cmp base_out.txt dec_out.txt || fail "decimal and hex inputs differ"
+# --hot-threshold takes a number in [0, 1] in both spellings; anything else,
+# NaN included, exits 2 with the same message.
+for bad in "--hot-threshold 2.5" "--hot-threshold abc" "--hot-threshold nan" \
+    "--hot-threshold=2.5" "--hot-threshold=abc" "--hot-threshold=nan" "--hot-threshold=-0.1"; do
+  status=0
+  # shellcheck disable=SC2086
+  "$TOOLS/redfat" $bad mcf.rfbin bad.rfbin 2> thr_err.txt || status=$?
+  [ "$status" -eq 2 ] || fail "redfat $bad exited $status"
+  grep -q -e "--hot-threshold must be a number in \[0, 1\]" thr_err.txt \
+      || fail "redfat $bad did not name the argument"
+  [ ! -e bad.rfbin ] || fail "redfat $bad wrote an image"
+done
+"$TOOLS/redfat" --hot-threshold 0.5 mcf.rfbin mcf.thr_space.rfbin || fail "--hot-threshold 0.5"
+cmp mcf.def.rfbin mcf.thr_space.rfbin || fail "--hot-threshold 0.5 changed an untiered image"
+
+# Batch mode rewrites whole images, up to --jobs at once, each exactly as a
+# single-image rewrite would; an input's :0xADDR moves its trampolines.
+cp mcf.rfbin mcfb.rfbin
+PASS_COUNTS='"name":"[a-z]*","items":[0-9]*,"changed":[0-9]*'
+for P in mcf cve; do
+  "$TOOLS/redfat" --sitemap $P.one.map --stats $P.one.json $P.rfbin $P.one.rfbin
+  grep -o "$PASS_COUNTS" $P.one.json > $P.one.json.ic || fail "no pass stats in $P.one.json"
+done
+for J in 1 3; do
+  mkdir batch$J
+  "$TOOLS/redfat" --jobs=$J --sitemap batch$J/s.map --stats batch$J/st.json \
+      --output-dir batch$J mcf.rfbin cve.rfbin mcfb.rfbin:0x14400000 \
+      || fail "batch rewrite at --jobs=$J"
+  for P in mcf cve mcfb; do
+    grep -o "$PASS_COUNTS" batch$J/st.$P.json > batch$J/st.$P.json.ic
+  done
+  for P in mcf cve; do
+    cmp batch$J/$P.rfbin $P.one.rfbin || fail "batch --jobs=$J: $P image differs"
+    cmp batch$J/s.$P.map $P.one.map || fail "batch --jobs=$J: $P sitemap differs"
+    cmp batch$J/st.$P.json.ic $P.one.json.ic || fail "batch --jobs=$J: $P stats differ"
+  done
+  "$TOOLS/rfobjdump" --sections batch$J/mcfb.rfbin | grep -q "tramp @ 0x14400000" \
+      || fail "batch --jobs=$J: :0x14400000 did not place the trampolines"
+done
+for F in mcfb.rfbin s.mcfb.map st.mcfb.json.ic; do
+  cmp batch1/$F batch3/$F || fail "batch: $F differs between --jobs=1 and --jobs=3"
+done
+cmp batch1/st.mcfb.json.ic mcf.one.json.ic || fail "batch: a trampoline base changed the stats"
+"$TOOLS/rfrun" --runtime=redfat batch3/mcfb.rfbin 50 0x3f > batch_out.txt \
+    || fail "batch image at 0x14400000 aborted"
+cmp base_out.txt batch_out.txt || fail "batch image at 0x14400000 differs from the baseline run"
 
 # The fast tier drops sites that only rate a (Redzone)-only check: with a
 # truncated allow-list profile, unobserved sites demote to redzone-only and

@@ -28,7 +28,6 @@
 #include "src/serve/fingerprint.h"
 #include "src/serve/protocol.h"
 #include "src/serve/service.h"
-#include "src/support/parallel.h"
 #include "src/support/str.h"
 #include "src/support/telemetry.h"
 #include "src/workloads/synth.h"
@@ -108,7 +107,6 @@ TEST(OptionsFingerprint, EveryFieldPerturbsTheHash) {
       {"merge", [](RedFatOptions* o, const TierProfile*) { o->merge = false; }},
       {"clobber_analysis",
        [](RedFatOptions* o, const TierProfile*) { o->clobber_analysis = false; }},
-      {"jobs", [](RedFatOptions* o, const TierProfile*) { o->jobs = 7; }},
       {"mode",
        [](RedFatOptions* o, const TierProfile*) { o->mode = RedFatOptions::Mode::kProfile; }},
       {"trampoline_base",
@@ -137,7 +135,6 @@ TEST(OptionsFingerprint, EveryFieldPerturbsTheHash) {
 TEST(OptionsFingerprint, BlobRoundTripsAndRejectsGarbage) {
   RedFatOptions opts;
   opts.check_reads = false;
-  opts.jobs = 3;
   opts.mode = RedFatOptions::Mode::kProfile;
   opts.trampoline_base = 0x7100000;
   opts.hot_threshold = 0.75;
@@ -145,6 +142,16 @@ TEST(OptionsFingerprint, BlobRoundTripsAndRejectsGarbage) {
   Result<RedFatOptions> back = OptionsFromBlob(blob);
   ASSERT_TRUE(back.ok()) << back.error();
   EXPECT_EQ(CanonicalOptionsBlob(back.value()), blob);
+  // Bytes 12-15 are unused: written as 0, and whatever a client sends
+  // there is ignored.
+  EXPECT_EQ(std::vector<uint8_t>(blob.begin() + 12, blob.begin() + 16),
+            std::vector<uint8_t>(4, 0));
+  std::vector<uint8_t> unused_set = blob;
+  unused_set[12] = 3;
+  unused_set[15] = 0xff;
+  Result<RedFatOptions> ignored = OptionsFromBlob(unused_set);
+  ASSERT_TRUE(ignored.ok()) << ignored.error();
+  EXPECT_EQ(CanonicalOptionsBlob(ignored.value()), blob);
 
   std::vector<uint8_t> truncated(blob.begin(), blob.end() - 1);
   EXPECT_FALSE(OptionsFromBlob(truncated).ok());
@@ -156,20 +163,16 @@ TEST(OptionsFingerprint, BlobRoundTripsAndRejectsGarbage) {
   EXPECT_FALSE(OptionsFromBlob(bad_mode).ok());
 }
 
-TEST(OptionsFingerprint, CacheKeyNormalizesTransportKnobs) {
-  // --jobs never changes the output bytes, so it must not split cache
-  // entries; check-selection knobs must.
-  RedFatOptions one_job;
-  RedFatOptions four_jobs;
-  four_jobs.jobs = 4;
-  EXPECT_EQ(CacheOptionsFingerprint(one_job), CacheOptionsFingerprint(four_jobs));
+TEST(OptionsFingerprint, CacheKeyKeepsCheckSelectionKnobs) {
+  // Check-selection knobs split cache entries.
+  const RedFatOptions base;
   RedFatOptions no_merge;
   no_merge.merge = false;
-  EXPECT_NE(CacheOptionsFingerprint(one_job), CacheOptionsFingerprint(no_merge));
+  EXPECT_NE(CacheOptionsFingerprint(base), CacheOptionsFingerprint(no_merge));
   // hot_threshold steers tiered output: it stays in the key.
   RedFatOptions low_threshold;
   low_threshold.hot_threshold = 0.25;
-  EXPECT_NE(CacheOptionsFingerprint(one_job), CacheOptionsFingerprint(low_threshold));
+  EXPECT_NE(CacheOptionsFingerprint(base), CacheOptionsFingerprint(low_threshold));
 }
 
 // --- artifact cache ----------------------------------------------------------
@@ -249,7 +252,7 @@ TEST(RewriteService, HitAndMissAreByteIdenticalToOffline) {
   EXPECT_FALSE(svc.FetchArtifact(bogus).ok());
 }
 
-TEST(RewriteService, WarmPipelineNeverRespawnsPoolsOrLeaksAnalysis) {
+TEST(RewriteService, WarmPipelineNeverLeaksAnalysis) {
   const BinaryImage img_a = SynthImage(21);
   const BinaryImage img_b = SynthImage(22);  // different program entirely
   const RedFatOptions opts;
@@ -260,11 +263,8 @@ TEST(RewriteService, WarmPipelineNeverRespawnsPoolsOrLeaksAnalysis) {
   cfg.jobs = 2;
   RewriteService svc(cfg);
 
-  // First request may lazily warm things up; after it, the pool population
-  // must be flat across every further request (no per-request respawn).
   Result<RewriteService::Outcome> first = svc.Rewrite(img_a.Serialize(), opts, "");
   ASSERT_TRUE(first.ok()) << first.error();
-  const uint64_t pools_after_warmup = ThreadPool::PoolsCreated();
 
   Result<RewriteService::Outcome> b = svc.Rewrite(img_b.Serialize(), opts, "");
   ASSERT_TRUE(b.ok()) << b.error();
@@ -274,8 +274,6 @@ TEST(RewriteService, WarmPipelineNeverRespawnsPoolsOrLeaksAnalysis) {
   Result<RewriteService::Outcome> b_variant =
       svc.Rewrite(img_b.Serialize(), no_merge, "");
   ASSERT_TRUE(b_variant.ok()) << b_variant.error();
-  EXPECT_EQ(ThreadPool::PoolsCreated(), pools_after_warmup)
-      << "a request respawned a thread pool instead of reusing the warm one";
 
   // No analysis-state leakage across images or option sets: every warm
   // output matches a fresh offline tool's.
@@ -283,6 +281,40 @@ TEST(RewriteService, WarmPipelineNeverRespawnsPoolsOrLeaksAnalysis) {
   EXPECT_EQ(b.value().artifact->image_bytes, OfflineRewrite(img_b, opts).image_bytes);
   EXPECT_EQ(b_variant.value().artifact->image_bytes,
             OfflineRewrite(img_b, no_merge).image_bytes);
+}
+
+// Two threads miss on distinct images at once. With one pipeline slot the
+// second waits for the first; with two they rewrite side by side. Either
+// way every reply is the offline rewrite.
+TEST(RewriteService, ConcurrentMissesMatchOffline) {
+  const BinaryImage imgs[] = {SynthImage(31), SynthImage(32)};
+  const RedFatOptions opts;
+  const OfflineResult offline[] = {OfflineRewrite(imgs[0], opts),
+                                   OfflineRewrite(imgs[1], opts)};
+  for (const unsigned jobs : {1u, 2u}) {
+    RewriteService::Config cfg;
+    cfg.jobs = jobs;
+    RewriteService svc(cfg);
+    std::shared_ptr<const CachedArtifact> replies[2];
+    std::thread threads[2];
+    for (size_t t = 0; t < 2; ++t) {
+      threads[t] = std::thread([&, t] {
+        Result<RewriteService::Outcome> r = svc.Rewrite(imgs[t].Serialize(), opts, "");
+        if (r.ok() && !r.value().cache_hit) {
+          replies[t] = r.value().artifact;
+        }
+      });
+    }
+    for (std::thread& t : threads) {
+      t.join();
+    }
+    for (size_t t = 0; t < 2; ++t) {
+      ASSERT_NE(replies[t], nullptr) << "jobs=" << jobs << " image " << t;
+      EXPECT_EQ(replies[t]->image_bytes, offline[t].image_bytes) << "jobs=" << jobs;
+      EXPECT_EQ(replies[t]->sitemap, offline[t].sitemap) << "jobs=" << jobs;
+    }
+    EXPECT_EQ(StatsCounter(svc, "full_rewrites"), 2u) << "jobs=" << jobs;
+  }
 }
 
 // --- incremental re-tier -----------------------------------------------------

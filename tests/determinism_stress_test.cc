@@ -1,29 +1,26 @@
-// Determinism stress test for the parallel rewrite path (ISSUE 3 contract):
-// for a corpus of golden configurations, the instrumented image produced at
-// --jobs ∈ {1, 2, 3, 8} must be byte-identical, and the per-pass
-// items/changed stats must match exactly — the schedule may change timings,
-// never results.
+// Determinism stress test for batch rewriting: the corpus rewritten several
+// images at once, at 2, 3 and 8 workers, must equal the same rewrites done
+// one at a time, byte for byte and in every pass's items/changed. Each
+// rewrite is serial, so this checks that concurrent rewrites share nothing.
 //
-// The corpus deliberately crosses the sharded passes' seams:
+// The corpus covers:
 //   * every optimization tier of Table 1 (unopt / +elim / +batch / +merge),
 //     plus -size, -reads, profile mode and the shadow-redzone ablation;
-//   * a Kraken image (large text: parallel disasm chunks, CFG ranges);
-//   * a synthetic image > 64 KiB of text, so linear-sweep decode spans
-//     several fixed 16 KiB chunks with instructions straddling boundaries;
-//   * jobs = 3, which splits the spans unevenly across the emission chunks
-//     that are rebased into the trampoline blob;
+//   * a Kraken image and a synthetic image with > 64 KiB of text;
 //   * a tiered rewrite, whose hot spans go to the second (inline-check)
 //     blob at trampoline_base + kInlineCheckOffset;
 //   * rip-relative accesses (which the generators never emit), whose
-//     relocated displacements and check-body LB leas must follow their
-//     chunk when it is rebased.
+//     relocated displacements and check-body LB leas are recorded fields;
+//   * the same input image under several configurations at once.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/redfat.h"
+#include "src/support/parallel.h"
 #include "src/workloads/builder.h"
 #include "src/workloads/kraken.h"
 #include "src/workloads/synth.h"
@@ -51,55 +48,6 @@ std::vector<GoldenConfig> GoldenConfigs() {
   };
 }
 
-// Instruments `img` under `opts` at the given job count; returns the
-// serialized image plus a stats fingerprint (items/changed per pass).
-struct RewriteResult {
-  std::vector<uint8_t> bytes;
-  std::vector<std::string> stats;
-  size_t sites = 0;
-};
-
-RewriteResult Rewrite(const BinaryImage& img, RedFatOptions opts, unsigned jobs) {
-  opts.jobs = jobs;
-  RedFatTool tool(opts);
-  Result<InstrumentResult> r = tool.Instrument(img);
-  EXPECT_TRUE(r.ok()) << (r.ok() ? "" : r.error());
-  RewriteResult out;
-  if (!r.ok()) {
-    return out;
-  }
-  out.bytes = r.value().image.Serialize();
-  out.sites = r.value().sites.size();
-  for (const PassStats& p : r.value().pipeline_stats.passes) {
-    out.stats.push_back(p.name + ":" + std::to_string(p.items) + "/" +
-                        std::to_string(p.changed));
-  }
-  return out;
-}
-
-void ExpectConfigJobsInvariant(const BinaryImage& img, const char* image_name,
-                               const GoldenConfig& cfg) {
-  const RewriteResult serial = Rewrite(img, cfg.opts, 1);
-  ASSERT_FALSE(serial.bytes.empty()) << image_name << "/" << cfg.name;
-  for (unsigned jobs : {2u, 3u, 8u}) {
-    const RewriteResult parallel = Rewrite(img, cfg.opts, jobs);
-    EXPECT_EQ(parallel.bytes, serial.bytes)
-        << image_name << "/" << cfg.name << " jobs=" << jobs
-        << ": output image differs from --jobs=1";
-    EXPECT_EQ(parallel.stats, serial.stats)
-        << image_name << "/" << cfg.name << " jobs=" << jobs
-        << ": per-pass items/changed differ from --jobs=1";
-    EXPECT_EQ(parallel.sites, serial.sites)
-        << image_name << "/" << cfg.name << " jobs=" << jobs;
-  }
-}
-
-void ExpectJobsInvariant(const BinaryImage& img, const char* image_name) {
-  for (const GoldenConfig& cfg : GoldenConfigs()) {
-    ExpectConfigJobsInvariant(img, image_name, cfg);
-  }
-}
-
 // A deterministic stand-in for a measured profile: every other site gets a
 // pseudo-random cycle count, so the tier pass makes hot sites, profiled
 // warm sites and unprofiled ones alike.
@@ -113,54 +61,7 @@ TierProfile SyntheticProfile(const std::vector<SiteRecord>& sites) {
   return profile;
 }
 
-TEST(DeterminismStressTest, MidWeightSynthImage) {
-  SynthParams p;
-  p.seed = 0xd57e55;
-  p.mem_pct = 35;
-  p.stream_pct = 6;
-  p.churn_pct = 4;
-  p.max_accesses_per_ptr = 4;
-  ExpectJobsInvariant(GenerateSynthProgram(p), "synth-mid");
-}
-
-TEST(DeterminismStressTest, LargeTextCrossesDisasmChunks) {
-  // > 64 KiB of text: the parallel linear sweep runs several 16 KiB chunks
-  // and must stitch straddling instructions exactly like the serial sweep.
-  SynthParams p;
-  p.seed = 0xb16;
-  p.mem_pct = 40;
-  p.block_len = 60;
-  p.filler_funcs = 600;
-  p.filler_units_per_func = 8;
-  const BinaryImage img = GenerateSynthProgram(p);
-  uint64_t text_bytes = 0;
-  for (const Section& s : img.sections) {
-    if (s.kind == Section::Kind::kText) {
-      text_bytes += s.bytes.size();
-    }
-  }
-  ASSERT_GT(text_bytes, 64u * 1024u) << "workload too small to cross chunks";
-  ExpectJobsInvariant(img, "synth-large");
-}
-
-TEST(DeterminismStressTest, TieredRewriteEmitsBothBlobsIdentically) {
-  const KrakenBenchmark& bench = KrakenSuite().front();
-  const BinaryImage img = BuildKrakenBenchmark(bench);
-  Result<InstrumentResult> untiered = RedFatTool(RedFatOptions{}).Instrument(img);
-  ASSERT_TRUE(untiered.ok()) << untiered.error();
-  const TierProfile profile = SyntheticProfile(untiered.value().sites);
-
-  GoldenConfig tiered{"tiered", RedFatOptions{}};
-  tiered.opts.tier_profile = &profile;
-  Result<InstrumentResult> serial = RedFatTool(tiered.opts).Instrument(img);
-  ASSERT_TRUE(serial.ok()) << serial.error();
-  ASSERT_NE(serial.value().image.FindSection(Section::Kind::kInlineCheck), nullptr)
-      << "profile promoted no site: the inline-check blob is not exercised";
-  ASSERT_NE(serial.value().image.FindSection(Section::Kind::kTrampoline), nullptr);
-  ExpectConfigJobsInvariant(img, bench.name.c_str(), tiered);
-}
-
-TEST(DeterminismStressTest, RipRelativeAccessesFollowRebasedChunks) {
+BinaryImage RipRelativeImage() {
   ProgramBuilder pb;
   const uint64_t data = pb.AddZeroData(4096);
   Assembler& as = pb.text();
@@ -178,15 +79,98 @@ TEST(DeterminismStressTest, RipRelativeAccessesFollowRebasedChunks) {
     as.MovRR(Reg::kRsi, Reg::kRbx);
   }
   pb.EmitExit(0);
-  ExpectJobsInvariant(pb.Finish(), "rip-relative");
+  return pb.Finish();
 }
 
-TEST(DeterminismStressTest, KrakenImage) {
-  // One representative Kraken benchmark (big filler-heavy binary, the
-  // paper's Chrome-scale shape). The full suite would be minutes; one image
-  // exercises the same code paths.
+// One rewrite of the corpus: an image under one configuration.
+struct Job {
+  std::string name;
+  const BinaryImage* image = nullptr;
+  RedFatOptions opts;
+};
+
+// The serialized image plus a stats fingerprint (items/changed per pass).
+struct RewriteResult {
+  std::vector<uint8_t> bytes;
+  std::vector<std::string> stats;
+  size_t sites = 0;
+
+  bool operator==(const RewriteResult&) const = default;
+};
+
+RewriteResult Rewrite(const Job& job) {
+  RewriteResult out;
+  Result<InstrumentResult> r = RedFatTool(job.opts).Instrument(*job.image);
+  if (!r.ok()) {
+    return out;  // empty bytes: the comparison below names the job
+  }
+  out.bytes = r.value().image.Serialize();
+  out.sites = r.value().sites.size();
+  for (const PassStats& p : r.value().pipeline_stats.passes) {
+    out.stats.push_back(p.name + ":" + std::to_string(p.items) + "/" +
+                        std::to_string(p.changed));
+  }
+  return out;
+}
+
+// Rewrites every job of the corpus, `jobs` images at once.
+std::vector<RewriteResult> RewriteAll(const std::vector<Job>& corpus, unsigned jobs) {
+  std::vector<RewriteResult> out(corpus.size());
+  ParallelFor(corpus.size(), jobs, [&](size_t i) { out[i] = Rewrite(corpus[i]); });
+  return out;
+}
+
+TEST(DeterminismStressTest, BatchOfTheCorpusEqualsOneAtATime) {
+  SynthParams mid;
+  mid.seed = 0xd57e55;
+  mid.mem_pct = 35;
+  mid.stream_pct = 6;
+  mid.churn_pct = 4;
+  mid.max_accesses_per_ptr = 4;
+  SynthParams large;  // > 64 KiB of text
+  large.seed = 0xb16;
+  large.mem_pct = 40;
+  large.block_len = 60;
+  large.filler_funcs = 600;
+  large.filler_units_per_func = 8;
   const KrakenBenchmark& bench = KrakenSuite().front();
-  ExpectJobsInvariant(BuildKrakenBenchmark(bench), bench.name.c_str());
+  const std::pair<std::string, BinaryImage> images[] = {
+      {"synth-mid", GenerateSynthProgram(mid)},
+      {"synth-large", GenerateSynthProgram(large)},
+      {"rip-relative", RipRelativeImage()},
+      {bench.name, BuildKrakenBenchmark(bench)},
+  };
+  std::vector<Job> corpus;
+  for (const auto& [name, image] : images) {
+    for (const GoldenConfig& cfg : GoldenConfigs()) {
+      corpus.push_back(Job{name + "/" + cfg.name, &image, cfg.opts});
+    }
+  }
+  // A tiered rewrite fills both blobs: trampolines and inline checks.
+  const BinaryImage& kraken = images[3].second;
+  Result<InstrumentResult> untiered = RedFatTool(RedFatOptions{}).Instrument(kraken);
+  ASSERT_TRUE(untiered.ok()) << untiered.error();
+  const TierProfile profile = SyntheticProfile(untiered.value().sites);
+  RedFatOptions tiered;
+  tiered.tier_profile = &profile;
+  corpus.push_back(Job{bench.name + "/tiered", &kraken, tiered});
+
+  const std::vector<RewriteResult> serial = RewriteAll(corpus, 1);
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    ASSERT_FALSE(serial[i].bytes.empty()) << corpus[i].name << " failed to rewrite";
+  }
+  const Section* inline_check =
+      BinaryImage::Deserialize(serial.back().bytes).value().FindSection(
+          Section::Kind::kInlineCheck);
+  ASSERT_NE(inline_check, nullptr) << "profile promoted no site: no inline-check blob";
+
+  for (const unsigned jobs : {2u, 3u, 8u}) {
+    const std::vector<RewriteResult> batch = RewriteAll(corpus, jobs);
+    for (size_t i = 0; i < corpus.size(); ++i) {
+      EXPECT_TRUE(batch[i] == serial[i])
+          << corpus[i].name << ": differs when " << jobs << " images are rewritten at once";
+    }
+  }
 }
 
 }  // namespace

@@ -6,7 +6,6 @@
 
 #include "src/rw/disasm.h"
 #include "src/rw/liveness.h"
-#include "src/support/parallel.h"
 #include "src/workloads/builder.h"
 #include "src/workloads/kraken.h"
 #include "src/workloads/spec.h"
@@ -36,8 +35,7 @@ TEST(Disasm, LinearSweepCoversWholeText) {
 }
 
 TEST(Disasm, IndexAtFindsExactlyTheInstructionStarts) {
-  // The DeterminismStressTest.LargeTextCrossesDisasmChunks image: > 64 KiB
-  // of text, decoded in several chunks by a pool and stitched.
+  // A synth image with > 64 KiB of text.
   SynthParams p;
   p.seed = 0xb16;
   p.mem_pct = 40;
@@ -45,8 +43,7 @@ TEST(Disasm, IndexAtFindsExactlyTheInstructionStarts) {
   p.filler_funcs = 600;
   p.filler_units_per_func = 8;
   const BinaryImage img = GenerateSynthProgram(p);
-  ThreadPool pool(2);
-  Result<Disassembly> r = DisassembleText(img, &pool);
+  Result<Disassembly> r = DisassembleText(img);
   ASSERT_TRUE(r.ok()) << r.error();
   const Disassembly& dis = r.value();
   ASSERT_GT(dis.text_end - dis.text_vaddr, 64u * 1024u);
@@ -274,7 +271,6 @@ TEST(Liveness, BatchEqualsPerLeaderScanAtEveryInstruction) {
     p.filler_units_per_func = 10;
     images.push_back(GenerateSynthProgram(p));
   }
-  ThreadPool pool(3);
   const auto same = [](const ClobberInfo& a, const ClobberInfo& b) {
     return a.dead_regs == b.dead_regs && a.flags_dead == b.flags_dead;
   };
@@ -285,7 +281,7 @@ TEST(Liveness, BatchEqualsPerLeaderScanAtEveryInstruction) {
     const CfgInfo cfg = RecoverCfg(dis, img);
     std::vector<size_t> all(dis.insns.size());
     std::iota(all.begin(), all.end(), size_t{0});
-    const std::vector<ClobberInfo> batch = ComputeClobbersMany(dis, cfg, all, pool);
+    const std::vector<ClobberInfo> batch = ComputeClobbersMany(dis, cfg, all);
     ASSERT_EQ(batch.size(), all.size());
     for (size_t i = 0; i < all.size(); ++i) {
       mismatches += !same(batch[i], ComputeClobbers(dis, cfg, i));
@@ -301,7 +297,7 @@ TEST(Liveness, BatchEqualsPerLeaderScanAtEveryInstruction) {
     for (size_t i = 0; i < all.size(); i += 7) {
       mixed.push_back(i);
     }
-    const std::vector<ClobberInfo> again = ComputeClobbersMany(dis, cfg, mixed, pool);
+    const std::vector<ClobberInfo> again = ComputeClobbersMany(dis, cfg, mixed);
     ASSERT_EQ(again.size(), mixed.size());
     for (size_t k = 0; k < mixed.size(); ++k) {
       mismatches += !same(again[k], batch[mixed[k]]);

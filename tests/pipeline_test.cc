@@ -1,11 +1,10 @@
 // Tests for the pass pipeline (core/pipeline.h): registration/ordering,
-// ablation-by-disabling, parallel determinism, and the --stats JSON format.
+// ablation-by-disabling, and the --stats JSON format.
 #include <gtest/gtest.h>
 
 #include "src/core/pipeline.h"
 #include "src/core/redfat.h"
 #include "src/workloads/builder.h"
-#include "src/workloads/kraken.h"
 
 namespace redfat {
 namespace {
@@ -33,12 +32,6 @@ BinaryImage SmallHeapProgram() {
   as.HostCall(HostFn::kFree);
   pb.EmitExit(0);
   return pb.Finish();
-}
-
-BinaryImage KrakenImage() {
-  const std::vector<KrakenBenchmark> suite = KrakenSuite();
-  EXPECT_FALSE(suite.empty());
-  return BuildKrakenBenchmark(suite.front());
 }
 
 BinaryImage RunHardening(const BinaryImage& img, const RedFatOptions& opts,
@@ -164,42 +157,6 @@ TEST(PipelineTest, ToolDriverMatchesPipeline) {
   EXPECT_FALSE(ir.value().pipeline_stats.passes.empty());
 }
 
-// --- parallel determinism ---------------------------------------------------
-
-TEST(PipelineTest, ParallelJobsAreByteIdenticalOnKraken) {
-  const BinaryImage img = KrakenImage();
-  RedFatOptions serial;
-  serial.jobs = 1;
-  RedFatOptions parallel = serial;
-  parallel.jobs = 4;
-
-  PipelineStats serial_stats;
-  PipelineStats parallel_stats;
-  const BinaryImage out1 = RunHardening(img, serial, &serial_stats);
-  const BinaryImage out4 = RunHardening(img, parallel, &parallel_stats);
-
-  EXPECT_EQ(out1.Serialize(), out4.Serialize());
-  EXPECT_EQ(serial_stats.jobs, 1u);
-  EXPECT_EQ(parallel_stats.jobs, 4u);
-  // The non-timing stats must be identical too.
-  ASSERT_EQ(serial_stats.passes.size(), parallel_stats.passes.size());
-  for (size_t i = 0; i < serial_stats.passes.size(); ++i) {
-    EXPECT_EQ(serial_stats.passes[i].name, parallel_stats.passes[i].name);
-    EXPECT_EQ(serial_stats.passes[i].items, parallel_stats.passes[i].items);
-    EXPECT_EQ(serial_stats.passes[i].changed, parallel_stats.passes[i].changed);
-    EXPECT_EQ(serial_stats.passes[i].cycles_saved, parallel_stats.passes[i].cycles_saved);
-  }
-}
-
-TEST(PipelineTest, AutoJobsIsByteIdentical) {
-  const BinaryImage img = SmallHeapProgram();
-  RedFatOptions serial;
-  serial.jobs = 1;
-  RedFatOptions auto_jobs;
-  auto_jobs.jobs = 0;  // one worker per hardware thread
-  EXPECT_EQ(RunHardening(img, serial).Serialize(), RunHardening(img, auto_jobs).Serialize());
-}
-
 // --- stats JSON -------------------------------------------------------------
 
 TEST(PipelineStatsTest, ToJsonGolden) {
@@ -279,6 +236,7 @@ TEST(PipelineStatsTest, RealRunProducesParseableStats) {
   RunHardening(SmallHeapProgram(), RedFatOptions{}, &stats);
   Result<PipelineStats> parsed = PipelineStatsFromJson(stats.ToJson());
   ASSERT_TRUE(parsed.ok()) << parsed.error();
+  EXPECT_EQ(parsed.value().jobs, 1u);  // a rewrite runs on one thread
   // Disabled passes contribute no stats; tier is off without --profile.
   std::vector<std::string> expected;
   for (const std::string& name : kAllPasses) {

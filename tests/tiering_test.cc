@@ -339,27 +339,6 @@ TEST(TieringEndToEnd, EmptyProfileIsByteIdenticalToUntiered) {
   EXPECT_EQ(tiered.image.Serialize(), untiered.image.Serialize());
 }
 
-TEST(TieringEndToEnd, TieredRewriteIsDeterministicAcrossJobs) {
-  const BinaryImage img = HotLoopProgram();
-  RedFatTool plain(RedFatOptions{});
-  const InstrumentResult untiered = plain.Instrument(img).value();
-  const TierProfile profile = ProfileFromRun(untiered.image);
-
-  std::vector<uint8_t> jobs1;
-  for (const unsigned jobs : {1u, 2u, 8u}) {
-    RedFatOptions opts;
-    opts.tier_profile = &profile;
-    opts.jobs = jobs;
-    RedFatTool tool(opts);
-    const std::vector<uint8_t> bytes = tool.Instrument(img).value().image.Serialize();
-    if (jobs == 1) {
-      jobs1 = bytes;
-    } else {
-      EXPECT_EQ(bytes, jobs1) << "jobs=" << jobs;
-    }
-  }
-}
-
 // The README's tiering recipe on every Table 1 program, in process: a
 // profiled run of the hardened binary on the train input, a re-rewrite
 // against that profile joined through the profiled sitemap (`redfat
